@@ -8,8 +8,9 @@ embedded points.  Each gateway gets its own k-means run (seeded with
 ``seed XOR gateway_index``) and claims the cluster whose raw-feature centroid
 best matches its area type.
 
-The eigensolver is a cyclic Jacobi rotation sweep: deterministic, and for
-these small dense symmetric matrices it converges in a handful of sweeps.
+The eigensolver is LAPACK's symmetric divide-and-conquer routine
+(``numpy.linalg.eigh``) plus a deterministic sign normalisation: each
+eigenvector is flipped so its largest-magnitude entry is positive.
 """
 
 from __future__ import annotations
@@ -25,10 +26,6 @@ from .decision import AreaType, GatewayAssignment
 from .errors import CapacityError, ConfigurationError, ContractError, NumericalError
 from .overlay import FogOverlay
 
-#: Jacobi convergence threshold on the Frobenius norm of the off-diagonal part.
-JACOBI_TOL = 1e-10
-#: Maximum number of full Jacobi sweeps before giving up.
-JACOBI_MAX_SWEEPS = 100
 #: k-means restart count and Lloyd iteration cap.
 KMEANS_RESTARTS = 10
 KMEANS_MAX_ITER = 300
@@ -116,66 +113,50 @@ def similarity_matrix(
 
 
 def jacobi_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigen-decomposition of a symmetric matrix by cyclic Jacobi rotations.
+    """Eigen-decomposition of a symmetric matrix by LAPACK's ``numpy.linalg.eigh``.
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues ascending and
     eigenvectors as the corresponding columns, each sign-normalized so its
-    largest-magnitude component is positive.  Raises NumericalError (with the
-    sweep count) if the off-diagonal norm has not fallen below JACOBI_TOL
-    after JACOBI_MAX_SWEEPS sweeps.
+    largest-magnitude component is positive.  Raises ContractError for
+    non-square, non-finite or non-symmetric input and NumericalError if
+    LAPACK reports that it did not converge.
+
+    The name dates from an earlier cyclic Jacobi solver.  It is kept so that
+    callers, and tooling that looks the eigensolve up by name to time it,
+    keep working.
     """
     a = np.array(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ContractError(f"expected a square matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ContractError("jacobi_eigh requires finite matrix entries")
     if not np.allclose(a, a.T, atol=1e-12, rtol=0.0):
         raise ContractError("jacobi_eigh requires a symmetric matrix")
-    n = a.shape[0]
-    v = np.eye(n)
-    sweeps = 0
-    while True:
-        off = a - np.diag(np.diag(a))
-        off_norm = float(np.sqrt((off**2).sum()))
-        if off_norm <= JACOBI_TOL:
-            break
-        if sweeps >= JACOBI_MAX_SWEEPS:
-            raise NumericalError(
-                f"Jacobi sweep did not converge after {sweeps} sweeps "
-                f"(off-diagonal norm {off_norm:.3e})",
-                iterations=sweeps,
-            )
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) < 1e-300:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vec_p = v[:, p].copy()
-                vec_q = v[:, q].copy()
-                v[:, p] = c * vec_p - s * vec_q
-                v[:, q] = s * vec_p + c * vec_q
-        sweeps += 1
-    eigvals = np.diag(a).copy()
+    try:
+        eigvals, eigvecs = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"symmetric eigensolver did not converge: {exc}") from exc
     order = np.argsort(eigvals, kind="stable")
     eigvals = eigvals[order]
-    eigvecs = v[:, order]
-    for col in range(n):
-        pivot = int(np.argmax(np.abs(eigvecs[:, col])))
-        if eigvecs[pivot, col] < 0:
-            eigvecs[:, col] = -eigvecs[:, col]
+    eigvecs = eigvecs[:, order]
+    if a.size:
+        pivots = np.abs(eigvecs).argmax(axis=0)
+        eigvecs = eigvecs * np.where(eigvecs[pivots, np.arange(a.shape[0])] < 0, -1.0, 1.0)
     return eigvals, eigvecs
+
+
+def _normalized_laplacian(similarity: SimilarityMatrix | np.ndarray) -> np.ndarray:
+    """Symmetric normalized Laplacian ``I - D^{-1/2} S D^{-1/2}``."""
+    s = similarity.values if isinstance(similarity, SimilarityMatrix) else similarity
+    s = np.array(s, dtype=float)
+    if s.ndim != 2 or s.shape[0] != s.shape[1]:
+        raise ContractError(f"similarity must be square, got shape {s.shape}")
+    degrees = s.sum(axis=1)
+    if np.any(degrees <= 0):
+        raise ContractError("every row of the similarity matrix needs positive degree")
+    inv_sqrt = 1.0 / np.sqrt(degrees)
+    lap = np.eye(s.shape[0]) - s * inv_sqrt[:, None] * inv_sqrt[None, :]
+    return (lap + lap.T) / 2.0
 
 
 def spectral_embed(similarity: SimilarityMatrix | np.ndarray, k: int) -> np.ndarray:
@@ -185,20 +166,10 @@ def spectral_embed(similarity: SimilarityMatrix | np.ndarray, k: int) -> np.ndar
     thresholded ones with exact zeros); every row must have positive degree.
     Zero embedding rows are left at zero rather than divided by zero.
     """
-    s = similarity.values if isinstance(similarity, SimilarityMatrix) else np.asarray(similarity)
-    s = np.array(s, dtype=float)
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
-        raise ContractError(f"similarity must be square, got shape {s.shape}")
-    n = s.shape[0]
+    lap = _normalized_laplacian(similarity)
+    n = lap.shape[0]
     if not 1 <= k <= n:
         raise ContractError(f"k must be in [1, {n}], got {k}")
-    degrees = s.sum(axis=1)
-    if np.any(degrees <= 0):
-        raise ContractError("every row of the similarity matrix needs positive degree")
-    inv_sqrt = 1.0 / np.sqrt(degrees)
-    norm = s * inv_sqrt[:, None] * inv_sqrt[None, :]
-    lap = np.eye(n) - norm
-    lap = (lap + lap.T) / 2.0
     _, eigvecs = jacobi_eigh(lap)
     u = eigvecs[:, :k].copy()
     row_norms = np.sqrt((u**2).sum(axis=1))
@@ -211,15 +182,7 @@ def laplacian_eigensystem(
     similarity: SimilarityMatrix | np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Full (eigenvalues, eigenvectors) of the symmetric normalized Laplacian."""
-    s = similarity.values if isinstance(similarity, SimilarityMatrix) else np.asarray(similarity)
-    s = np.array(s, dtype=float)
-    degrees = s.sum(axis=1)
-    if np.any(degrees <= 0):
-        raise ContractError("every row of the similarity matrix needs positive degree")
-    inv_sqrt = 1.0 / np.sqrt(degrees)
-    lap = np.eye(s.shape[0]) - s * inv_sqrt[:, None] * inv_sqrt[None, :]
-    lap = (lap + lap.T) / 2.0
-    return jacobi_eigh(lap)
+    return jacobi_eigh(_normalized_laplacian(similarity))
 
 
 def kmeans_cost(points: np.ndarray, labels: np.ndarray) -> float:

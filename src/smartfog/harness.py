@@ -53,6 +53,59 @@ TIMING_COLUMNS = (
 )
 
 
+def _convert(field_name: str, convert, value):
+    """``convert(value)``, with a failure reported as a ConfigurationError naming the field."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{field_name}: invalid value {value!r}") from exc
+
+
+def _convert_list(field_name: str, convert, value) -> tuple:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigurationError(f"{field_name} must be a list, got {value!r}")
+    return tuple(_convert(field_name, convert, v) for v in value)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
+def _is_list_of_numbers(value) -> bool:
+    return isinstance(value, (list, tuple)) and all(map(_is_number, value))
+
+
+#: What a ``workload``/``overlay`` entry must hold, by its field annotation.
+_SECTION_KINDS = {
+    "float": ("a number", _is_number),
+    "int": ("an integer", _is_int),
+    "int | None": ("an integer or null", lambda v: v is None or _is_int(v)),
+    "tuple[float, float]": (
+        "a [low, high] pair of numbers",
+        lambda v: _is_list_of_numbers(v) and len(v) == 2,
+    ),
+    "tuple[float, ...]": ("a list of numbers", _is_list_of_numbers),
+}
+
+
+def _set_section(target, section: str, doc) -> None:
+    """Apply a ``workload``/``overlay`` JSON object to its dataclass, checking each entry."""
+    if not isinstance(doc, dict):
+        raise ConfigurationError(f"{section} must be an object, got {doc!r}")
+    fields = target.__dataclass_fields__
+    for name, value in doc.items():
+        if name not in fields:
+            raise ConfigurationError(f"unknown {section} field: {name}")
+        expected, accepts = _SECTION_KINDS[fields[name].type]
+        if not accepts(value):
+            raise ConfigurationError(f"{section}.{name} must be {expected}, got {value!r}")
+        setattr(target, name, tuple(value) if isinstance(value, list) else value)
+
+
 @dataclass
 class ExperimentConfig:
     """Full description of a sweep; JSON-loadable with flag overrides."""
@@ -94,43 +147,31 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         config = cls()
-        known_workload = set(WorkloadSpec.__dataclass_fields__)
-        known_overlay = set(OverlayParams.__dataclass_fields__)
         for key, value in doc.items():
             if key == "sizes":
-                config.sizes = tuple(int(v) for v in value)
+                config.sizes = _convert_list(key, int, value)
             elif key == "modes":
-                config.modes = tuple(Mode(v) for v in value)
+                config.modes = _convert_list(key, Mode, value)
             elif key == "replications":
-                config.replications = int(value)
+                config.replications = _convert(key, int, value)
             elif key == "seed_base":
-                config.seed_base = int(value)
+                config.seed_base = _convert(key, int, value)
             elif key == "areas":
-                config.areas = tuple(AreaType(v) for v in value)
+                config.areas = _convert_list(key, AreaType, value)
             elif key == "k":
-                config.k = int(value)
+                config.k = _convert(key, int, value)
             elif key == "bandwidth":
-                config.bandwidth = None if value is None else float(value)
+                config.bandwidth = None if value is None else _convert(key, float, value)
             elif key == "centrality_mode":
-                config.centrality_mode = CentralityMode(value)
+                config.centrality_mode = _convert(key, CentralityMode, value)
             elif key == "out_dir":
                 config.out_dir = str(value)
             elif key == "jobs":
-                config.jobs = None if value is None else int(value)
+                config.jobs = None if value is None else _convert(key, int, value)
             elif key == "workload":
-                for wkey, wval in value.items():
-                    if wkey not in known_workload:
-                        raise ConfigurationError(f"unknown workload field: {wkey}")
-                    if isinstance(wval, list):
-                        wval = tuple(wval)
-                    setattr(config.workload, wkey, wval)
+                _set_section(config.workload, key, value)
             elif key == "overlay":
-                for okey, oval in value.items():
-                    if okey not in known_overlay:
-                        raise ConfigurationError(f"unknown overlay field: {okey}")
-                    if isinstance(oval, list):
-                        oval = tuple(oval)
-                    setattr(config.overlay_params, okey, oval)
+                _set_section(config.overlay_params, key, value)
             else:
                 raise ConfigurationError(f"unknown config field: {key}")
         config.validate()

@@ -192,7 +192,7 @@ def test_eigensolver_residuals_spectrum_and_multiplicity(capsys):
     verdict(
         capsys,
         ok,
-        f"Jacobi eigensystem: max residual {worst_residual:.2e} (<= 1e-8), Laplacian "
+        f"eigensystem: max residual {worst_residual:.2e} (<= 1e-8), Laplacian "
         "spectrum within [0, 2] +- 1e-8, zero-eigenvalue multiplicity equals block count",
     )
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -19,8 +20,10 @@ from smartfog.clustering import (
     similarity_matrix,
     spectral_embed,
 )
+from smartfog.centrality import CentralityMode
 from smartfog.decision import AreaType, GatewayAssignment
-from smartfog.errors import CapacityError, ConfigurationError, ContractError
+from smartfog.errors import CapacityError, ConfigurationError, ContractError, NumericalError
+from smartfog.harness import run_smartfog_pipeline
 from smartfog.overlay import build_overlay
 
 from oracles import (
@@ -130,6 +133,21 @@ class TestJacobi:
         with pytest.raises(ContractError):
             jacobi_eigh(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        m = np.eye(3)
+        m[1, 1] = bad
+        with pytest.raises(ContractError, match="finite"):
+            jacobi_eigh(m)
+
+    def test_lapack_failure_becomes_numerical_error(self, monkeypatch):
+        def failing_eigh(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+        with pytest.raises(NumericalError, match="did not converge"):
+            jacobi_eigh(np.eye(2))
+
     @given(seed=st.integers(0, 1000), n=st.integers(1, 6))
     def test_matches_characteristic_polynomial(self, seed, n):
         rng = np.random.default_rng(seed)
@@ -224,6 +242,56 @@ class TestSpectralEmbed:
         across = np.linalg.norm(emb[0] - emb[3])
         assert within < 1e-4
         assert across > 1.0
+
+
+class TestDegenerateSpectrum:
+    """b disconnected blocks give a b-fold zero eigenvalue.  LAPACK may return
+    any orthonormal basis of that eigenspace; the embedding must not care."""
+
+    @staticmethod
+    def planted_blocks(sizes, seed):
+        rng = np.random.default_rng(seed)
+        n = sum(sizes)
+        s = np.zeros((n, n))
+        start = 0
+        for size in sizes:
+            block = rng.uniform(0.2, 1.0, size=(size, size))
+            s[start : start + size, start : start + size] = (block + block.T) / 2.0
+            start += size
+        labels = np.repeat(np.arange(len(sizes)), sizes)
+        return s, labels
+
+    @staticmethod
+    def check_block_embedding(emb, labels):
+        blocks = np.unique(labels)
+        for b in blocks:
+            rows = emb[labels == b]
+            np.testing.assert_allclose(rows, np.broadcast_to(rows[0], rows.shape), atol=1e-9)
+        reps = np.array([emb[labels == b][0] for b in blocks])
+        np.testing.assert_allclose(reps @ reps.T, np.eye(len(blocks)), atol=1e-9)
+
+    @pytest.mark.parametrize("sizes", [(4, 4), (3, 5), (4, 4, 4), (2, 6, 3)])
+    def test_rows_equal_within_and_orthogonal_across_blocks(self, sizes):
+        s, labels = self.planted_blocks(sizes, seed=len(sizes))
+        self.check_block_embedding(spectral_embed(s, len(sizes)), labels)
+
+    @pytest.mark.parametrize("blocks", [2, 3])
+    def test_any_basis_of_the_zero_eigenspace(self, blocks, monkeypatch):
+        real_eigh = np.linalg.eigh
+        rng = np.random.default_rng(blocks)
+
+        def rotated_eigh(a):
+            vals, vecs = real_eigh(a)
+            zero = np.abs(vals) <= 1e-9
+            assert zero.sum() == blocks
+            q, _ = np.linalg.qr(rng.normal(size=(zero.sum(), zero.sum())))
+            vecs[:, zero] = vecs[:, zero] @ q
+            return vals, vecs
+
+        s, labels = self.planted_blocks((5,) * blocks, seed=7)
+        monkeypatch.setattr(np.linalg, "eigh", rotated_eigh)
+        for _ in range(5):
+            self.check_block_embedding(spectral_embed(s, blocks), labels)
 
 
 class TestKMeans:
@@ -358,3 +426,29 @@ class TestFunctionalAreas:
             if adjusted_rand_index(predicted, actual) >= 0.9:
                 recovered += 1
         assert recovered >= 9
+
+
+# sha256 of areas_to_json for the full pipeline (k=2, both area types, default
+# bandwidth), recorded with the cyclic Jacobi eigensolver this package used
+# before it switched to LAPACK.  The switch must not change any of them.
+PINNED_AREAS = [
+    (20, 1000, CentralityMode.WEIGHTED_BY_LATENCY, "dc71f8ac7c0b55a692c2beaff30c8523b045469463324269b873c67548cc0b0c"),
+    (30, 1042, CentralityMode.WEIGHTED_BY_LATENCY, "f188b53262f107235f317de190621ad59fbfdf03e7a6e7c07d25f710969db4fe"),
+    (40, 1099, CentralityMode.WEIGHTED_BY_LATENCY, "d45654d71b4ee442e3c0de64919ce72ac54846d959b1523c95239d5487516e17"),
+    (40, 1007, CentralityMode.UNWEIGHTED, "df66f9bf4adac5b4fcd8d8c4f018316fdf2f85dd7f3eb1ee7aaf34214838e063"),
+    (80, 11, CentralityMode.UNWEIGHTED, "bcf235e2e8df0ad0c0d945b63c0b8b237924f5e1ee94cea4a073a8b69bf144d4"),
+    (100, 1000, CentralityMode.UNWEIGHTED, "b6184a81a3f8245c08a48dcafaebe75965e3bf245250faa45b45a096e34dd853"),
+]
+
+
+@pytest.mark.parametrize("n,seed,mode,digest", PINNED_AREAS)
+def test_pinned_functional_areas(n, seed, mode, digest):
+    _, areas, _, _ = run_smartfog_pipeline(
+        build_overlay(n, seed),
+        (AreaType.COMPUTE_OPTIMIZED, AreaType.MEMORY_OPTIMIZED),
+        2,
+        None,
+        seed,
+        mode,
+    )
+    assert hashlib.sha256(areas_to_json(areas).encode()).hexdigest() == digest

@@ -76,6 +76,26 @@ class TestExperimentConfig:
         with pytest.raises(ConfigurationError, match="unknown overlay field"):
             ExperimentConfig.from_dict({"overlay": {"degree": 3}})
 
+    @pytest.mark.parametrize(
+        "doc,field",
+        [
+            ({"sizes": "20"}, "sizes"),
+            ({"sizes": [20, "x"]}, "sizes"),
+            ({"modes": ["bogus"]}, "modes"),
+            ({"k": "two"}, "k"),
+            ({"centrality_mode": "fastest"}, "centrality_mode"),
+            ({"workload": {"duration_s": "300"}}, "workload.duration_s"),
+            ({"workload": {"tuple_bytes": 1.5}}, "workload.tuple_bytes"),
+            ({"workload": {"access_ms": [1, 2, 3]}}, "workload.access_ms"),
+            ({"workload": [1]}, "workload"),
+            ({"overlay": {"mips_range": [1]}}, "overlay.mips_range"),
+            ({"overlay": {"memory_choices_gb": "big"}}, "overlay.memory_choices_gb"),
+        ],
+    )
+    def test_malformed_values_name_the_field(self, doc, field):
+        with pytest.raises(ConfigurationError, match=f"^{field}[ :]"):
+            ExperimentConfig.from_dict(doc)
+
     def test_validation_errors(self):
         with pytest.raises(ConfigurationError):
             ExperimentConfig(sizes=()).validate()
