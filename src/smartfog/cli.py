@@ -1,8 +1,15 @@
-"""Command-line entry points: simulate, timing, cluster, select."""
+"""Command-line entry points: simulate, timing, cluster, select.
+
+Every flag that sets an ``ExperimentConfig`` field is stored under that
+field's name and merged over the ``--config`` file, so flags and file entries
+pass through the same checks in ``ExperimentConfig.from_dict``.
+"""
 
 from __future__ import annotations
 
 import argparse
+import csv
+import dataclasses
 import json
 import logging
 import sys
@@ -10,54 +17,62 @@ from pathlib import Path
 
 from .clustering import areas_to_json
 from .errors import SmartFogError
-from .harness import ExperimentConfig, run_experiment, run_smartfog_pipeline, timing_report
+from .harness import (
+    ExperimentConfig,
+    read_config_file,
+    run_experiment,
+    run_smartfog_pipeline,
+    timing_report,
+)
 from .overlay import build_overlay
 from .simulation import Mode
 
 log = logging.getLogger(__name__)
 
+_CONFIG_FIELDS = frozenset(f.name for f in dataclasses.fields(ExperimentConfig))
 
-def _parse_csv_list(text: str, cast):
-    return tuple(cast(part.strip()) for part in text.split(",") if part.strip())
+
+def _comma_list(text: str) -> list[str]:
+    return [part.strip() for part in text.split(",") if part.strip()]
+
+
+def _int_list(text: str) -> list[int]:
+    try:
+        return [int(part) for part in _comma_list(text)]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}"
+        ) from None
 
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
-    if getattr(args, "config", None):
-        config = ExperimentConfig.from_file(args.config)
-    else:
-        config = ExperimentConfig()
-    if getattr(args, "sizes", None):
-        config.sizes = _parse_csv_list(args.sizes, int)
-    if getattr(args, "modes", None):
-        config.modes = _parse_csv_list(args.modes, Mode)
-    if getattr(args, "reps", None) is not None:
-        config.replications = args.reps
-    if getattr(args, "seed", None) is not None:
-        config.seed_base = args.seed
-    if getattr(args, "out", None):
-        config.out_dir = str(args.out)
-    if getattr(args, "jobs", None) is not None:
-        config.jobs = args.jobs
-    config.validate()
-    return config
+    """The ``--config`` file (if any) with every given config flag merged over it."""
+    doc = read_config_file(args.config) if getattr(args, "config", None) else {}
+    flags = {
+        name: value
+        for name, value in vars(args).items()
+        if name in _CONFIG_FIELDS and value is not None
+    }
+    return ExperimentConfig.from_dict({**doc, **flags})
 
 
-def _add_sweep_flags(parser: argparse.ArgumentParser, with_modes: bool = True) -> None:
-    parser.add_argument("--config", type=Path, help="JSON config file")
-    parser.add_argument("--sizes", help="comma-separated overlay sizes, e.g. 20,30,40")
-    if with_modes:
-        parser.add_argument("--modes", help="comma-separated modes: smartfog,unoptimized")
-    parser.add_argument("--reps", type=int, help="replications per cell")
-    parser.add_argument("--seed", type=int, help="base seed; replication r uses seed+r")
-    parser.add_argument("--out", type=Path, help="output directory")
-    parser.add_argument("--jobs", type=int, help="worker processes (default: cpu count)")
+def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--config", help="JSON config file")
+    parser.add_argument(
+        "--sizes", type=_int_list, help="comma-separated overlay sizes, e.g. 20,30,40"
+    )
+    parser.add_argument("--reps", dest="replications", type=int, help="replications per cell")
+    parser.add_argument(
+        "--seed", dest="seed_base", type=int, help="base seed; replication r uses seed+r"
+    )
+    parser.add_argument("--out", dest="out_dir", help="output directory")
 
 
 def _add_single_overlay_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n", type=int, default=20, help="overlay size")
     parser.add_argument("--seed", type=int, default=0, help="overlay / pipeline seed")
     parser.add_argument(
-        "--areas", default="compute,memory", help="comma-separated area types"
+        "--areas", type=_comma_list, default="compute,memory", help="comma-separated area types"
     )
     parser.add_argument("--out", type=Path, help="write JSON here instead of stdout")
 
@@ -70,13 +85,51 @@ def _emit(text: str, out: Path | None) -> None:
         out.write_text(text + "\n")
 
 
+def _read_rows(path: Path) -> list[dict]:
+    with path.open(newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def _sweep_digest(summary_path: Path) -> str:
+    """Per size: smartfog vs unoptimized SPA median, load median and load reduction."""
+    cells = {(row["mode"], int(row["n_devices"])): row for row in _read_rows(summary_path)}
+    lines = [
+        f"{'n':>4} {'spa smart':>10} {'spa base':>10} "
+        f"{'load smart':>12} {'load base':>12} {'reduction':>10}"
+    ]
+    for size in sorted({size for _, size in cells}):
+        smart = cells[(Mode.SMARTFOG.value, size)]
+        base = cells[(Mode.UNOPTIMIZED.value, size)]
+        load_s = float(smart["network_load_median_bytes"])
+        load_b = float(base["network_load_median_bytes"])
+        reduction = f"{1.0 - load_s / load_b:>9.1%}" if load_b else f"{'n/a':>9}"
+        lines.append(
+            f"{size:>4} {float(smart['spa_median_ms']):>8.0f}ms "
+            f"{float(base['spa_median_ms']):>8.0f}ms "
+            f"{smart['network_load_median_bytes']:>11}B "
+            f"{base['network_load_median_bytes']:>11}B {reduction}"
+        )
+    return "\n".join(lines)
+
+
+def _timing_digest(summary_path: Path) -> str:
+    """Per size: median milliseconds of each pipeline stage."""
+    lines = [f"{'n':>4} {'betweenness':>12} {'sort+decide':>12} {'clustering':>12}"]
+    for row in _read_rows(summary_path):
+        lines.append(
+            f"{row['n_devices']:>4} {float(row['betweenness_median_ms']):>10.2f}ms "
+            f"{float(row['sorting_decision_median_ms']):>10.2f}ms "
+            f"{float(row['clustering_median_ms']):>10.2f}ms"
+        )
+    return "\n".join(lines)
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    if args.timing_only:
-        timing_path, summary_path = timing_report(config)
-    else:
-        timing_path, summary_path = run_experiment(config)
-    log.info("wrote %s and %s", timing_path, summary_path)
+    results_path, summary_path = run_experiment(config)
+    log.info("wrote %s and %s", results_path, summary_path)
+    if {Mode.SMARTFOG, Mode.UNOPTIMIZED} <= set(config.modes):
+        print(_sweep_digest(summary_path))
     return 0
 
 
@@ -84,17 +137,14 @@ def _cmd_timing(args: argparse.Namespace) -> int:
     config = _load_config(args)
     timing_path, summary_path = timing_report(config)
     log.info("wrote %s and %s", timing_path, summary_path)
+    print(_timing_digest(summary_path))
     return 0
 
 
 def _pipeline_for(args: argparse.Namespace):
-    from .decision import AreaType
-
-    areas = _parse_csv_list(args.areas, AreaType)
+    config = _load_config(args)
     overlay = build_overlay(args.n, args.seed)
-    k = getattr(args, "k", None) or 2
-    bandwidth = getattr(args, "bandwidth", None)
-    return run_smartfog_pipeline(overlay, areas, k, bandwidth, args.seed)
+    return run_smartfog_pipeline(overlay, config.areas, config.k, config.bandwidth, args.seed)
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
@@ -116,15 +166,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sim = sub.add_parser("simulate", help="run the full size x mode x replication sweep")
+    sim = sub.add_parser(
+        "simulate",
+        help="run the full size x mode x replication sweep and print a per-size digest",
+    )
     _add_sweep_flags(sim)
     sim.add_argument(
-        "--timing-only", action="store_true", help="benchmark pipeline stages instead"
+        "--modes", type=_comma_list, help="comma-separated modes: smartfog,unoptimized"
     )
+    sim.add_argument("--jobs", type=int, help="worker processes (default: cpu count)")
     sim.set_defaults(func=_cmd_simulate)
 
-    tim = sub.add_parser("timing", help="benchmark pipeline stages per overlay size")
-    _add_sweep_flags(tim, with_modes=False)
+    tim = sub.add_parser(
+        "timing", help="benchmark pipeline stages per overlay size and print their medians"
+    )
+    _add_sweep_flags(tim)
     tim.set_defaults(func=_cmd_timing)
 
     clu = sub.add_parser("cluster", help="emit functional areas for one overlay")

@@ -16,9 +16,10 @@ import logging
 import math
 import os
 import statistics
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -53,57 +54,104 @@ TIMING_COLUMNS = (
 )
 
 
-def _convert(field_name: str, convert, value):
-    """``convert(value)``, with a failure reported as a ConfigurationError naming the field."""
-    try:
-        return convert(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"{field_name}: invalid value {value!r}") from exc
-
-
-def _convert_list(field_name: str, convert, value) -> tuple:
-    if not isinstance(value, (list, tuple)):
-        raise ConfigurationError(f"{field_name} must be a list, got {value!r}")
-    return tuple(_convert(field_name, convert, v) for v in value)
-
-
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_number(value) -> bool:
-    return _is_int(value) or isinstance(value, float)
+    # The bound rejects NaN, infinities and ints too large to become a float.
+    return (_is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
 
 
-def _is_list_of_numbers(value) -> bool:
-    return isinstance(value, (list, tuple)) and all(map(_is_number, value))
+def _or_null(kind):
+    expected, accepts, convert = kind
+    return (
+        f"{expected} or null",
+        lambda v: v is None or accepts(v),
+        lambda v: None if v is None else convert(v),
+    )
 
 
-#: What a ``workload``/``overlay`` entry must hold, by its field annotation.
-_SECTION_KINDS = {
-    "float": ("a number", _is_number),
-    "int": ("an integer", _is_int),
-    "int | None": ("an integer or null", lambda v: v is None or _is_int(v)),
-    "tuple[float, float]": (
-        "a [low, high] pair of numbers",
-        lambda v: _is_list_of_numbers(v) and len(v) == 2,
-    ),
-    "tuple[float, ...]": ("a list of numbers", _is_list_of_numbers),
+def _list_of(expected: str, item, arity: int | None = None):
+    _, accepts, convert = item
+    return (
+        expected,
+        lambda v: isinstance(v, (list, tuple))
+        and (arity is None or len(v) == arity)
+        and all(map(accepts, v)),
+        lambda v: tuple(map(convert, v)),
+    )
+
+
+def _enum(enum):
+    values = tuple(member.value for member in enum)
+    return (f"one of {', '.join(values)}", lambda v: isinstance(v, str) and v in values, enum)
+
+
+_INT = ("an integer", _is_int, int)
+_NUMBER = ("a number", _is_number, float)
+_MODE = _enum(Mode)
+_AREA = _enum(AreaType)
+
+#: ``(expected, accepts, convert)`` for a config value, by its field annotation.
+#: Ints are strict: bools, floats and numeric strings are refused, not truncated.
+_KINDS = {
+    "int": _INT,
+    "float": _NUMBER,
+    "str": ("a string", lambda v: isinstance(v, str), str),
+    "int | None": _or_null(_INT),
+    "float | None": _or_null(_NUMBER),
+    "tuple[int, ...]": _list_of("a list of integers", _INT),
+    "tuple[float, ...]": _list_of("a list of numbers", _NUMBER),
+    "tuple[float, float]": _list_of("a [low, high] pair of numbers", _NUMBER, arity=2),
+    "tuple[Mode, ...]": _list_of(f"a list of modes, each {_MODE[0]}", _MODE),
+    "tuple[AreaType, ...]": _list_of(f"a list of area types, each {_AREA[0]}", _AREA),
+    "CentralityMode": _enum(CentralityMode),
 }
 
+#: Annotations that are nested JSON objects, built field by field like the config.
+_SECTIONS = {"WorkloadSpec": WorkloadSpec, "OverlayParams": OverlayParams}
 
-def _set_section(target, section: str, doc) -> None:
-    """Apply a ``workload``/``overlay`` JSON object to its dataclass, checking each entry."""
+#: JSON keys that differ from their field name.
+_JSON_KEYS = {"overlay_params": "overlay"}
+
+
+def _build(cls, doc, section: str | None = None):
+    """``cls`` built from a JSON object, each entry coerced by its field annotation.
+
+    Fields missing from ``doc`` keep their defaults; unknown keys and values
+    of the wrong type raise a ConfigurationError naming the field.
+    """
+    label = section or "config"
     if not isinstance(doc, dict):
-        raise ConfigurationError(f"{section} must be an object, got {doc!r}")
-    fields = target.__dataclass_fields__
-    for name, value in doc.items():
-        if name not in fields:
-            raise ConfigurationError(f"unknown {section} field: {name}")
-        expected, accepts = _SECTION_KINDS[fields[name].type]
-        if not accepts(value):
-            raise ConfigurationError(f"{section}.{name} must be {expected}, got {value!r}")
-        setattr(target, name, tuple(value) if isinstance(value, list) else value)
+        raise ConfigurationError(f"{label} must be an object, got {doc!r}")
+    by_key = {_JSON_KEYS.get(f.name, f.name): f for f in fields(cls)}
+    values = {}
+    for key, value in doc.items():
+        if key not in by_key:
+            raise ConfigurationError(f"unknown {label} field: {key}")
+        name = f"{section}.{key}" if section else key
+        annotation = by_key[key].type
+        if annotation in _SECTIONS:
+            value = _build(_SECTIONS[annotation], value, name)
+        else:
+            expected, accepts, convert = _KINDS[annotation]
+            if not accepts(value):
+                raise ConfigurationError(f"{name} must be {expected}, got {value!r}")
+            value = convert(value)
+        values[by_key[key].name] = value
+    return cls(**values)
+
+
+def read_config_file(path: str | Path) -> dict:
+    """The JSON object held in ``path``; ConfigurationError if unreadable or not an object."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:  # ValueError covers bad JSON and bad UTF-8
+        raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigurationError(f"config {path} must hold a JSON object")
+    return doc
 
 
 @dataclass
@@ -146,46 +194,13 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        config = cls()
-        for key, value in doc.items():
-            if key == "sizes":
-                config.sizes = _convert_list(key, int, value)
-            elif key == "modes":
-                config.modes = _convert_list(key, Mode, value)
-            elif key == "replications":
-                config.replications = _convert(key, int, value)
-            elif key == "seed_base":
-                config.seed_base = _convert(key, int, value)
-            elif key == "areas":
-                config.areas = _convert_list(key, AreaType, value)
-            elif key == "k":
-                config.k = _convert(key, int, value)
-            elif key == "bandwidth":
-                config.bandwidth = None if value is None else _convert(key, float, value)
-            elif key == "centrality_mode":
-                config.centrality_mode = _convert(key, CentralityMode, value)
-            elif key == "out_dir":
-                config.out_dir = str(value)
-            elif key == "jobs":
-                config.jobs = None if value is None else _convert(key, int, value)
-            elif key == "workload":
-                _set_section(config.workload, key, value)
-            elif key == "overlay":
-                _set_section(config.overlay_params, key, value)
-            else:
-                raise ConfigurationError(f"unknown config field: {key}")
+        config = _build(cls, doc)
         config.validate()
         return config
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
-        try:
-            doc = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise ConfigurationError(f"config {path} must hold a JSON object")
-        return cls.from_dict(doc)
+        return cls.from_dict(read_config_file(path))
 
 
 @dataclass(frozen=True)
@@ -392,18 +407,3 @@ def timing_report(config: ExperimentConfig) -> tuple[Path, Path]:
         writer.writeheader()
         writer.writerows(summary_rows)
     return timing_path, summary_path
-
-
-def timing_medians(timing_path: Path) -> dict[int, dict[str, float]]:
-    """Parse timing.csv back into per-size stage medians (test convenience)."""
-    by_size: dict[int, dict[str, list[float]]] = {}
-    with Path(timing_path).open() as fh:
-        for row in csv.DictReader(fh):
-            size = int(row["n_devices"])
-            cell = by_size.setdefault(size, {})
-            for stage in ("betweenness_ms", "sorting_decision_ms", "clustering_ms"):
-                cell.setdefault(stage, []).append(float(row[stage]))
-    return {
-        size: {stage: statistics.median(vals) for stage, vals in cell.items()}
-        for size, cell in by_size.items()
-    }

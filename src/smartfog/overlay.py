@@ -303,7 +303,6 @@ class Join:
     device: FogDevice
     links: tuple[tuple[int, float], ...]
     cloud_latency_ms: float | None = None
-    time_s: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -311,7 +310,6 @@ class Leave:
     """A device leaving the overlay together with all of its links."""
 
     device_id: int
-    time_s: float = 0.0
 
 
 ChurnEvent = Union[Join, Leave]

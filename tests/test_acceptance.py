@@ -36,7 +36,6 @@ from smartfog.harness import (
     ExperimentConfig,
     run_experiment,
     run_smartfog_pipeline,
-    timing_medians,
     timing_report,
 )
 from smartfog.overlay import (
@@ -256,10 +255,11 @@ def test_pipeline_stage_timing_shape(capsys, tmp_path):
     config = ExperimentConfig(
         sizes=(20, 30, 40), replications=30, out_dir=str(tmp_path / "timing")
     )
-    timing_path, _ = timing_report(config)
-    medians = timing_medians(timing_path)
-    betw = [medians[size]["betweenness_ms"] for size in (20, 30, 40)]
-    sort_decide_at_40 = medians[40]["sorting_decision_ms"]
+    _, summary_path = timing_report(config)
+    with summary_path.open(newline="") as fh:
+        medians = {int(row["n_devices"]): row for row in csv.DictReader(fh)}
+    betw = [float(medians[size]["betweenness_median_ms"]) for size in (20, 30, 40)]
+    sort_decide_at_40 = float(medians[40]["sorting_decision_median_ms"])
     monotone = betw[0] <= betw[1] <= betw[2]
     ok = monotone and sort_decide_at_40 < 20.0
     verdict(

@@ -1,12 +1,17 @@
 import csv
 import json
 import math
+import re
+import shlex
 import statistics
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from smartfog.centrality import CentralityMode
-from smartfog.cli import main
+from smartfog.cli import build_parser, main
 from smartfog.decision import AreaType
 from smartfog.errors import ConfigurationError
 from smartfog.harness import (
@@ -16,10 +21,9 @@ from smartfog.harness import (
     run_experiment,
     run_smartfog_pipeline,
     summarize,
-    timing_medians,
     timing_report,
 )
-from smartfog.overlay import build_overlay
+from smartfog.overlay import OverlayParams, build_overlay
 from smartfog.simulation import Mode, WorkloadSpec
 
 
@@ -37,6 +41,28 @@ def tiny_config(out_dir, **overrides):
     for key, value in overrides.items():
         setattr(config, key, value)
     return config
+
+
+#: Every config, workload and overlay key, so generated documents hit real fields.
+KNOWN_KEYS = sorted(
+    {"overlay"}
+    | {f for f in ExperimentConfig.__dataclass_fields__ if f != "overlay_params"}
+    | set(WorkloadSpec.__dataclass_fields__)
+    | set(OverlayParams.__dataclass_fields__)
+)
+ENUM_VALUES = sorted(m.value for enum in (Mode, AreaType, CentralityMode) for m in enum)
+JSON_KEYS = st.sampled_from(KNOWN_KEYS) | st.text(max_size=8)
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=8)
+    | st.sampled_from(ENUM_VALUES),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(JSON_KEYS, children, max_size=4),
+    max_leaves=12,
+)
 
 
 def read_csv(path):
@@ -90,11 +116,28 @@ class TestExperimentConfig:
             ({"workload": [1]}, "workload"),
             ({"overlay": {"mips_range": [1]}}, "overlay.mips_range"),
             ({"overlay": {"memory_choices_gb": "big"}}, "overlay.memory_choices_gb"),
+            ({"replications": 2.9}, "replications"),
+            ({"k": True}, "k"),
+            ({"sizes": [20.5]}, "sizes"),
+            ({"jobs": 1.5}, "jobs"),
+            ({"bandwidth": True}, "bandwidth"),
+            ({"out_dir": 5}, "out_dir"),
+            ({"bandwidth": math.nan}, "bandwidth"),
+            ({"workload": {"duration_s": math.inf}}, "workload.duration_s"),
+            ({"overlay": {"storage_gb": 10**400}}, "overlay.storage_gb"),
         ],
     )
     def test_malformed_values_name_the_field(self, doc, field):
         with pytest.raises(ConfigurationError, match=f"^{field}[ :]"):
             ExperimentConfig.from_dict(doc)
+
+    @given(doc=st.dictionaries(JSON_KEYS, JSON_VALUES, max_size=6) | JSON_VALUES)
+    def test_arbitrary_json_validates_or_is_rejected(self, doc):
+        try:
+            config = ExperimentConfig.from_dict(doc)
+        except ConfigurationError:
+            return
+        config.validate()
 
     def test_validation_errors(self):
         with pytest.raises(ConfigurationError):
@@ -115,6 +158,9 @@ class TestExperimentConfig:
         bad = tmp_path / "bad.json"
         bad.write_text("[1, 2]")
         with pytest.raises(ConfigurationError):
+            ExperimentConfig.from_file(bad)
+        bad.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(ConfigurationError, match="cannot read config"):
             ExperimentConfig.from_file(bad)
 
 
@@ -229,17 +275,15 @@ class TestTimingReport:
         rows = read_csv(timing_path)
         assert list(rows[0]) == list(TIMING_COLUMNS)
         assert len(rows) == 6
-        medians = timing_medians(timing_path)
-        assert set(medians) == {6, 10}
-        for cell in medians.values():
-            for stage in ("betweenness_ms", "sorting_decision_ms", "clustering_ms"):
-                assert cell[stage] >= 0.0
         summary = read_csv(summary_path)
         assert [r["n_devices"] for r in summary] == ["6", "10"]
+        for cell in summary:
+            for stage in ("betweenness", "sorting_decision", "clustering"):
+                assert float(cell[f"{stage}_median_ms"]) >= 0.0
 
 
 class TestCli:
-    def test_simulate_with_flags(self, tmp_path):
+    def test_simulate_with_flags(self, tmp_path, capsys):
         out = tmp_path / "results"
         code = main(
             [
@@ -263,7 +307,28 @@ class TestCli:
         assert code == 0
         rows = read_csv(out / "results.csv")
         assert [r["seed"] for r in rows] == ["77", "77"]
-        assert (out / "summary.csv").exists()
+        # the printed digest is read back from summary.csv
+        summary = {r["mode"]: r for r in read_csv(out / "summary.csv")}
+        smart, base = summary["smartfog"], summary["unoptimized"]
+        load_s, load_b = smart["network_load_median_bytes"], base["network_load_median_bytes"]
+        _, line = capsys.readouterr().out.strip().splitlines()
+        assert line.split() == [
+            "6",
+            f"{float(smart['spa_median_ms']):.0f}ms",
+            f"{float(base['spa_median_ms']):.0f}ms",
+            f"{load_s}B",
+            f"{load_b}B",
+            f"{1 - float(load_s) / float(load_b):.1%}",
+        ]
+
+    def test_simulate_digest_without_load(self, tmp_path, capsys):
+        # a workload too short to emit a tuple leaves no load to compare
+        config = tmp_path / "short.json"
+        config.write_text(json.dumps({"workload": {"duration_s": 1.0, "warmup_s": 0.0}}))
+        argv = ["simulate", "--config", str(config), "--sizes", "6", "--reps", "1"]
+        assert main(argv + ["--jobs", "1", "--out", str(tmp_path / "out")]) == 0
+        _, line = capsys.readouterr().out.strip().splitlines()
+        assert line.split()[3:] == ["0B", "0B", "n/a"]
 
     @staticmethod
     def write_config(tmp_path):
@@ -273,30 +338,16 @@ class TestCli:
         )
         return path
 
-    def test_simulate_timing_only(self, tmp_path):
-        out = tmp_path / "timing"
-        code = main(
-            [
-                "simulate",
-                "--timing-only",
-                "--sizes",
-                "6",
-                "--reps",
-                "2",
-                "--seed",
-                "3",
-                "--out",
-                str(out),
-            ]
-        )
-        assert code == 0
-        assert (out / "timing.csv").exists()
-        assert (out / "timing_summary.csv").exists()
-
-    def test_timing_subcommand(self, tmp_path):
+    def test_timing_subcommand(self, tmp_path, capsys):
         out = tmp_path / "t"
         assert main(["timing", "--sizes", "6", "--reps", "2", "--out", str(out)]) == 0
         assert len(read_csv(out / "timing.csv")) == 2
+        (summary,) = read_csv(out / "timing_summary.csv")
+        _, line = capsys.readouterr().out.strip().splitlines()
+        assert line.split() == ["6"] + [
+            f"{float(summary[f'{stage}_median_ms']):.2f}ms"
+            for stage in ("betweenness", "sorting_decision", "clustering")
+        ]
 
     def test_cluster_subcommand(self, tmp_path):
         out = tmp_path / "areas.json"
@@ -325,8 +376,45 @@ class TestCli:
     def test_error_exit_code(self, tmp_path):
         # k larger than the non-gateway pool -> CapacityError -> exit 2
         assert main(["cluster", "--n", "3", "--seed", "0", "--k", "2"]) == 2
+        # k below 1 is refused, not replaced by the default
+        assert main(["cluster", "--n", "10", "--seed", "0", "--k", "0"]) == 2
         # invalid sweep config -> exit 2
         assert (
             main(["simulate", "--sizes", "1", "--reps", "1", "--out", str(tmp_path)])
             == 2
         )
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["simulate", "--modes", "bogus"], "modes"),
+            (["simulate", "--sizes", "2x"], "--sizes"),
+            (["select", "--areas", "bogus"], "areas"),
+        ],
+    )
+    def test_bad_flag_exits_2_naming_it(self, argv, flag, tmp_path, monkeypatch, capsys, caplog):
+        monkeypatch.chdir(tmp_path)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejected the flag
+            code = exc.code
+        assert code == 2
+        assert flag in capsys.readouterr().err + caplog.text
+
+
+def test_readme_commands_parse():
+    """Every ``smartfog`` command in README.md's shell blocks is accepted by the parser."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = [
+        shlex.split(line, comments=True)[1:]
+        for block in re.findall(r"```(?:sh|bash|shell)\n(.*?)```", readme, re.S)
+        for line in block.replace("\\\n", " ").splitlines()
+        if line.startswith("smartfog ")
+    ]
+    assert len(commands) >= 4
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: smartfog {shlex.join(argv)}")
