@@ -5,9 +5,13 @@ of sigma_sd(n) / sigma_sd`` where ``sigma_sd`` counts shortest s-d paths and
 ``sigma_sd(n)`` those passing through n as an interior vertex.  Scores are
 unnormalized; endpoints never count themselves.
 
-The unweighted mode accumulates dependencies with exact rational arithmetic
-(path counts are integers, so every score is a rational number) and converts
-to float once at the end; this makes results independent of summation order.
+The unweighted mode is exact: path counts are integers, so every score is a
+rational number.  Per source s, dependencies are scaled by the lcm L of the
+path counts, which makes ``L * delta_s(v)`` an integer and every division of
+the recurrence exact; the sources' integer numerators are summed over one
+common denominator and divided once at the end.  Python's int / int is
+correctly rounded, so each score is the double nearest its exact value,
+independent of summation order.
 The latency-weighted mode uses floats with an absolute tie tolerance when
 deciding whether two path lengths are equal.
 """
@@ -15,10 +19,10 @@ deciding whether two path lengths are equal.
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from itertools import count
 
 from .errors import TopologyError
@@ -59,34 +63,55 @@ def betweenness(
 
 def _brandes_unweighted(overlay: FogOverlay) -> dict[int, float]:
     ids = sorted(overlay.device_ids)
-    acc = {v: Fraction(0) for v in ids}
+    adjacency = overlay.adjacency
+    # Running sum of every source's dependencies as integer numerators over
+    # one common denominator ``den``.
+    num = dict.fromkeys(ids, 0)
+    den = 1
     for s in ids:
         # BFS phase: distances, integer path counts, predecessor lists.
         dist = {s: 0}
-        sigma = {v: 0 for v in ids}
-        sigma[s] = 1
-        preds: dict[int, list[int]] = {v: [] for v in ids}
+        sigma = {s: 1}
+        preds: dict[int, list[int]] = {s: []}
         order = []
         queue = deque([s])
         while queue:
             v = queue.popleft()
             order.append(v)
-            for w, _ in overlay.adjacency[v]:
-                if w not in dist:
-                    dist[w] = dist[v] + 1
+            dv1 = dist[v] + 1
+            sv = sigma[v]
+            for w, _ in adjacency[v]:
+                dw = dist.get(w)
+                if dw is None:
+                    dist[w] = dv1
                     queue.append(w)
-                if dist[w] == dist[v] + 1:
-                    sigma[w] += sigma[v]
+                    sigma[w] = sv
+                    preds[w] = [v]
+                elif dw == dv1:
+                    sigma[w] += sv
                     preds[w].append(v)
-        # Dependency accumulation, exact rationals.
-        delta = {v: Fraction(0) for v in ids}
+        # Dependency accumulation scaled by L = lcm(sigma): D[v] = L * delta(v)
+        # is an integer and every division below is exact.
+        scale = math.lcm(*sigma.values())
+        dep = dict.fromkeys(order, 0)
         for w in reversed(order):
+            share = (scale + dep[w]) // sigma[w]
             for v in preds[w]:
-                delta[v] += Fraction(sigma[v], sigma[w]) * (1 + delta[w])
+                dep[v] += sigma[v] * share
+        # Add dep / scale into num / den over their least common denominator.
+        up = scale // math.gcd(den, scale)
+        if up != 1:
+            for v in ids:
+                num[v] *= up
+            den *= up
+        down = den // scale
+        for w in order:
             if w != s:
-                acc[w] += delta[w]
-    # Each unordered pair was counted from both endpoints.
-    return {v: float(acc[v] / 2) for v in ids}
+                num[w] += dep[w] * down
+    # Each unordered pair was counted from both endpoints.  int / int is
+    # correctly rounded, so each score is the double nearest the exact value.
+    den *= 2
+    return {v: num[v] / den for v in ids}
 
 
 def _brandes_weighted(overlay: FogOverlay) -> dict[int, float]:

@@ -134,6 +134,11 @@ class FogOverlay:
             adj[link.b].append((link.a, link.latency_ms))
         return {k: tuple(sorted(v)) for k, v in adj.items()}
 
+    @cached_property
+    def path_table(self) -> dict[int, dict[int, tuple[float, int]]]:
+        """Shortest-path table for every device (see :func:`shortest_paths`)."""
+        return {dev.id: shortest_paths(self, dev.id) for dev in self.devices}
+
     def is_connected(self) -> bool:
         if not self.devices:
             return False
@@ -411,5 +416,5 @@ def latency_to_cloud(overlay: FogOverlay, device_id: int) -> float:
 
 
 def all_pairs_paths(overlay: FogOverlay) -> dict[int, dict[int, tuple[float, int]]]:
-    """Shortest-path table for every device (see :func:`shortest_paths`)."""
-    return {dev.id: shortest_paths(overlay, dev.id) for dev in overlay.devices}
+    """The overlay's cached shortest-path table (:attr:`FogOverlay.path_table`)."""
+    return overlay.path_table

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import deque
 from fractions import Fraction
 from itertools import combinations
 
@@ -99,6 +100,44 @@ def oracle_betweenness(overlay: FogOverlay, weighted: bool) -> dict[int, float]:
             else:
                 acc[v] += Fraction(cnt, sigma)
     return {v: float(acc[v]) for v in ids}
+
+
+def fraction_brandes_unweighted(overlay: FogOverlay) -> dict[int, float]:
+    """Unweighted Brandes accumulation in exact :class:`Fraction` arithmetic.
+
+    Same BFS and dependency recurrence as the package, but each dependency is
+    a normalised rational and the sum is converted to float once, so it checks
+    the package's integer-scaled arithmetic bit for bit at sizes the
+    exhaustive path enumeration cannot reach.
+    """
+    ids = sorted(overlay.device_ids)
+    adj = _adjacency(overlay, weighted=False)
+    acc = {v: Fraction(0) for v in ids}
+    for s in ids:
+        dist = {s: 0}
+        sigma = {v: 0 for v in ids}
+        sigma[s] = 1
+        preds: dict[int, list[int]] = {v: [] for v in ids}
+        order = []
+        queue = deque([s])
+        while queue:
+            v = queue.popleft()
+            order.append(v)
+            for w, _ in adj[v]:
+                if w not in dist:
+                    dist[w] = dist[v] + 1
+                    queue.append(w)
+                if dist[w] == dist[v] + 1:
+                    sigma[w] += sigma[v]
+                    preds[w].append(v)
+        delta = {v: Fraction(0) for v in ids}
+        for w in reversed(order):
+            for v in preds[w]:
+                delta[v] += Fraction(sigma[v], sigma[w]) * (1 + delta[w])
+            if w != s:
+                acc[w] += delta[w]
+    # Each unordered pair was counted from both endpoints.
+    return {v: float(acc[v] / 2) for v in ids}
 
 
 def oracle_pair_path_stats(overlay: FogOverlay, weighted: bool):
@@ -317,3 +356,26 @@ def two_component_overlay() -> FogOverlay:
         for a, b in [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
     )
     return FogOverlay(devices=devices, links=links, cloud_latency_ms={0: 55.0, 3: 70.0})
+
+
+def bundle_chain_overlay(widths: list[int]) -> FogOverlay:
+    """Hubs joined in a chain, hub ``i`` to hub ``i + 1`` by ``widths[i]``
+    parallel two-hop routes.
+
+    The two end hubs (ids 0 and the largest id) are joined by
+    ``prod(widths)`` shortest paths.
+    """
+    links = []
+    hub, next_id = 0, 1
+    for width in widths:
+        mids = range(next_id, next_id + width)
+        nxt = next_id + width
+        for mid in mids:
+            links.append(Link(a=hub, b=mid, latency_ms=1.0))
+            links.append(Link(a=mid, b=nxt, latency_ms=1.0))
+        hub, next_id = nxt, nxt + 1
+    devices = tuple(
+        FogDevice(id=i, mips=1000.0, memory_gb=2.0, storage_gb=16.0, arch=Arch.ARM)
+        for i in range(next_id)
+    )
+    return FogOverlay(devices=devices, links=tuple(links), cloud_latency_ms={0: 60.0})

@@ -1,6 +1,8 @@
 """Betweenness tests: frozen small graphs, exhaustive-oracle equivalence,
 structural invariances, and the interior-count sum identity."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +11,13 @@ from smartfog.centrality import CentralityMode, betweenness
 from smartfog.errors import TopologyError
 from smartfog.overlay import Arch, FogDevice, FogOverlay, Link, build_overlay
 
-from oracles import oracle_betweenness, oracle_pair_path_stats, two_component_overlay
+from oracles import (
+    bundle_chain_overlay,
+    fraction_brandes_unweighted,
+    oracle_betweenness,
+    oracle_pair_path_stats,
+    two_component_overlay,
+)
 
 
 def overlay_from_edges(n, edges, latencies=None):
@@ -84,6 +92,42 @@ class TestOracleEquivalence:
             ov, CentralityMode.WEIGHTED_BY_LATENCY
         ).scores
         assert betweenness(ov).mode is CentralityMode.WEIGHTED_BY_LATENCY
+
+
+class TestExactAtScale:
+    """Unweighted scores equal the Fraction accumulation bit for bit."""
+
+    @pytest.mark.parametrize("n", [20, 40, 100])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_random_overlays(self, n, seed):
+        ov = build_overlay(n, seed)
+        got = betweenness(ov, CentralityMode.UNWEIGHTED).scores
+        assert got == fraction_brandes_unweighted(ov)
+
+    @pytest.mark.parametrize(
+        "widths",
+        [[2] * 64, [2, 3, 5, 7] * 10],
+        ids=["64-diamonds", "mixed-bundles"],
+    )
+    def test_path_counts_beyond_int64(self, widths):
+        ov = bundle_chain_overlay(widths)
+        # BFS path counts from one end: the far end has prod(widths) >= 2**64
+        # shortest paths, past int64 and a double's 53-bit mantissa.
+        dist, sigma, frontier = {0: 0}, {0: 1}, [0]
+        while frontier:
+            nxt = []
+            for v in frontier:
+                for w, _ in ov.adjacency[v]:
+                    if w not in dist:
+                        dist[w] = dist[v] + 1
+                        sigma[w] = 0
+                        nxt.append(w)
+                    if dist[w] == dist[v] + 1:
+                        sigma[w] += sigma[v]
+            frontier = nxt
+        assert sigma[max(ov.device_ids)] == math.prod(widths) >= 2**64
+        got = betweenness(ov, CentralityMode.UNWEIGHTED).scores
+        assert got == fraction_brandes_unweighted(ov)
 
 
 class TestInvariances:

@@ -125,6 +125,8 @@ class TestExperimentConfig:
             ({"bandwidth": math.nan}, "bandwidth"),
             ({"workload": {"duration_s": math.inf}}, "workload.duration_s"),
             ({"overlay": {"storage_gb": 10**400}}, "overlay.storage_gb"),
+            ({"sizes": [20, 20]}, "sizes"),
+            ({"modes": ["smartfog", "smartfog"]}, "modes"),
         ],
     )
     def test_malformed_values_name_the_field(self, doc, field):
@@ -390,6 +392,8 @@ class TestCli:
             (["simulate", "--modes", "bogus"], "modes"),
             (["simulate", "--sizes", "2x"], "--sizes"),
             (["select", "--areas", "bogus"], "areas"),
+            (["simulate", "--modes", "smartfog,smartfog", "--sizes", "6,6", "--reps", "1"], "sizes"),
+            (["simulate", "--modes", "smartfog,smartfog", "--sizes", "6", "--reps", "1"], "modes"),
         ],
     )
     def test_bad_flag_exits_2_naming_it(self, argv, flag, tmp_path, monkeypatch, capsys, caplog):

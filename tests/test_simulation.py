@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import smartfog.overlay
 from smartfog.clustering import FunctionalArea
 from smartfog.decision import AreaType, GatewayAssignment
 from smartfog.errors import ConfigurationError, ContractError
@@ -394,3 +395,25 @@ class TestSmartfogEndToEnd:
             a for a in areas if a.area_type is AreaType.COMPUTE_OPTIMIZED
         )
         assert set(hosts.values()) <= set(compute_area.members)
+
+    def test_one_path_table_per_overlay(self, monkeypatch):
+        """Placement and the event loop of both modes share one table."""
+        ov = build_overlay(20, seed=1005)
+        assignment, areas, _, _ = run_smartfog_pipeline(
+            ov, (AreaType.COMPUTE_OPTIMIZED, AreaType.MEMORY_OPTIMIZED), 2, None, 1005
+        )
+        # Cloud-latency evaluation runs its own Dijkstras and caches no table,
+        # so long-lived overlays that are only organized stay small.
+        assert "path_table" not in ov.__dict__
+        calls = []
+        original = smartfog.overlay.shortest_paths
+
+        def counting(overlay, source):
+            calls.append(source)
+            return original(overlay, source)
+
+        monkeypatch.setattr(smartfog.overlay, "shortest_paths", counting)
+        workload = WorkloadSpec()
+        run(ov, Mode.SMARTFOG, workload, 1005, assignment=assignment, areas=areas)
+        run(ov, Mode.UNOPTIMIZED, workload, 1005)
+        assert sorted(calls) == sorted(ov.device_ids)
