@@ -177,17 +177,16 @@ class ExperimentConfig:
         for n in self.sizes:
             if n < 2:
                 raise ConfigurationError(f"sizes entries must be >= 2, got {n}")
-        if len(set(self.sizes)) != len(self.sizes):
-            raise ConfigurationError(f"sizes entries must be distinct, got {list(self.sizes)}")
         if not self.modes:
             raise ConfigurationError("modes must not be empty")
-        if len(set(self.modes)) != len(self.modes):
-            names = [m.value for m in self.modes]
-            raise ConfigurationError(f"modes entries must be distinct, got {names}")
         if self.replications < 1:
             raise ConfigurationError(f"replications must be >= 1, got {self.replications}")
         if not self.areas:
             raise ConfigurationError("areas must not be empty")
+        for name in ("sizes", "modes", "areas"):
+            values = [getattr(v, "value", v) for v in getattr(self, name)]
+            if len(set(values)) != len(values):
+                raise ConfigurationError(f"{name} entries must be distinct, got {values}")
         if self.k < 1:
             raise ConfigurationError(f"k must be >= 1, got {self.k}")
         if self.bandwidth is not None and self.bandwidth <= 0:

@@ -11,7 +11,8 @@ Two tuple kinds flow through the overlay:
   work to the cloud through a forwarding device (a selected gateway in
   smartfog mode, a random cloud-attached device otherwise).  Loop delay =
   device-to-forwarder path + forwarder-to-cloud latency + cloud queueing and
-  processing + the return path.
+  processing + the return path.  A forwarder without its own cloud link
+  relays through the cloud-attached device nearest the cloud from it.
 
 Each sensor is pinned to a uniformly random access-point device; in smartfog
 mode its SPA host is the nearest member (by path latency) of the functional
@@ -19,10 +20,12 @@ area matching the tuple kind's compute profile, in unoptimized mode a
 uniformly random device.  Network load counts payload bytes once per link
 hop traversed, including the sensor access hop and the cloud hop.
 
-The engine is a single priority queue keyed by (time, sequence number);
-devices and the cloud are single FIFO servers.  All randomness comes from
-streams derived from one seed, with draws ordered so that emission times and
-work sizes are identical across modes for the same seed.
+Routes depend only on the sensor and are fixed before the event loop.
+Devices and the cloud are entries of one table of FIFO servers, and the
+engine is a single priority queue keyed by (time, sequence number).  All
+randomness comes from streams derived from one seed, with draws ordered so
+that emission times and work sizes are identical across modes for the same
+seed.
 """
 
 from __future__ import annotations
@@ -257,12 +260,58 @@ class SimulationReport:
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
+# Server-table key of the cloud, beside the integer device ids.
+_CLOUD = "cloud"
+
+# (server, one-way leg latency in ms, one-way leg hops); the tuple returns
+# over the same leg.
+_Route = tuple[object, float, int]
+
+
 @dataclass
 class _TupleState:
     kind: TupleKind
-    sensor: int
     emit_ms: float
     work_mips: float
+    route: _Route | None
+
+
+def _sensor_routes(
+    overlay: FogOverlay, sensors: SensorAttachment, placement: Placement
+) -> dict[tuple[int, TupleKind], _Route]:
+    """Each sensor's route per tuple kind; unroutable pairs are absent.
+
+    SPA: the access hop and the path to the host, served by the host.  PC:
+    the path from the host to its forwarder and the forwarder's cloud link,
+    served by the cloud.  A forwarder without a cloud link relays through the
+    cloud-attached device with the lowest path-plus-cloud latency from it
+    (ties to the lower id).
+    """
+    paths = all_pairs_paths(overlay)
+    cloud = overlay.cloud_latency_ms
+    routes: dict[tuple[int, TupleKind], _Route] = {}
+    for s in sensors.sensor_ids:
+        ap = sensors.access_point[s]
+        host = placement.edge_modules[s]
+        if host in paths[ap]:
+            path_ms, path_hops = paths[ap][host]
+            routes[s, TupleKind.SPA] = (host, sensors.access_ms[s] + path_ms, 1 + path_hops)
+        fwd = placement.cloud_route[host]
+        if fwd not in paths[host]:
+            continue
+        # A linked forwarder is its own relay: paths[fwd][fwd] is (0.0, 0),
+        # and adding 0.0 leaves the leg's float unchanged.
+        relay = fwd if fwd in cloud else min(
+            (g for g in cloud if g in paths[fwd]),
+            key=lambda g: (paths[fwd][g][0] + cloud[g], g),
+            default=None,
+        )
+        if relay is not None:
+            path_ms, path_hops = paths[host][fwd]
+            relay_ms, relay_hops = paths[fwd][relay]
+            leg_ms = path_ms + relay_ms + cloud[relay]
+            routes[s, TupleKind.PC] = (_CLOUD, leg_ms, path_hops + relay_hops + 1)
+    return routes
 
 
 def run(
@@ -279,6 +328,12 @@ def run(
     from seed-salted streams that do not depend on the mode, so runs of both
     modes under one seed see identical workloads and differ only in placement
     and routing.
+
+    Each tuple carries its sensor's route (:func:`_sensor_routes`), and
+    devices and the cloud share one table of MIPS, FIFO queue and busy mark.
+    ``emit`` drops an unroutable tuple or sends it up its leg, ``arrive``
+    queues or serves it, ``done`` sends it back down the leg and serves the
+    next queued tuple, and ``complete`` samples its loop delay.
     """
     workload.validate()
     n_devices = len(overlay.devices)
@@ -297,15 +352,25 @@ def run(
         areas=areas,
         rng=random.Random(seed ^ _PLACE_SALT),
     )
-    paths = all_pairs_paths(overlay)
-    device_mips = {d.id: d.mips for d in overlay.devices}
+    routes = _sensor_routes(overlay, sensors, placement)
+    server_mips: dict[object, float] = {d.id: d.mips for d in overlay.devices}
+    server_mips[_CLOUD] = workload.cloud_mips
+
+    report = SimulationReport(mode=mode, n_devices=n_devices, seed=seed)
+    for counts in (report.emitted, report.completed, report.dropped):
+        counts.update({kind.value: 0 for kind in TupleKind})
+
+    heap: list[tuple[float, int, str, _TupleState]] = []
+    seq = count()
+
+    def push(t: float, event: str, state: _TupleState) -> None:
+        heapq.heappush(heap, (t, next(seq), event, state))
 
     # Emission schedules: per sensor, SPA stream then PC stream, identical
     # across modes.
     work_rng = random.Random(seed ^ _WORK_SALT)
     duration_ms = workload.duration_s * 1000.0
     warmup_ms = workload.warmup_s * 1000.0
-    emissions: list[tuple[float, _TupleState]] = []
     for s in sensors.sensor_ids:
         for kind, interval_s, mips_range in (
             (TupleKind.SPA, workload.spa_interval_s, workload.spa_mips_range),
@@ -318,119 +383,54 @@ def run(
                 if t > duration_ms:
                     break
                 work = work_rng.uniform(*mips_range)
-                emissions.append(
-                    (t, _TupleState(kind=kind, sensor=s, emit_ms=t, work_mips=work))
-                )
+                push(t, "emit", _TupleState(kind, t, work, routes.get((s, kind))))
+                report.emitted[kind.value] += 1
 
-    report = SimulationReport(mode=mode, n_devices=n_devices, seed=seed)
-    for kind in (TupleKind.SPA, TupleKind.PC):
-        report.emitted[kind.value] = 0
-        report.completed[kind.value] = 0
-        report.dropped[kind.value] = 0
-
-    heap: list[tuple[float, int, str, object]] = []
-    seq = count()
-
-    def push(t: float, event: str, payload: object) -> None:
-        heapq.heappush(heap, (t, next(seq), event, payload))
-
-    for t, state in emissions:
-        push(t, "emit", state)
-        report.emitted[state.kind.value] += 1
-
-    device_queue: dict[int, deque] = {d: deque() for d in overlay.device_ids}
-    device_busy: dict[int, bool] = {d: False for d in overlay.device_ids}
-    cloud_queue: deque = deque()
-    cloud_busy = False
+    queue: dict[object, deque] = {server: deque() for server in server_mips}
+    busy = dict.fromkeys(server_mips, False)
     bytes_per_tuple = workload.tuple_bytes
 
-    def start_device_service(dev: int, now: float, item: tuple) -> None:
-        state, downlink_ms, downlink_hops = item
-        service_ms = state.work_mips / device_mips[dev] * 1000.0
-        push(now + service_ms, "svc_done", (dev, state, downlink_ms, downlink_hops))
-
-    def start_cloud_service(now: float, item: tuple) -> None:
-        state, return_ms, return_hops = item
-        service_ms = state.work_mips / workload.cloud_mips * 1000.0
-        push(now + service_ms, "cloud_done", (state, return_ms, return_hops))
+    def serve(now: float, state: _TupleState) -> None:
+        service_ms = state.work_mips / server_mips[state.route[0]] * 1000.0
+        push(now + service_ms, "done", state)
 
     completed_delays = {TupleKind.SPA: report.spa_delays_ms, TupleKind.PC: report.pc_delays_ms}
 
     while heap:
-        now, _, event, payload = heapq.heappop(heap)
+        now, _, event, state = heapq.heappop(heap)
         if now > duration_ms:
             break
 
         if event == "emit":
-            state = payload
-            if state.kind is TupleKind.SPA:
-                ap = sensors.access_point[state.sensor]
-                host = placement.edge_modules[state.sensor]
-                if host not in paths[ap]:
-                    report.dropped[state.kind.value] += 1
-                    continue
-                path_ms, path_hops = paths[ap][host]
-                leg_ms = sensors.access_ms[state.sensor] + path_ms
-                leg_hops = 1 + path_hops
-                report.network_load_bytes += bytes_per_tuple * leg_hops
-                push(now + leg_ms, "arrive", (host, state, leg_ms, leg_hops))
-            else:
-                host = placement.edge_modules[state.sensor]
-                fwd = placement.cloud_route[host]
-                if fwd not in paths[host] or fwd not in overlay.cloud_latency_ms:
-                    report.dropped[state.kind.value] += 1
-                    continue
-                path_ms, path_hops = paths[host][fwd]
-                leg_ms = path_ms + overlay.cloud_latency_ms[fwd]
-                leg_hops = path_hops + 1
-                report.network_load_bytes += bytes_per_tuple * leg_hops
-                push(now + leg_ms, "cloud_arrive", (state, leg_ms, leg_hops))
+            if state.route is None:
+                report.dropped[state.kind.value] += 1
+                continue
+            _, leg_ms, leg_hops = state.route
+            report.network_load_bytes += bytes_per_tuple * leg_hops
+            push(now + leg_ms, "arrive", state)
 
         elif event == "arrive":
-            dev, state, leg_ms, leg_hops = payload
-            item = (state, leg_ms, leg_hops)
-            if device_busy[dev]:
-                device_queue[dev].append(item)
+            server = state.route[0]
+            if busy[server]:
+                queue[server].append(state)
             else:
-                device_busy[dev] = True
-                start_device_service(dev, now, item)
+                busy[server] = True
+                serve(now, state)
 
-        elif event == "svc_done":
-            dev, state, downlink_ms, downlink_hops = payload
-            report.network_load_bytes += bytes_per_tuple * downlink_hops
-            push(now + downlink_ms, "complete", state)
-            if device_queue[dev]:
-                start_device_service(dev, now, device_queue[dev].popleft())
+        elif event == "done":
+            server, leg_ms, leg_hops = state.route
+            report.network_load_bytes += bytes_per_tuple * leg_hops
+            push(now + leg_ms, "complete", state)
+            if queue[server]:
+                serve(now, queue[server].popleft())
             else:
-                device_busy[dev] = False
-
-        elif event == "cloud_arrive":
-            item = payload
-            if cloud_busy:
-                cloud_queue.append(item)
-            else:
-                cloud_busy = True
-                start_cloud_service(now, item)
-
-        elif event == "cloud_done":
-            state, return_ms, return_hops = payload
-            report.network_load_bytes += bytes_per_tuple * return_hops
-            push(now + return_ms, "complete", state)
-            if cloud_queue:
-                start_cloud_service(now, cloud_queue.popleft())
-            else:
-                cloud_busy = False
+                busy[server] = False
 
         elif event == "complete":
-            state = payload
             report.completed[state.kind.value] += 1
             if state.emit_ms >= warmup_ms:
                 completed_delays[state.kind].append(now - state.emit_ms)
 
-    for kind in (TupleKind.SPA, TupleKind.PC):
-        report.in_flight[kind.value] = (
-            report.emitted[kind.value]
-            - report.completed[kind.value]
-            - report.dropped[kind.value]
-        )
+    for k in report.emitted:
+        report.in_flight[k] = report.emitted[k] - report.completed[k] - report.dropped[k]
     return report

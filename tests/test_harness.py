@@ -127,6 +127,7 @@ class TestExperimentConfig:
             ({"overlay": {"storage_gb": 10**400}}, "overlay.storage_gb"),
             ({"sizes": [20, 20]}, "sizes"),
             ({"modes": ["smartfog", "smartfog"]}, "modes"),
+            ({"areas": ["compute", "compute"]}, "areas"),
         ],
     )
     def test_malformed_values_name_the_field(self, doc, field):
@@ -394,6 +395,7 @@ class TestCli:
             (["select", "--areas", "bogus"], "areas"),
             (["simulate", "--modes", "smartfog,smartfog", "--sizes", "6,6", "--reps", "1"], "sizes"),
             (["simulate", "--modes", "smartfog,smartfog", "--sizes", "6", "--reps", "1"], "modes"),
+            (["cluster", "--n", "12", "--seed", "0", "--areas", "compute,compute"], "areas"),
         ],
     )
     def test_bad_flag_exits_2_naming_it(self, argv, flag, tmp_path, monkeypatch, capsys, caplog):

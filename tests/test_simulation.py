@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -10,7 +11,7 @@ from smartfog.clustering import FunctionalArea
 from smartfog.decision import AreaType, GatewayAssignment
 from smartfog.errors import ConfigurationError, ContractError
 from smartfog.harness import run_smartfog_pipeline
-from smartfog.overlay import Arch, FogDevice, FogOverlay, Link, build_overlay
+from smartfog.overlay import Arch, FogDevice, FogOverlay, Join, Link, apply_churn, build_overlay
 from smartfog.simulation import (
     Mode,
     Placement,
@@ -292,6 +293,55 @@ class TestDrops:
             )
 
 
+class TestCloudRelay:
+    """A forwarder without its own cloud link relays through the best-linked device."""
+
+    def test_closed_form_relay_leg(self):
+        # gateway 2 has no cloud link; via 0 costs 4 + 60 = 64 ms over 3 hops,
+        # via the nearer 3 costs 2 + 70 = 72 ms, so the relay is device 0
+        ov = chain(4, cloud={0: 60.0, 3: 70.0})
+        assignment = GatewayAssignment(gateways=((2, AreaType.COMPUTE_OPTIMIZED),))
+        areas = [
+            FunctionalArea(
+                owner_gateway=2,
+                area_type=AreaType.COMPUTE_OPTIMIZED,
+                members=frozenset({2}),
+                cluster_label=0,
+            )
+        ]
+        workload = WorkloadSpec(
+            duration_s=300.0,
+            warmup_s=0.0,
+            n_sensors=1,
+            spa_interval_s=400.0,
+            pc_interval_s=200.0,
+            jitter=0.0,
+            pc_mips_range=(44800.0, 44800.0),
+        )
+        report = run(ov, Mode.SMARTFOG, workload, 0, assignment=assignment, areas=areas)
+        assert report.completed == {"spa": 0, "pc": 1}
+        # 64 ms up + 1000 ms at the cloud + 64 ms back; 3 hops each way
+        assert report.pc_delays_ms == [1128.0]
+        assert report.network_load_bytes == 600
+
+    def test_joined_gateway_without_cloud_link_completes_pc(self):
+        joiner = FogDevice(id=12, mips=5000.0, memory_gb=8.0, storage_gb=16.0, arch=Arch.ARM)
+        ov = apply_churn(
+            build_overlay(12, 0), Join(device=joiner, links=((0, 1.0), (5, 1.0), (7, 1.0)))
+        )
+        assert 12 not in ov.cloud_latency_ms
+        assignment, areas, _, _ = run_smartfog_pipeline(
+            ov, (AreaType.COMPUTE_OPTIMIZED, AreaType.MEMORY_OPTIMIZED), 2, None, 0
+        )
+        assert (12, AreaType.COMPUTE_OPTIMIZED) in assignment.gateways
+        workload = WorkloadSpec(duration_s=600.0)
+        smart = run(ov, Mode.SMARTFOG, workload, 0, assignment=assignment, areas=areas)
+        base = run(ov, Mode.UNOPTIMIZED, workload, 0)
+        assert smart.emitted["pc"] == base.emitted["pc"] > 0
+        assert smart.dropped["pc"] == 0
+        assert smart.completed["pc"] == base.completed["pc"]
+
+
 class TestConservation:
     """Every emitted tuple is eventually completed, dropped, or in flight."""
 
@@ -417,3 +467,57 @@ class TestSmartfogEndToEnd:
         run(ov, Mode.SMARTFOG, workload, 1005, assignment=assignment, areas=areas)
         run(ov, Mode.UNOPTIMIZED, workload, 1005)
         assert sorted(calls) == sorted(ov.device_ids)
+
+
+DENSE_SPEC = WorkloadSpec(duration_s=3600.0, spa_interval_s=60.0, pc_interval_s=60.0)
+# jitter 0 and fixed work: every sensor emits at the same instants, so
+# arrivals and completions tie exactly and only the event order separates them
+TIES_SPEC = WorkloadSpec(
+    duration_s=600.0,
+    warmup_s=0.0,
+    jitter=0.0,
+    spa_interval_s=30.0,
+    pc_interval_s=30.0,
+    spa_mips_range=(4000.0, 4000.0),
+    pc_mips_range=(44800.0, 44800.0),
+    access_ms=(2.0, 2.0),
+)
+
+# sha256 of SimulationReport.to_json(), recorded with the event loop that had
+# separate device and cloud handlers and routed each tuple at emission.
+PINNED_REPORTS = [
+    (20, 1000, "default", Mode.SMARTFOG, "fc3c3109868b1f767efcff2f09b2ae7f213ae8d0022ac2ad2ba2f0b61bf39216"),
+    (20, 1000, "default", Mode.UNOPTIMIZED, "282f0746937b436c5afa7948b2d3875505c577a3dea9106ebde72950443fea27"),
+    (40, 1042, "default", Mode.SMARTFOG, "b2fe4259bdfc339d06ebca9e090d98f8a45eabaf391e98029377d5bd9ae674dd"),
+    (40, 1042, "default", Mode.UNOPTIMIZED, "94322ef7dc8bb4bb426017a0b3566bd3dd53032f0ed24b6ec0ac5a0c5841f912"),
+    (80, 3000, "dense", Mode.SMARTFOG, "f0129bcfc556baf8071920ee77a8b17eb7e2ff9c8a41250151270815a6dbe841"),
+    (80, 3000, "dense", Mode.UNOPTIMIZED, "5b9afd591b0e24f0459ec103db7a47f3d7c0afd6f54470049efa5437902bb15f"),
+    (12, 4000, "ties", Mode.SMARTFOG, "c380294d2dbd86686ca5b4a0fceee90f2f9a17e2e19917296e79e7ed62f89c89"),
+    (12, 4000, "ties", Mode.UNOPTIMIZED, "8578d8063db33a679595b479574628e1a860faf79ad21b31fe48528eaf526bbb"),
+    (None, 1, "drops", Mode.UNOPTIMIZED, "d53020bc34d4cf9e0422b5df8e9d184085a219d25c99c89a580c39b3f99bfd54"),
+]
+
+
+@pytest.mark.parametrize("n,seed,spec,mode,digest", PINNED_REPORTS)
+def test_pinned_simulation_reports(n, seed, spec, mode, digest):
+    if spec == "drops":
+        ov = two_component_overlay()
+        workload = WorkloadSpec(
+            duration_s=120.0, n_sensors=6, spa_interval_s=20.0, pc_interval_s=30.0
+        )
+    else:
+        ov = build_overlay(n, seed)
+        workload = {"default": WorkloadSpec(), "dense": DENSE_SPEC, "ties": TIES_SPEC}[spec]
+    kwargs = {}
+    if mode is Mode.SMARTFOG:
+        assignment, areas, _, _ = run_smartfog_pipeline(
+            ov, (AreaType.COMPUTE_OPTIMIZED, AreaType.MEMORY_OPTIMIZED), 2, None, seed
+        )
+        kwargs = {"assignment": assignment, "areas": areas}
+    report = run(ov, mode, workload, seed, **kwargs)
+    if spec == "drops":
+        assert report.total_dropped > 0
+    if spec == "ties":
+        delays = report.spa_delays_ms + report.pc_delays_ms
+        assert len(set(delays)) < len(delays)
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
