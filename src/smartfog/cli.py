@@ -45,6 +45,16 @@ def _int_list(text: str) -> list[int]:
         ) from None
 
 
+def _seed(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
+    return seed
+
+
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     """The ``--config`` file (if any) with every given config flag merged over it."""
     doc = read_config_file(args.config) if getattr(args, "config", None) else {}
@@ -70,7 +80,7 @@ def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
 
 def _add_single_overlay_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n", type=int, default=20, help="overlay size")
-    parser.add_argument("--seed", type=int, default=0, help="overlay / pipeline seed")
+    parser.add_argument("--seed", type=_seed, default=0, help="overlay / pipeline seed")
     parser.add_argument(
         "--areas", type=_comma_list, default="compute,memory", help="comma-separated area types"
     )

@@ -99,16 +99,22 @@ def similarity_matrix(
     """Pairwise Gaussian similarity of the standardized features.
 
     ``bandwidth`` (G) defaults to the median pairwise distance.  The result
-    is exactly symmetric with unit diagonal and entries in (0, 1].
+    is exactly symmetric with unit diagonal and entries in [0, 1].
     """
     if bandwidth is None:
         bandwidth = median_bandwidth(features)
     if not (bandwidth > 0) or not math.isfinite(bandwidth):
         raise ConfigurationError(f"bandwidth must be finite and > 0, got {bandwidth}")
+    denominator = 2.0 * bandwidth * bandwidth
+    if not denominator > 0:
+        raise ConfigurationError(f"bandwidth {bandwidth} is too small: 2*bandwidth^2 underflows to 0")
     x = features.values
     diff = x[:, None, :] - x[None, :, :]
     d2 = (diff**2).sum(axis=-1)
-    s = np.exp(-d2 / (2.0 * bandwidth * bandwidth))
+    # A tiny bandwidth can overflow d2 / denominator to inf; exp(-inf) = 0 is
+    # the value the true quotient's exp underflows to anyway.
+    with np.errstate(over="ignore"):
+        s = np.exp(-d2 / denominator)
     return SimilarityMatrix(values=s, bandwidth=bandwidth)
 
 
@@ -251,6 +257,8 @@ def k_means(
     n = points.shape[0]
     if not 1 <= k <= n:
         raise ContractError(f"k must be in [1, {n}], got {k}")
+    if seed < 0:
+        raise ContractError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     best_labels = None
     best_cost = math.inf

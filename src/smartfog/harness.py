@@ -181,6 +181,8 @@ class ExperimentConfig:
             raise ConfigurationError("modes must not be empty")
         if self.replications < 1:
             raise ConfigurationError(f"replications must be >= 1, got {self.replications}")
+        if self.seed_base < 0:
+            raise ConfigurationError(f"seed_base must be >= 0, got {self.seed_base}")
         if not self.areas:
             raise ConfigurationError("areas must not be empty")
         for name in ("sizes", "modes", "areas"):

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Mapping, Union
+from typing import Iterator, Mapping, Union
 
 from .errors import (
     ChurnRejectedError,
@@ -374,26 +374,38 @@ def _apply_leave(overlay: FogOverlay, event: Leave) -> FogOverlay:
     return candidate
 
 
+def _settle(overlay: FogOverlay, source: int) -> Iterator[tuple[float, int, int]]:
+    """Dijkstra from ``source``, yielding ``(latency_ms, hops, device)`` in settle order.
+
+    Heap keys are ``(latency, hops, id)``, so latency ties settle the
+    fewer-hop path first and then the lower id.  A device's neighbour list is
+    read only when the consumer asks for the next settled device.
+    """
+    adjacency = overlay.adjacency
+    settled: set[int] = set()
+    heap: list[tuple[float, int, int]] = [(0.0, 0, source)]
+    while heap:
+        dist, hops, node = heapq.heappop(heap)
+        if node in settled:
+            continue
+        settled.add(node)
+        yield dist, hops, node
+        for nbr, ms in adjacency[node]:
+            if nbr not in settled:
+                heapq.heappush(heap, (dist + ms, hops + 1, nbr))
+
+
 def shortest_paths(overlay: FogOverlay, source: int) -> dict[int, tuple[float, int]]:
-    """Dijkstra over link latencies from ``source``.
+    """Dijkstra over link latencies from ``source``, run to completion.
 
     Returns ``id -> (latency_ms, hops)`` where ``hops`` is the hop count of
     the minimum-latency path (fewest hops among latency ties), which keeps the
     chosen route deterministic.  Unreachable devices are absent from the map.
+    Keys are in settle order (ascending latency).
     """
     if source not in overlay:
         raise ContractError(f"no device with id {source}")
-    best: dict[int, tuple[float, int]] = {}
-    heap: list[tuple[float, int, int]] = [(0.0, 0, source)]
-    while heap:
-        dist, hops, node = heapq.heappop(heap)
-        if node in best:
-            continue
-        best[node] = (dist, hops)
-        for nbr, ms in overlay.adjacency[node]:
-            if nbr not in best:
-                heapq.heappush(heap, (dist + ms, hops + 1, nbr))
-    return best
+    return {node: (dist, hops) for dist, hops, node in _settle(overlay, source)}
 
 
 def latency_to_cloud(overlay: FogOverlay, device_id: int) -> float:
@@ -402,14 +414,24 @@ def latency_to_cloud(overlay: FogOverlay, device_id: int) -> float:
     Minimum over cloud-attached devices ``g`` of (shortest-path latency to
     ``g``) + (``g``'s cloud latency); a device that is itself cloud-attached
     may still be better served through a neighbour.
+
+    The search is the one :func:`shortest_paths` runs, stopped as soon as
+    the settled latency plus the smallest cloud latency of the overlay is no
+    better than the best total found.  Devices settle in ascending latency
+    and float addition is monotone, so every device not yet settled gives a
+    total at least that large: the result is the full search's, bit for bit.
     """
-    dists = shortest_paths(overlay, device_id)
+    if device_id not in overlay:
+        raise ContractError(f"no device with id {device_id}")
+    cloud = overlay.cloud_latency_ms
+    floor = min(cloud.values())
     best = None
-    for gw, cloud_ms in overlay.cloud_latency_ms.items():
-        if gw in dists:
-            total = dists[gw][0] + cloud_ms
-            if best is None or total < best:
-                best = total
+    for dist, _, node in _settle(overlay, device_id):
+        if best is not None and dist + floor >= best:
+            break
+        cloud_ms = cloud.get(node)
+        if cloud_ms is not None and (best is None or dist + cloud_ms < best):
+            best = dist + cloud_ms
     if best is None:
         raise TopologyError(f"device {device_id} cannot reach any cloud-attached device")
     return best

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
+import numpy as np
+
 from .errors import ContractError
 
 
@@ -56,6 +58,18 @@ def dominates(a: ObjectiveVector, b: ObjectiveVector) -> bool:
     return all(x <= y for x, y in zip(av, bv)) and any(x < y for x, y in zip(av, bv))
 
 
+def _dominance_matrix(points: Sequence[ObjectiveVector]) -> np.ndarray:
+    """``dom[i, j]`` is True iff ``points[i]`` dominates ``points[j]``; senses must match."""
+    m = np.array([p.minimized() for p in points], dtype=float)
+    n = len(points)
+    all_le = np.ones((n, n), dtype=bool)
+    any_lt = np.zeros((n, n), dtype=bool)
+    for col in m.T:
+        all_le &= col[:, None] <= col[None, :]
+        any_lt |= col[:, None] < col[None, :]
+    return all_le & any_lt
+
+
 @dataclass(frozen=True)
 class ParetoFronts:
     """Front partition; ``fronts[i]`` holds input indices, ascending."""
@@ -70,13 +84,15 @@ class ParetoFronts:
 
 
 def non_dominated_sort(points: Sequence[ObjectiveVector]) -> ParetoFronts:
-    """Fast non-dominated sort (all-pairs bookkeeping, then front peeling).
+    """Fast non-dominated sort on a boolean dominance matrix.
 
-    For each point p, ``dominated_by[p]`` counts its dominators and ``beats[p]``
-    lists the points it dominates; points with zero dominators seed front 0 and
-    counts are decremented front by front.  Duplicates are mutually
-    non-dominating and land in the same front.  Within a front, indices keep
-    input order.
+    ``dom[i, j]`` holds :func:`dominates` ``(points[i], points[j])``, built
+    one objective at a time from the minimized values, so memory stays n x n.
+    Each column sum counts a point's dominators; points with none form the
+    next front, and their rows are subtracted from the counts before the next
+    front is read.  Float comparisons are exact, so the fronts are those of
+    the scalar definition.  Duplicates are mutually non-dominating and land
+    in the same front.  Within a front, indices are ascending.
     """
     if not points:
         raise ContractError("non_dominated_sort requires at least one point")
@@ -84,42 +100,16 @@ def non_dominated_sort(points: Sequence[ObjectiveVector]) -> ParetoFronts:
     for p in points:
         if p.senses != senses:
             raise ContractError("all points must share the same objective senses")
-    mins = [p.minimized() for p in points]
-    n = len(points)
-    beats: list[list[int]] = [[] for _ in range(n)]
-    dominated_by = [0] * n
-    for i in range(n):
-        mi = mins[i]
-        for j in range(i + 1, n):
-            mj = mins[j]
-            i_le = True
-            j_le = True
-            i_lt = False
-            j_lt = False
-            for x, y in zip(mi, mj):
-                if x < y:
-                    j_le = False
-                    i_lt = True
-                elif y < x:
-                    i_le = False
-                    j_lt = True
-            if i_le and i_lt:
-                beats[i].append(j)
-                dominated_by[j] += 1
-            elif j_le and j_lt:
-                beats[j].append(i)
-                dominated_by[i] += 1
-    current = [i for i in range(n) if dominated_by[i] == 0]
+    dom = _dominance_matrix(points)
+    count = dom.sum(axis=0)
     fronts = []
-    while current:
-        fronts.append(tuple(sorted(current)))
-        nxt = []
-        for i in current:
-            for j in beats[i]:
-                dominated_by[j] -= 1
-                if dominated_by[j] == 0:
-                    nxt.append(j)
-        current = nxt
+    front = np.flatnonzero(count == 0)
+    while front.size:
+        fronts.append(tuple(front.tolist()))
+        # -1 marks emitted points; nothing not yet emitted dominates them, so it stays.
+        count[front] = -1
+        count -= dom[front].sum(axis=0)
+        front = np.flatnonzero(count == 0)
     return ParetoFronts(fronts=tuple(fronts))
 
 

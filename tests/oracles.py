@@ -19,7 +19,17 @@ from itertools import combinations
 
 import numpy as np
 
-from smartfog.overlay import Arch, FogDevice, FogOverlay, Link
+from smartfog.errors import ChurnRejectedError
+from smartfog.overlay import (
+    Arch,
+    FogDevice,
+    FogOverlay,
+    Join,
+    Leave,
+    Link,
+    apply_churn,
+    build_overlay,
+)
 
 # ---------------------------------------------------------------------------
 # Betweenness centrality
@@ -379,3 +389,38 @@ def bundle_chain_overlay(widths: list[int]) -> FogOverlay:
         for i in range(next_id)
     )
     return FogOverlay(devices=devices, links=tuple(links), cloud_latency_ms={0: 60.0})
+
+
+def churned_overlay(n: int, seed: int, events: int) -> FogOverlay:
+    """``build_overlay(n, seed)`` after ``events`` alternating Join/Leave events.
+
+    Events alternate Join, Leave, Join, ...; every second Join has no cloud
+    link, so the overlay gains devices that reach the cloud only through
+    others.  A Join attaches to two random devices; a refused Leave (cut
+    vertex or last cloud link) draws another device.
+    """
+    rng = random.Random(seed)
+    overlay = build_overlay(n, seed)
+    next_id = n
+    for event in range(events):
+        if event % 2 == 0:
+            device = FogDevice(
+                id=next_id,
+                mips=rng.uniform(800.0, 1200.0),
+                memory_gb=rng.choice((1.0, 2.0, 3.0, 4.0)),
+                storage_gb=16.0,
+                arch=rng.choice((Arch.ARM, Arch.X86)),
+            )
+            targets = rng.sample(sorted(overlay.device_ids), 2)
+            links = tuple((t, rng.uniform(1.0, 10.0)) for t in targets)
+            cloud = rng.uniform(50.0, 100.0) if event % 4 == 0 else None
+            overlay = apply_churn(overlay, Join(device=device, links=links, cloud_latency_ms=cloud))
+            next_id += 1
+        else:
+            while True:
+                try:
+                    overlay = apply_churn(overlay, Leave(rng.choice(sorted(overlay.device_ids))))
+                    break
+                except ChurnRejectedError:
+                    pass
+    return overlay

@@ -30,6 +30,7 @@ from oracles import (
     adjusted_rand_index,
     bipartition_best_cost,
     charpoly_eigvals,
+    churned_overlay,
     planted_overlay,
 )
 
@@ -104,6 +105,19 @@ class TestSimilarity:
         for bad in (0.0, -2.0, math.inf, math.nan):
             with pytest.raises(ConfigurationError):
                 similarity_matrix(feats, bandwidth=bad)
+
+    def test_underflowing_bandwidth_rejected(self):
+        """2 * G^2 underflows to 0: refused up front, with no numpy warning."""
+        feats = features_of([[0.0, 0.0], [1.0, 1.0]])
+        with pytest.raises(ConfigurationError, match="bandwidth"):
+            similarity_matrix(feats, bandwidth=1e-300)
+
+    def test_tiny_bandwidth_gives_zero_similarity(self):
+        # d2 / (2 G^2) overflows to inf; exp(-inf) = 0 without a warning
+        feats = features_of([[0.0, 0.0], [1.0, 1.0]])
+        np.testing.assert_array_equal(
+            similarity_matrix(feats, bandwidth=1e-160).values, np.eye(2)
+        )
 
     @given(seed=st.integers(0, 500), n=st.integers(2, 20))
     def test_exact_symmetry(self, seed, n):
@@ -329,6 +343,8 @@ class TestKMeans:
             k_means(np.ones((3, 2)), 4, seed=0)
         with pytest.raises(ContractError):
             k_means(np.ones(5), 2, seed=0)
+        with pytest.raises(ContractError, match="seed"):
+            k_means(np.ones((3, 2)), 2, seed=-1)
 
     def test_cost_never_below_exhaustive_optimum(self):
         hits = 0
@@ -430,21 +446,39 @@ class TestFunctionalAreas:
 
 # sha256 of areas_to_json for the full pipeline (k=2, both area types, default
 # bandwidth), recorded with the cyclic Jacobi eigensolver this package used
-# before it switched to LAPACK.  The switch must not change any of them.
+# before it switched to LAPACK.  The switch must not change any of them.  The
+# churned cases (n = 100 after alternating Join/Leave, half the Joins without
+# a cloud link, see ``churned_overlay``) were recorded with one full Dijkstra
+# per device cloud latency and the all-pairs sorting loop.
+W, U = CentralityMode.WEIGHTED_BY_LATENCY, CentralityMode.UNWEIGHTED
 PINNED_AREAS = [
-    (20, 1000, CentralityMode.WEIGHTED_BY_LATENCY, "dc71f8ac7c0b55a692c2beaff30c8523b045469463324269b873c67548cc0b0c"),
-    (30, 1042, CentralityMode.WEIGHTED_BY_LATENCY, "f188b53262f107235f317de190621ad59fbfdf03e7a6e7c07d25f710969db4fe"),
-    (40, 1099, CentralityMode.WEIGHTED_BY_LATENCY, "d45654d71b4ee442e3c0de64919ce72ac54846d959b1523c95239d5487516e17"),
-    (40, 1007, CentralityMode.UNWEIGHTED, "df66f9bf4adac5b4fcd8d8c4f018316fdf2f85dd7f3eb1ee7aaf34214838e063"),
-    (80, 11, CentralityMode.UNWEIGHTED, "bcf235e2e8df0ad0c0d945b63c0b8b237924f5e1ee94cea4a073a8b69bf144d4"),
-    (100, 1000, CentralityMode.UNWEIGHTED, "b6184a81a3f8245c08a48dcafaebe75965e3bf245250faa45b45a096e34dd853"),
+    (20, 1000, W, 0, "dc71f8ac7c0b55a692c2beaff30c8523b045469463324269b873c67548cc0b0c"),
+    (30, 1042, W, 0, "f188b53262f107235f317de190621ad59fbfdf03e7a6e7c07d25f710969db4fe"),
+    (40, 1099, W, 0, "d45654d71b4ee442e3c0de64919ce72ac54846d959b1523c95239d5487516e17"),
+    (40, 1007, U, 0, "df66f9bf4adac5b4fcd8d8c4f018316fdf2f85dd7f3eb1ee7aaf34214838e063"),
+    (80, 11, U, 0, "bcf235e2e8df0ad0c0d945b63c0b8b237924f5e1ee94cea4a073a8b69bf144d4"),
+    (100, 1000, U, 0, "b6184a81a3f8245c08a48dcafaebe75965e3bf245250faa45b45a096e34dd853"),
+    (100, 1, U, 40, "4924337ded1c1512c73bd25dbc8404b549a741895a15f6d0b249a5ca5d5c2269"),
+    (100, 2, U, 41, "7b7de5b29949c044cf04e9d221cd791afa00b29d1dda874948fe7ffad919ac2c"),
+    (100, 3, W, 40, "a9a99503f219d39186b6a36921e2445d4648f0f9f6c0b1b31ed306578a0f4295"),
 ]
 
 
-@pytest.mark.parametrize("n,seed,mode,digest", PINNED_AREAS)
-def test_pinned_functional_areas(n, seed, mode, digest):
+@pytest.mark.parametrize(
+    "n,seed,mode,churn_events,digest",
+    PINNED_AREAS,
+    # Unchurned cases keep the n-seed-mode-digest ids they had before churn.
+    ids=[
+        f"{n}-{seed}-{mode!s}-{digest}" + (f"-churn{events}" if events else "")
+        for n, seed, mode, events, digest in PINNED_AREAS
+    ],
+)
+def test_pinned_functional_areas(n, seed, mode, churn_events, digest):
+    overlay = churned_overlay(n, seed, churn_events)
+    if churn_events:
+        assert set(overlay.device_ids) - set(overlay.cloud_latency_ms), "no unlinked joins"
     _, areas, _, _ = run_smartfog_pipeline(
-        build_overlay(n, seed),
+        overlay,
         (AreaType.COMPUTE_OPTIMIZED, AreaType.MEMORY_OPTIMIZED),
         2,
         None,

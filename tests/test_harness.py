@@ -128,6 +128,7 @@ class TestExperimentConfig:
             ({"sizes": [20, 20]}, "sizes"),
             ({"modes": ["smartfog", "smartfog"]}, "modes"),
             ({"areas": ["compute", "compute"]}, "areas"),
+            ({"seed_base": -1}, "seed_base"),
         ],
     )
     def test_malformed_values_name_the_field(self, doc, field):
@@ -396,6 +397,10 @@ class TestCli:
             (["simulate", "--modes", "smartfog,smartfog", "--sizes", "6,6", "--reps", "1"], "sizes"),
             (["simulate", "--modes", "smartfog,smartfog", "--sizes", "6", "--reps", "1"], "modes"),
             (["cluster", "--n", "12", "--seed", "0", "--areas", "compute,compute"], "areas"),
+            (["select", "--n", "20", "--seed", "-1"], "--seed"),
+            (["cluster", "--n", "20", "--seed", "-1"], "--seed"),
+            (["simulate", "--sizes", "6", "--reps", "1", "--seed", "-3", "--jobs", "1"], "seed_base"),
+            (["cluster", "--n", "30", "--bandwidth", "1e-300"], "bandwidth"),
         ],
     )
     def test_bad_flag_exits_2_naming_it(self, argv, flag, tmp_path, monkeypatch, capsys, caplog):

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from smartfog.errors import (
     ConfigurationError,
     ConflictError,
     ContractError,
+    TopologyError,
 )
 from smartfog.overlay import (
     Arch,
@@ -24,7 +26,12 @@ from smartfog.overlay import (
     shortest_paths,
 )
 
-from oracles import brute_force_latency_to_cloud, brute_force_min_latency
+from oracles import (
+    brute_force_latency_to_cloud,
+    brute_force_min_latency,
+    churned_overlay,
+    two_component_overlay,
+)
 
 
 def chain_overlay(n=3, cloud=None):
@@ -192,7 +199,81 @@ class TestChurn:
             assert len(ov.cloud_latency_ms) >= 1
 
 
+def full_search_latency_to_cloud(overlay, device_id):
+    """The cloud latency read off a complete shortest-path table."""
+    table = shortest_paths(overlay, device_id)
+    return min(table[g][0] + ms for g, ms in overlay.cloud_latency_ms.items() if g in table)
+
+
+def integer_latency_overlay(seed, n=30, n_links=50, n_cloud=6):
+    """Links of 1-3 ms and cloud links of 5-7 ms, so many routes tie exactly."""
+    rng = random.Random(seed)
+    devices = tuple(
+        FogDevice(id=i, mips=1000.0, memory_gb=2.0, storage_gb=16.0, arch=Arch.ARM)
+        for i in range(n)
+    )
+    edges = {(i - 1, i) for i in range(1, n)}
+    while len(edges) < n_links:
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    links = tuple(Link(a=a, b=b, latency_ms=float(rng.randint(1, 3))) for a, b in sorted(edges))
+    cloud = {g: float(rng.randint(5, 7)) for g in rng.sample(range(n), n_cloud)}
+    return FogOverlay(devices=devices, links=links, cloud_latency_ms=cloud)
+
+
+class CountingAdjacency(dict):
+    """An adjacency map that records which devices' neighbour lists are read."""
+
+    def __init__(self, adjacency):
+        super().__init__(adjacency)
+        self.reads = []
+
+    def __getitem__(self, device_id):
+        self.reads.append(device_id)
+        return super().__getitem__(device_id)
+
+
 class TestLatencyToCloud:
+    """``latency_to_cloud`` stops its search early; it must still equal the full one."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 13, 21, 40, 80, 160])
+    def test_equals_full_search_on_generated_overlays(self, n):
+        ov = build_overlay(n, seed=7000 + n)
+        for dev in ov.device_ids:
+            assert latency_to_cloud(ov, dev) == full_search_latency_to_cloud(ov, dev)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_equals_full_search_after_churn(self, seed):
+        ov = churned_overlay(100, seed, 41)
+        assert set(ov.device_ids) - set(ov.cloud_latency_ms), "no unlinked joins"
+        for dev in ov.device_ids:
+            assert latency_to_cloud(ov, dev) == full_search_latency_to_cloud(ov, dev)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_equals_full_search_with_exact_ties(self, seed):
+        ov = integer_latency_overlay(seed)
+        tied = 0
+        for dev in ov.device_ids:
+            table = shortest_paths(ov, dev)
+            totals = sorted(table[g][0] + ms for g, ms in ov.cloud_latency_ms.items())
+            tied += totals[0] == totals[1]
+            assert latency_to_cloud(ov, dev) == totals[0]
+        assert tied > 0, "no device has two equally short cloud routes"
+
+    def test_cheapest_cloud_device_reads_only_its_own_neighbours(self):
+        """The search stops before expanding anything past its source."""
+        ov = churned_overlay(100, 1, 40)
+        cheapest = min(ov.cloud_latency_ms, key=ov.cloud_latency_ms.get)
+        counting = CountingAdjacency(ov.adjacency)
+        ov.__dict__["adjacency"] = counting  # replaces the cached_property value
+        assert latency_to_cloud(ov, cheapest) == ov.cloud_latency_ms[cheapest]
+        assert counting.reads == [cheapest]
+
+    def test_unreachable_cloud_rejected(self):
+        ov = two_component_overlay()
+        ov = FogOverlay(devices=ov.devices, links=ov.links, cloud_latency_ms={0: 55.0})
+        with pytest.raises(TopologyError):
+            latency_to_cloud(ov, 4)
+
     def test_matches_brute_force_oracle(self):
         ov = build_overlay(10, seed=21)
         for dev in ov.devices:

@@ -8,6 +8,7 @@ from smartfog.pareto import (
     ObjectiveVector,
     ParetoFronts,
     Sense,
+    _dominance_matrix,
     dominates,
     non_dominated_sort,
     pareto_front,
@@ -31,11 +32,22 @@ finite = st.floats(
 lattice = st.integers(-1000, 1000).map(lambda i: i / 8.0)
 
 
-def vectors(n_objectives, senses, elements=finite):
+# few distinct values, both signed zeros among them, so columns tie exactly
+tie_prone = st.sampled_from([-1.0, -0.0, 0.0, 1.0, 2.5]) | finite
+
+
+def vectors(n_objectives, senses, elements=finite, max_size=40):
     point = st.tuples(*[elements] * n_objectives).map(
         lambda t: ObjectiveVector(values=t, senses=senses)
     )
-    return st.lists(point, min_size=1, max_size=40)
+    return st.lists(point, min_size=1, max_size=max_size)
+
+
+def vectors_with_duplicates(n_objectives, senses, max_size=60):
+    """Up to ``max_size`` draws from a smaller pool, so points repeat."""
+    return vectors(n_objectives, senses, tie_prone, max_size=max_size // 2).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=max_size)
+    )
 
 
 class TestDominates:
@@ -121,7 +133,7 @@ class TestNonDominatedSort:
         with pytest.raises(ContractError):
             fronts.front_of(9)
 
-    @given(vs=vectors(3, MIXED3))
+    @given(vs=vectors(3, MIXED3, max_size=60) | vectors_with_duplicates(3, MIXED3))
     def test_matches_matrix_oracle(self, vs):
         got = non_dominated_sort(vs).fronts
         expected = oracle_fronts(
@@ -129,6 +141,8 @@ class TestNonDominatedSort:
             np.array([s is Sense.MINIMIZE for s in MIXED3]),
         )
         assert [list(f) for f in got] == [sorted(f) for f in expected]
+        # the sort's matrix is the scalar definition, entry by entry
+        assert _dominance_matrix(vs).tolist() == [[dominates(a, b) for b in vs] for a in vs]
 
     @given(vs=vectors(2, MIN2))
     def test_partition_covers_all_points(self, vs):
