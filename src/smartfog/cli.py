@@ -15,7 +15,9 @@ import logging
 import sys
 from pathlib import Path
 
+from .centrality import betweenness
 from .clustering import areas_to_json
+from .decision import select_gateways
 from .errors import SmartFogError
 from .harness import (
     ExperimentConfig,
@@ -151,20 +153,22 @@ def _cmd_timing(args: argparse.Namespace) -> int:
     return 0
 
 
-def _pipeline_for(args: argparse.Namespace):
+def _cmd_cluster(args: argparse.Namespace) -> int:
     config = _load_config(args)
     overlay = build_overlay(args.n, args.seed)
-    return run_smartfog_pipeline(overlay, config.areas, config.k, config.bandwidth, args.seed)
-
-
-def _cmd_cluster(args: argparse.Namespace) -> int:
-    _, functional_areas, _, _ = _pipeline_for(args)
+    _, functional_areas, _, _ = run_smartfog_pipeline(
+        overlay, config.areas, config.k, config.bandwidth, args.seed
+    )
     _emit(areas_to_json(functional_areas), args.out)
     return 0
 
 
 def _cmd_select(args: argparse.Namespace) -> int:
-    assignment, _, _, _ = _pipeline_for(args)
+    # Selection only: clustering needs k non-gateway devices per gateway,
+    # which small overlays lack, and select prints no areas.
+    config = _load_config(args)
+    overlay = build_overlay(args.n, args.seed)
+    assignment = select_gateways(overlay, config.areas, betweenness(overlay))
     _emit(json.dumps(assignment.to_json_obj(), sort_keys=True, separators=(",", ":")), args.out)
     return 0
 

@@ -184,13 +184,6 @@ def spectral_embed(similarity: SimilarityMatrix | np.ndarray, k: int) -> np.ndar
     return u
 
 
-def laplacian_eigensystem(
-    similarity: SimilarityMatrix | np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Full (eigenvalues, eigenvectors) of the symmetric normalized Laplacian."""
-    return jacobi_eigh(_normalized_laplacian(similarity))
-
-
 def kmeans_cost(points: np.ndarray, labels: np.ndarray) -> float:
     """Sum of squared distances to each point's cluster mean."""
     points = np.asarray(points, dtype=float)

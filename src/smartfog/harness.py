@@ -1,11 +1,12 @@
 """Experiment harness: seeded sweeps over sizes and modes, CSV outputs, timings.
 
-Replication r of any cell uses seed ``seed_base + r``; the same seed drives
-overlay generation, the selection/clustering pipeline and the simulation, so
-both modes of a replication see the same overlay and workload.  Result rows
-are emitted in (size, mode, replication) order regardless of how the worker
-pool schedules them, and reruns with identical config produce byte-identical
-files.
+The unit of work is one replicate: a size and replication r, whose seed
+``seed_base + r`` drives overlay generation, the selection/clustering pipeline
+and the simulation.  Every configured mode of a replicate runs on one overlay
+object, so the modes share its workload and its cached path table, and the
+pipeline runs once.  Result rows are emitted in (size, mode, replication)
+order regardless of how the worker pool schedules replicates, and reruns with
+identical config produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -19,7 +20,9 @@ import statistics
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
+from functools import partial
+from itertools import product
 from pathlib import Path
 from typing import Sequence
 
@@ -43,6 +46,20 @@ RESULT_COLUMNS = (
     "network_load_bytes",
     "completed",
     "dropped",
+)
+
+SUMMARY_COLUMNS = (
+    "mode",
+    "n_devices",
+    "replications",
+    "spa_median_ms",
+    "spa_stddev",
+    "pc_median_ms",
+    "pc_stddev",
+    "network_load_median_bytes",
+    "network_load_stddev",
+    "completed_total",
+    "dropped_total",
 )
 
 TIMING_COLUMNS = (
@@ -250,68 +267,86 @@ def run_smartfog_pipeline(
     return assignment, functional_areas, timings, scores
 
 
-def _delay_stats(delays: Sequence[float]) -> tuple[float, float]:
-    if not delays:
-        return (math.nan, math.nan)
-    median = statistics.median(delays)
-    stddev = statistics.stdev(delays) if len(delays) > 1 else 0.0
-    return (median, stddev)
+def _stats(name: str, unit: str, values: Sequence[float], empty_stddev: float = 0.0) -> dict:
+    """``{name}_median_{unit}`` and ``{name}_stddev`` of ``values``.
+
+    The stddev is the sample stddev, 0.0 for a single value; with no values
+    the median is NaN and the stddev ``empty_stddev``.
+    """
+    if not values:
+        median, stddev = math.nan, empty_stddev
+    else:
+        median = statistics.median(values)
+        stddev = statistics.stdev(values) if len(values) > 1 else 0.0
+    return {f"{name}_median_{unit}": median, f"{name}_stddev": stddev}
 
 
-def _experiment_cell(args: tuple) -> dict:
-    config, size, mode, rep = args
+def _write_csv(path: Path, columns: Sequence[str], rows: Sequence[dict]) -> Path:
+    with path.open("w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=columns)
+        writer.writeheader()
+        writer.writerows(rows)
+    return path
+
+
+def _replicate(config: ExperimentConfig, size: int, rep: int) -> list[dict]:
+    """One result row per configured mode, in ``config.modes`` order.
+
+    Every mode runs on one overlay object, so all of them read one cached
+    path table; the smartfog pipeline runs only when smartfog is configured.
+    """
     seed = config.seed_base + rep
     overlay = build_overlay(size, seed, config.overlay_params)
-    assignment = None
-    areas = None
-    if mode is Mode.SMARTFOG:
-        assignment, areas, _, _ = run_smartfog_pipeline(
+    organized = (None, None)  # (assignment, areas); the unoptimized mode ignores them
+    if Mode.SMARTFOG in config.modes:
+        organized = run_smartfog_pipeline(
             overlay, config.areas, config.k, config.bandwidth, seed, config.centrality_mode
+        )[:2]
+    rows = []
+    for mode in config.modes:
+        report = run(overlay, mode, config.workload, seed, *organized)
+        rows.append(
+            {
+                "mode": mode.value,
+                "n_devices": size,
+                "seed": seed,
+                **_stats("spa", "ms", report.spa_delays_ms, math.nan),
+                **_stats("pc", "ms", report.pc_delays_ms, math.nan),
+                "network_load_bytes": report.network_load_bytes,
+                "completed": report.total_completed,
+                "dropped": report.total_dropped,
+            }
         )
-    report = run(overlay, mode, config.workload, seed, assignment=assignment, areas=areas)
-    spa_median, spa_stddev = _delay_stats(report.spa_delays_ms)
-    pc_median, pc_stddev = _delay_stats(report.pc_delays_ms)
-    return {
-        "mode": mode.value,
-        "n_devices": size,
-        "seed": seed,
-        "spa_median_ms": spa_median,
-        "spa_stddev": spa_stddev,
-        "pc_median_ms": pc_median,
-        "pc_stddev": pc_stddev,
-        "network_load_bytes": report.network_load_bytes,
-        "completed": report.total_completed,
-        "dropped": report.total_dropped,
-    }
+    return rows
 
 
 def run_experiment(config: ExperimentConfig) -> tuple[Path, Path]:
-    """Run the sweep, write results.csv and summary.csv, return their paths."""
+    """Run the sweep, write results.csv and summary.csv, return their paths.
+
+    The unit of work is one replicate ``(size, seed)`` with all its modes.
+    """
     config.validate()
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    tasks = [
-        (config, size, mode, rep)
-        for size in config.sizes
-        for mode in config.modes
-        for rep in range(config.replications)
-    ]
-    jobs = config.jobs if config.jobs is not None else (os.cpu_count() or 1)
-    jobs = min(jobs, len(tasks))
-    log.info("running %d cells with %d worker(s)", len(tasks), jobs)
+    sizes, reps = zip(*product(config.sizes, range(config.replications)))
+    jobs = min(config.jobs or os.cpu_count() or 1, len(sizes))
+    log.info("running %d replicates with %d worker(s)", len(sizes), jobs)
+    replicate = partial(_replicate, config)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunk = max(1, len(tasks) // (jobs * 4))
-            rows = list(pool.map(_experiment_cell, tasks, chunksize=chunk))
+            chunk = max(1, len(sizes) // (jobs * 4))
+            replicates = list(pool.map(replicate, sizes, reps, chunksize=chunk))
     else:
-        rows = [_experiment_cell(task) for task in tasks]
-
-    results_path = out_dir / "results.csv"
-    with results_path.open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=RESULT_COLUMNS)
-        writer.writeheader()
-        writer.writerows(rows)
-
+        replicates = list(map(replicate, sizes, reps))
+    # Replicates come size-major; transpose each size's block to mode-major.
+    per_size = config.replications
+    rows = [
+        row
+        for start in range(0, len(replicates), per_size)
+        for mode_rows in zip(*replicates[start : start + per_size])
+        for row in mode_rows
+    ]
+    results_path = _write_csv(out_dir / "results.csv", RESULT_COLUMNS, rows)
     summary_path = out_dir / "summary.csv"
     write_summary(rows, summary_path)
     return results_path, summary_path
@@ -324,46 +359,19 @@ def summarize(rows: Sequence[dict]) -> list[dict]:
         cells.setdefault((row["mode"], row["n_devices"]), []).append(row)
     out = []
     for (mode, size), cell_rows in sorted(cells.items(), key=lambda kv: (kv[0][1], kv[0][0])):
-        spa = [r["spa_median_ms"] for r in cell_rows if not math.isnan(r["spa_median_ms"])]
-        pc = [r["pc_median_ms"] for r in cell_rows if not math.isnan(r["pc_median_ms"])]
-        load = [r["network_load_bytes"] for r in cell_rows]
-        out.append(
-            {
-                "mode": mode,
-                "n_devices": size,
-                "replications": len(cell_rows),
-                "spa_median_ms": statistics.median(spa) if spa else math.nan,
-                "spa_stddev": statistics.stdev(spa) if len(spa) > 1 else 0.0,
-                "pc_median_ms": statistics.median(pc) if pc else math.nan,
-                "pc_stddev": statistics.stdev(pc) if len(pc) > 1 else 0.0,
-                "network_load_median_bytes": statistics.median(load),
-                "network_load_stddev": statistics.stdev(load) if len(load) > 1 else 0.0,
-                "completed_total": sum(r["completed"] for r in cell_rows),
-                "dropped_total": sum(r["dropped"] for r in cell_rows),
-            }
-        )
+        entry = {"mode": mode, "n_devices": size, "replications": len(cell_rows)}
+        for kind in ("spa", "pc"):
+            medians = [r[f"{kind}_median_ms"] for r in cell_rows]
+            entry.update(_stats(kind, "ms", [m for m in medians if not math.isnan(m)]))
+        entry.update(_stats("network_load", "bytes", [r["network_load_bytes"] for r in cell_rows]))
+        entry["completed_total"] = sum(r["completed"] for r in cell_rows)
+        entry["dropped_total"] = sum(r["dropped"] for r in cell_rows)
+        out.append(entry)
     return out
 
 
 def write_summary(rows: Sequence[dict], path: Path) -> None:
-    summary = summarize(rows)
-    columns = (
-        "mode",
-        "n_devices",
-        "replications",
-        "spa_median_ms",
-        "spa_stddev",
-        "pc_median_ms",
-        "pc_stddev",
-        "network_load_median_bytes",
-        "network_load_stddev",
-        "completed_total",
-        "dropped_total",
-    )
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=columns)
-        writer.writeheader()
-        writer.writerows(summary)
+    _write_csv(Path(path), SUMMARY_COLUMNS, summarize(rows))
 
 
 def timing_report(config: ExperimentConfig) -> tuple[Path, Path]:
@@ -383,33 +391,15 @@ def timing_report(config: ExperimentConfig) -> tuple[Path, Path]:
             _, _, timings, _ = run_smartfog_pipeline(
                 overlay, config.areas, config.k, config.bandwidth, seed, config.centrality_mode
             )
-            rows.append(
-                {
-                    "n_devices": size,
-                    "seed": seed,
-                    "betweenness_ms": timings.betweenness_ms,
-                    "sorting_decision_ms": timings.sorting_decision_ms,
-                    "clustering_ms": timings.clustering_ms,
-                }
-            )
-    timing_path = out_dir / "timing.csv"
-    with timing_path.open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=TIMING_COLUMNS)
-        writer.writeheader()
-        writer.writerows(rows)
-
+            rows.append({"n_devices": size, "seed": seed, **asdict(timings)})
     summary_rows = []
     for size in config.sizes:
         cell = [r for r in rows if r["n_devices"] == size]
         entry = {"n_devices": size, "replications": len(cell)}
-        for stage in ("betweenness_ms", "sorting_decision_ms", "clustering_ms"):
-            values = [r[stage] for r in cell]
-            entry[f"{stage[:-3]}_median_ms"] = statistics.median(values)
-            entry[f"{stage[:-3]}_stddev"] = statistics.stdev(values) if len(values) > 1 else 0.0
+        for stage in TIMING_COLUMNS[2:]:
+            entry.update(_stats(stage.removesuffix("_ms"), "ms", [r[stage] for r in cell]))
         summary_rows.append(entry)
-    summary_path = out_dir / "timing_summary.csv"
-    with summary_path.open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(summary_rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(summary_rows)
-    return timing_path, summary_path
+    return (
+        _write_csv(out_dir / "timing.csv", TIMING_COLUMNS, rows),
+        _write_csv(out_dir / "timing_summary.csv", list(summary_rows[0]), summary_rows),
+    )

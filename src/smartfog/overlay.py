@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
@@ -44,15 +45,18 @@ class FogDevice:
     arch: Arch
 
     def __post_init__(self):
-        if self.mips <= 0:
-            raise ConfigurationError(f"device {self.id}: mips must be > 0, got {self.mips}")
-        if self.memory_gb <= 0:
+        # Comparisons with NaN are false, so these checks refuse NaN as well.
+        if not 0 < self.mips < math.inf:
             raise ConfigurationError(
-                f"device {self.id}: memory_gb must be > 0, got {self.memory_gb}"
+                f"device {self.id}: mips must be finite and > 0, got {self.mips}"
             )
-        if self.storage_gb < 0:
+        if not 0 < self.memory_gb < math.inf:
             raise ConfigurationError(
-                f"device {self.id}: storage_gb must be >= 0, got {self.storage_gb}"
+                f"device {self.id}: memory_gb must be finite and > 0, got {self.memory_gb}"
+            )
+        if not 0 <= self.storage_gb < math.inf:
+            raise ConfigurationError(
+                f"device {self.id}: storage_gb must be finite and >= 0, got {self.storage_gb}"
             )
 
 
@@ -69,9 +73,10 @@ class Link:
             raise ConfigurationError(f"link ({self.a}, {self.b}) is a self-loop")
         if self.a > self.b:
             raise ConfigurationError(f"link endpoints must satisfy a < b, got ({self.a}, {self.b})")
-        if self.latency_ms <= 0:
+        if not 0 < self.latency_ms < math.inf:
             raise ConfigurationError(
-                f"link ({self.a}, {self.b}): latency_ms must be > 0, got {self.latency_ms}"
+                f"link ({self.a}, {self.b}): latency_ms must be finite and > 0,"
+                f" got {self.latency_ms}"
             )
 
 
@@ -105,8 +110,10 @@ class FogOverlay:
         for dev_id, ms in self.cloud_latency_ms.items():
             if dev_id not in known:
                 raise ConfigurationError(f"cloud attachment references unknown device {dev_id}")
-            if ms <= 0:
-                raise ConfigurationError(f"cloud latency for device {dev_id} must be > 0")
+            if not 0 < ms < math.inf:
+                raise ConfigurationError(
+                    f"device {dev_id}: cloud_latency_ms must be finite and > 0, got {ms}"
+                )
 
     @cached_property
     def device_ids(self) -> tuple[int, ...]:
@@ -216,19 +223,20 @@ class OverlayParams:
 
     def validate(self) -> None:
         lo, hi = self.mips_range
-        if not (0 < lo <= hi):
+        if not (0 < lo <= hi < math.inf):
             raise ConfigurationError(f"mips_range invalid: {self.mips_range}")
-        if not self.memory_choices_gb or any(m <= 0 for m in self.memory_choices_gb):
+        memory = self.memory_choices_gb
+        if not memory or not all(0 < m < math.inf for m in memory):
             raise ConfigurationError(f"memory_choices_gb invalid: {self.memory_choices_gb}")
-        if self.storage_gb < 0:
+        if not 0 <= self.storage_gb < math.inf:
             raise ConfigurationError(f"storage_gb invalid: {self.storage_gb}")
-        if self.mean_degree < 1:
-            raise ConfigurationError(f"mean_degree must be >= 1, got {self.mean_degree}")
+        if not 1 <= self.mean_degree < math.inf:
+            raise ConfigurationError(f"mean_degree must be finite and >= 1, got {self.mean_degree}")
         lo, hi = self.link_latency_ms
-        if not (0 < lo <= hi):
+        if not (0 < lo <= hi < math.inf):
             raise ConfigurationError(f"link_latency_ms invalid: {self.link_latency_ms}")
         lo, hi = self.cloud_latency_ms
-        if not (0 < lo <= hi):
+        if not (0 < lo <= hi < math.inf):
             raise ConfigurationError(f"cloud_latency_ms invalid: {self.cloud_latency_ms}")
 
 

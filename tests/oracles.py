@@ -6,7 +6,9 @@ enumeration over Floyd-Warshall bounds, fronts by direct all-pairs peeling,
 k-means by exhaustive bipartition search, eigenvalues by the
 Faddeev-LeVerrier characteristic polynomial, gateway selection by a literal
 replay of the ranking rules.  None of them import the corresponding package
-module's internals.
+module's internals.  The one exception is not an oracle:
+:func:`laplacian_eigensystem` exposes the package's own Laplacian and
+eigensolver to the spectral tests, which check it against the oracles.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from itertools import combinations
 
 import numpy as np
 
+from smartfog.clustering import SimilarityMatrix, _normalized_laplacian, jacobi_eigh
 from smartfog.errors import ChurnRejectedError
 from smartfog.overlay import (
     Arch,
@@ -228,6 +231,13 @@ def charpoly_eigvals(matrix: np.ndarray) -> np.ndarray:
         coeffs.append(-np.trace(a @ m) / k)
     roots = np.roots(coeffs)
     return np.sort(roots.real)
+
+
+def laplacian_eigensystem(
+    similarity: SimilarityMatrix | np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Full (eigenvalues, eigenvectors) of the package's symmetric normalized Laplacian."""
+    return jacobi_eigh(_normalized_laplacian(similarity))
 
 
 # ---------------------------------------------------------------------------

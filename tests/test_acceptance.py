@@ -21,7 +21,6 @@ from smartfog.clustering import (
     jacobi_eigh,
     k_means,
     kmeans_cost,
-    laplacian_eigensystem,
     similarity_matrix,
     spectral_embed,
 )
@@ -54,6 +53,7 @@ from smartfog.simulation import Mode, WorkloadSpec, run
 from oracles import (
     adjusted_rand_index,
     bipartition_best_cost,
+    laplacian_eigensystem,
     oracle_betweenness,
     oracle_fronts,
     planted_overlay,

@@ -15,7 +15,6 @@ from smartfog.clustering import (
     jacobi_eigh,
     k_means,
     kmeans_cost,
-    laplacian_eigensystem,
     median_bandwidth,
     similarity_matrix,
     spectral_embed,
@@ -31,6 +30,7 @@ from oracles import (
     bipartition_best_cost,
     charpoly_eigvals,
     churned_overlay,
+    laplacian_eigensystem,
     planted_overlay,
 )
 

@@ -4,12 +4,15 @@ import math
 import re
 import shlex
 import statistics
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import smartfog.harness
+import smartfog.overlay
 from smartfog.centrality import CentralityMode
 from smartfog.cli import build_parser, main
 from smartfog.decision import AreaType
@@ -229,6 +232,54 @@ class TestRunExperiment:
         parallel = run_experiment(tiny_config(tmp_path / "parallel", jobs=2))
         assert serial[0].read_bytes() == parallel[0].read_bytes()
 
+    def test_one_overlay_and_path_table_per_replicate(self, tmp_path, monkeypatch):
+        """Both modes of a replicate share one overlay, one pipeline run and one table."""
+        calls = Counter()
+
+        def count_calls(module, name):
+            original = getattr(module, name)
+
+            def counting(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+
+        count_calls(smartfog.harness, "build_overlay")
+        count_calls(smartfog.harness, "run_smartfog_pipeline")
+        count_calls(smartfog.overlay, "shortest_paths")
+        config = tiny_config(tmp_path)
+        assert config.jobs == 1 and len(config.modes) == 2
+        run_experiment(config)
+        reps = config.replications
+        assert calls == {
+            "build_overlay": len(config.sizes) * reps,
+            "run_smartfog_pipeline": len(config.sizes) * reps,
+            "shortest_paths": sum(config.sizes) * reps,
+        }
+
+    def test_unoptimized_only_never_organizes(self, tmp_path, monkeypatch):
+        # n = 3 has too few non-gateway devices to cluster, so organizing would fail
+        monkeypatch.setattr(
+            smartfog.harness, "run_smartfog_pipeline", lambda *a, **k: pytest.fail("organized")
+        )
+        config = tiny_config(tmp_path, sizes=(3,), modes=(Mode.UNOPTIMIZED,))
+        results_path, _ = run_experiment(config)
+        rows = read_csv(results_path)
+        assert [(r["mode"], r["seed"]) for r in rows] == [("unoptimized", "50"), ("unoptimized", "51")]
+
+    def test_mode_order_does_not_change_rows(self, tmp_path):
+        # the modes share one overlay, so running one first must not affect the other
+        forward = read_csv(run_experiment(tiny_config(tmp_path / "f"))[0])
+        modes = (Mode.UNOPTIMIZED, Mode.SMARTFOG)
+        backward = read_csv(run_experiment(tiny_config(tmp_path / "b", modes=modes))[0])
+        assert [r["mode"] for r in backward[:3]] == ["unoptimized", "unoptimized", "smartfog"]
+
+        def key(row):
+            return (row["n_devices"], row["mode"], row["seed"])
+
+        assert sorted(forward, key=key) == sorted(backward, key=key)
+
     def test_summarize_aggregates(self):
         rows = [
             {
@@ -369,6 +420,21 @@ class TestCli:
         assert [rec["area_type"] for rec in doc] == ["compute", "memory"]
         gateways = [rec["gateway"] for rec in doc]
         assert len(set(gateways)) == 2
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_select_small_overlay(self, n, capsys):
+        # two gateways fit, even though no area could be clustered
+        assert main(["select", "--n", str(n), "--seed", "0"]) == 0
+        doc = json.loads(capsys.readouterr().out.strip())
+        assert [rec["area_type"] for rec in doc] == ["compute", "memory"]
+        assert len({rec["gateway"] for rec in doc}) == 2
+
+    def test_select_matches_pipeline_assignment(self, capsys):
+        areas = (AreaType.COMPUTE_OPTIMIZED, AreaType.MEMORY_OPTIMIZED)
+        for seed in range(5):
+            assert main(["select", "--n", "20", "--seed", str(seed)]) == 0
+            assignment, _, _, _ = run_smartfog_pipeline(build_overlay(20, seed), areas, 2, None, seed)
+            assert json.loads(capsys.readouterr().out) == assignment.to_json_obj()
 
     def test_select_deterministic_output(self, tmp_path):
         out_a = tmp_path / "a.json"

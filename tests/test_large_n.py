@@ -12,11 +12,13 @@ import numpy as np
 import pytest
 
 from smartfog.centrality import CentralityMode
-from smartfog.clustering import device_features, laplacian_eigensystem, similarity_matrix
+from smartfog.clustering import device_features, similarity_matrix
 from smartfog.decision import AreaType
 from smartfog.harness import run_smartfog_pipeline
 from smartfog.overlay import build_overlay
 from smartfog.simulation import Mode, WorkloadSpec, run
+
+from oracles import laplacian_eigensystem
 
 
 @pytest.mark.slow

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -119,6 +120,96 @@ class TestSerialization:
             FogOverlay.from_json("not json")
         with pytest.raises(ConfigurationError):
             FogOverlay.from_json('{"devices": []}')
+
+
+def _device(**overrides):
+    values = dict(id=0, mips=1000.0, memory_gb=2.0, storage_gb=16.0, arch=Arch.ARM)
+    return FogDevice(**{**values, **overrides})
+
+
+def _overlay_json_with(section, key, value):
+    """``build_overlay(3, 1)`` serialized with one number of ``section[0]`` replaced."""
+    doc = json.loads(build_overlay(3, seed=1).to_json())
+    doc[section][0][key] = value
+    text = json.dumps(doc)
+    assert "NaN" in text or "Infinity" in text  # the bare non-JSON tokens
+    return text
+
+
+def _join(cloud_ms=None, link_ms=4.0):
+    return apply_churn(
+        chain_overlay(3), Join(device=_device(id=7), links=((1, link_ms),), cloud_latency_ms=cloud_ms)
+    )
+
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize(
+    "make,field",
+    [
+        pytest.param(lambda: _device(mips=NAN), "mips", id="device-mips-nan"),
+        pytest.param(lambda: _device(mips=INF), "mips", id="device-mips-inf"),
+        pytest.param(lambda: _device(memory_gb=NAN), "memory_gb", id="device-memory-nan"),
+        pytest.param(lambda: _device(storage_gb=NAN), "storage_gb", id="device-storage-nan"),
+        pytest.param(lambda: _device(storage_gb=INF), "storage_gb", id="device-storage-inf"),
+        pytest.param(lambda: Link(a=0, b=1, latency_ms=NAN), "latency_ms", id="link-nan"),
+        pytest.param(lambda: Link(a=0, b=1, latency_ms=INF), "latency_ms", id="link-inf"),
+        pytest.param(
+            lambda: chain_overlay(3, cloud={0: INF}), "cloud_latency_ms", id="overlay-cloud-inf"
+        ),
+        pytest.param(
+            lambda: chain_overlay(3, cloud={0: 60.0, 2: NAN}),
+            "cloud_latency_ms",
+            id="overlay-cloud-nan",
+        ),
+        pytest.param(lambda: _join(cloud_ms=NAN), "cloud_latency_ms", id="join-cloud-nan"),
+        pytest.param(lambda: _join(link_ms=NAN), "latency_ms", id="join-link-nan"),
+        pytest.param(
+            lambda: FogOverlay.from_json(_overlay_json_with("devices", "mips", NAN)),
+            "mips",
+            id="json-mips-nan",
+        ),
+        pytest.param(
+            lambda: FogOverlay.from_json(_overlay_json_with("links", "latency_ms", NAN)),
+            "latency_ms",
+            id="json-link-nan",
+        ),
+        pytest.param(
+            lambda: FogOverlay.from_json(_overlay_json_with("cloud", "latency_ms", INF)),
+            "cloud_latency_ms",
+            id="json-cloud-inf",
+        ),
+        pytest.param(
+            lambda: build_overlay(5, 0, OverlayParams(mips_range=(800.0, INF))),
+            "mips_range",
+            id="params-mips-inf",
+        ),
+        pytest.param(
+            lambda: build_overlay(5, 0, OverlayParams(memory_choices_gb=(1.0, INF))),
+            "memory_choices_gb",
+            id="params-memory-inf",
+        ),
+        pytest.param(
+            lambda: build_overlay(5, 0, OverlayParams(storage_gb=NAN)),
+            "storage_gb",
+            id="params-storage-nan",
+        ),
+        pytest.param(
+            lambda: build_overlay(5, 0, OverlayParams(mean_degree=NAN)),
+            "mean_degree",
+            id="params-degree-nan",
+        ),
+        pytest.param(
+            lambda: build_overlay(5, 0, OverlayParams(cloud_latency_ms=(50.0, INF))),
+            "cloud_latency_ms",
+            id="params-cloud-inf",
+        ),
+    ],
+)
+def test_non_finite_values_rejected_by_name(make, field):
+    with pytest.raises(ConfigurationError, match=field):
+        make()
 
 
 class TestChurn:
