@@ -6,12 +6,28 @@ of sigma_sd(n) / sigma_sd`` where ``sigma_sd`` counts shortest s-d paths and
 unnormalized; endpoints never count themselves.
 
 The unweighted mode is exact: path counts are integers, so every score is a
-rational number.  Per source s, dependencies are scaled by the lcm L of the
-path counts, which makes ``L * delta_s(v)`` an integer and every division of
-the recurrence exact; the sources' integer numerators are summed over one
+rational number.  Per source s, dependencies are scaled by the lcm L_s of the
+path counts, which makes ``L_s * delta_s(v)`` an integer and every division
+of the recurrence exact; the sources' integer numerators are summed over one
 common denominator and divided once at the end.  Python's int / int is
 correctly rounded, so each score is the double nearest its exact value,
 independent of summation order.
+
+All sources run at once on the dense 0/1 adjacency matrix A, one BFS level
+per step (Buluç & Gilbert's batched Brandes): with row s of ``sigma`` holding
+source s's path counts, the next level's counts are ``(sigma on the
+frontier) @ A``, and the backward sweep computes ``share = (L_s + dep) /
+sigma`` on level d + 1 and ``dep = sigma * (share @ A)`` on level d.  The
+matrices are float64, and every entry and partial sum is an integer below
+2**53 as long as ``max sigma < 2**53`` and ``max L_s * n * n < 2**53`` (a
+dependency is at most ``L_s * n``, and a product or a sum of rows adds at
+most n of them).  Such sums are exact in any order, so BLAS may block and
+thread them as it likes, and each division is an exact integer division.
+A float sum that reaches 2**53 rounds to at least 2**53, so checking the
+final counts suffices.  Overlays past the bound (long chains of parallel
+routes) run the per-source BFS in Python ints instead, which has no size
+limit.  Both give the same scores.
+
 The latency-weighted mode uses floats with an absolute tie tolerance when
 deciding whether two path lengths are equal.
 """
@@ -25,11 +41,16 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import count
 
+import numpy as np
+
 from .errors import TopologyError
 from .overlay import FogOverlay
 
 #: Absolute tolerance for treating two weighted path lengths as equal.
 WEIGHT_TIE_TOL = 1e-12
+
+#: Integers below this are exact in float64 (53-bit significand).
+_EXACT_FLOAT = 2**53
 
 
 class CentralityMode(Enum):
@@ -55,13 +76,67 @@ def betweenness(
     if not overlay.is_connected():
         raise TopologyError("betweenness requires a connected overlay")
     if mode is CentralityMode.UNWEIGHTED:
-        scores = _brandes_unweighted(overlay)
+        scores = _brandes_all_sources(overlay)
     else:
         scores = _brandes_weighted(overlay)
     return CentralityScores(scores=scores, mode=mode)
 
 
+def _brandes_all_sources(overlay: FogOverlay) -> dict[int, float]:
+    ids = sorted(overlay.device_ids)
+    n = len(ids)
+    index = {v: i for i, v in enumerate(ids)}
+    adj = np.zeros((n, n))
+    for link in overlay.links:
+        adj[index[link.a], index[link.b]] = adj[index[link.b], index[link.a]] = 1.0
+    # Forward pass, one BFS level of every source per product: row s of
+    # ``sigma`` holds source s's path counts, ``levels[d]`` marks the devices
+    # at distance d.
+    sigma = np.eye(n)
+    frontier = np.eye(n, dtype=bool)
+    seen = frontier.copy()
+    levels = [frontier]
+    while True:
+        reach = np.where(frontier, sigma, 0.0) @ adj
+        frontier = (reach > 0) & ~seen
+        if not frontier.any():
+            break
+        seen |= frontier
+        sigma = np.where(frontier, reach, sigma)
+        levels.append(frontier)
+    # A sum that reaches 2**53 rounds to at least 2**53, so one check of the
+    # final counts shows whether every count is exact.
+    if sigma.max() >= _EXACT_FLOAT:
+        return _brandes_unweighted(overlay)
+    scales = [math.lcm(*row) for row in sigma.astype(np.int64).tolist()]
+    if max(scales) * n * n >= _EXACT_FLOAT:
+        return _brandes_unweighted(overlay)
+    # Backward pass, deepest level first: dep[s, v] = L_s * delta_s(v), the
+    # recurrence of _brandes_unweighted, with every value an integer < 2**53.
+    scale = np.array(scales, dtype=float)[:, None]
+    dep = np.zeros((n, n))
+    for lower, upper in zip(levels[-2::-1], levels[:0:-1]):
+        share = np.where(upper, (scale + dep) / sigma, 0.0)
+        dep = np.where(lower, sigma * (share @ adj), dep)
+    np.fill_diagonal(dep, 0.0)
+    # Sum dep[s] / L_s exactly: rows that share L_s sum exactly in floats,
+    # the group sums are added as ints over the lcm of the distinct L values.
+    distinct, group = np.unique(scales, return_inverse=True)
+    distinct = distinct.tolist()
+    den = math.lcm(*distinct)
+    num = [0] * n
+    for g, group_scale in enumerate(distinct):
+        up = den // group_scale
+        total = dep[group == g].sum(axis=0).tolist()
+        num = [acc + int(x) * up for acc, x in zip(num, total)]
+    # Each unordered pair was counted from both endpoints.  int / int is
+    # correctly rounded, so each score is the double nearest the exact value.
+    den *= 2
+    return {v: x / den for v, x in zip(ids, num)}
+
+
 def _brandes_unweighted(overlay: FogOverlay) -> dict[int, float]:
+    # One BFS per source in Python ints: the exact path past the 2**53 bound.
     ids = sorted(overlay.device_ids)
     adjacency = overlay.adjacency
     # Running sum of every source's dependencies as integer numerators over

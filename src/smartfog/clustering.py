@@ -252,10 +252,12 @@ def k_means(
         raise ContractError(f"k must be in [1, {n}], got {k}")
     if seed < 0:
         raise ContractError(f"seed must be >= 0, got {seed}")
+    if n_init < 1:
+        raise ContractError(f"n_init must be >= 1, got {n_init}")
     rng = np.random.default_rng(seed)
     best_labels = None
     best_cost = math.inf
-    for _ in range(max(1, n_init)):
+    for _ in range(n_init):
         labels = _kmeans_once(points, k, rng)
         cost = kmeans_cost(points, labels)
         if cost < best_cost:

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
@@ -86,26 +87,29 @@ class WorkloadSpec:
     cloud_mips: float = 44800.0
 
     def validate(self) -> None:
-        if self.duration_s <= 0:
-            raise ConfigurationError(f"duration_s must be > 0, got {self.duration_s}")
+        # Chained comparisons are False for NaN, so NaN fails every check.
+        if not 0 < self.duration_s < math.inf:
+            raise ConfigurationError(
+                f"duration_s must be finite and > 0, got {self.duration_s}"
+            )
         if not 0 <= self.warmup_s < self.duration_s:
             raise ConfigurationError(
                 f"warmup_s must be in [0, duration_s), got {self.warmup_s}"
             )
-        if self.n_sensors is not None and self.n_sensors < 1:
+        if self.n_sensors is not None and not 1 <= self.n_sensors < math.inf:
             raise ConfigurationError(f"n_sensors must be >= 1, got {self.n_sensors}")
-        if self.spa_interval_s <= 0 or self.pc_interval_s <= 0:
-            raise ConfigurationError("emission intervals must be > 0")
+        for name in ("spa_interval_s", "pc_interval_s", "tuple_bytes", "cloud_mips"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ConfigurationError(f"{name} must be finite and > 0, got {value}")
         if not 0 <= self.jitter < 1:
             raise ConfigurationError(f"jitter must be in [0, 1), got {self.jitter}")
         for name in ("spa_mips_range", "pc_mips_range", "access_ms"):
             lo, hi = getattr(self, name)
-            if not (0 < lo <= hi):
-                raise ConfigurationError(f"{name} invalid: {(lo, hi)}")
-        if self.tuple_bytes <= 0:
-            raise ConfigurationError(f"tuple_bytes must be > 0, got {self.tuple_bytes}")
-        if self.cloud_mips <= 0:
-            raise ConfigurationError(f"cloud_mips must be > 0, got {self.cloud_mips}")
+            if not 0 < lo <= hi < math.inf:
+                raise ConfigurationError(
+                    f"{name} must satisfy 0 < lo <= hi < inf, got {(lo, hi)}"
+                )
 
 
 @dataclass(frozen=True)

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smartfog import centrality
 from smartfog.centrality import CentralityMode, betweenness
 from smartfog.errors import TopologyError
 from smartfog.overlay import Arch, FogDevice, FogOverlay, Link, build_overlay
 
 from oracles import (
     bundle_chain_overlay,
+    churned_overlay,
     fraction_brandes_unweighted,
     oracle_betweenness,
     oracle_pair_path_stats,
@@ -109,7 +111,7 @@ class TestExactAtScale:
         [[2] * 64, [2, 3, 5, 7] * 10],
         ids=["64-diamonds", "mixed-bundles"],
     )
-    def test_path_counts_beyond_int64(self, widths):
+    def test_path_counts_beyond_int64(self, widths, monkeypatch):
         ov = bundle_chain_overlay(widths)
         # BFS path counts from one end: the far end has prod(widths) >= 2**64
         # shortest paths, past int64 and a double's 53-bit mantissa.
@@ -126,8 +128,73 @@ class TestExactAtScale:
                         sigma[w] += sigma[v]
             frontier = nxt
         assert sigma[max(ov.device_ids)] == math.prod(widths) >= 2**64
+        # Counts past 2**53 send the overlay to the per-source int loop.
+        calls = []
+        loop = centrality._brandes_unweighted
+
+        def counting_loop(overlay):
+            calls.append(overlay)
+            return loop(overlay)
+
+        monkeypatch.setattr(centrality, "_brandes_unweighted", counting_loop)
+        got = betweenness(ov, CentralityMode.UNWEIGHTED).scores
+        assert calls == [ov]
+        assert got == fraction_brandes_unweighted(ov)
+
+
+@st.composite
+def connected_edge_lists(draw):
+    """``(n, edges)`` of a connected graph on 1-30 vertices: a random tree plus
+    extra edges, or a complete graph, cycle or grid (many tied shortest paths)."""
+    family = draw(st.sampled_from(["random", "complete", "cycle", "grid"]))
+    if family == "grid":
+        rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+        n = rows * cols
+        edges = [(i, i + 1) for i in range(n) if (i + 1) % cols]
+        return n, edges + [(i, i + cols) for i in range(n - cols)]
+    if family == "cycle":
+        n = draw(st.integers(3, 30))
+        return n, [(i, (i + 1) % n) for i in range(n)]
+    n = draw(st.integers(1, 30))
+    if family == "complete":
+        return n, [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    for a, b in draw(st.lists(pairs, max_size=2 * n)):
+        if a != b:
+            edges.add((min(a, b), max(a, b)))
+    return n, sorted(edges)
+
+
+class TestAllSourcesPath:
+    """The all-sources matrix path against the Fraction oracle, and overlays
+    that must stay inside its 2**53 bound."""
+
+    @settings(max_examples=150)
+    @given(graph=connected_edge_lists())
+    def test_matches_fraction_oracle(self, graph):
+        ov = overlay_from_edges(*graph)
         got = betweenness(ov, CentralityMode.UNWEIGHTED).scores
         assert got == fraction_brandes_unweighted(ov)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: build_overlay(100, 1),
+            lambda: build_overlay(160, 2),
+            lambda: churned_overlay(100, 1, 40),
+            lambda: churned_overlay(100, 2, 41),
+        ],
+        ids=["n100", "n160", "churn-1-40", "churn-2-41"],
+    )
+    def test_overlays_stay_on_matrix_path(self, make, monkeypatch):
+        def loop(overlay):
+            raise AssertionError("fell back to the per-source loop")
+
+        ov = make()
+        monkeypatch.setattr(centrality, "_brandes_unweighted", loop)
+        scores = betweenness(ov, CentralityMode.UNWEIGHTED).scores
+        assert sorted(scores) == sorted(ov.device_ids)
 
 
 class TestInvariances:

@@ -345,6 +345,9 @@ class TestKMeans:
             k_means(np.ones(5), 2, seed=0)
         with pytest.raises(ContractError, match="seed"):
             k_means(np.ones((3, 2)), 2, seed=-1)
+        for n_init in (0, -3):
+            with pytest.raises(ContractError, match="n_init"):
+                k_means(np.ones((3, 2)), 2, seed=0, n_init=n_init)
 
     def test_cost_never_below_exhaustive_optimum(self):
         hits = 0

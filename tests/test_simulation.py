@@ -60,12 +60,24 @@ class TestWorkloadSpec:
             ("tuple_bytes", 0),
             ("access_ms", (-1.0, 2.0)),
             ("cloud_mips", 0.0),
+            ("duration_s", math.inf),
+            ("duration_s", math.nan),
+            ("warmup_s", math.nan),
+            ("n_sensors", math.inf),
+            ("spa_interval_s", math.nan),
+            ("pc_interval_s", math.inf),
+            ("jitter", math.nan),
+            ("spa_mips_range", (1.0, math.inf)),
+            ("pc_mips_range", (math.nan, 10.0)),
+            ("tuple_bytes", math.inf),
+            ("access_ms", (1.0, math.inf)),
+            ("cloud_mips", math.nan),
         ],
     )
     def test_rejects_bad_field(self, field, value):
         workload = WorkloadSpec()
         setattr(workload, field, value)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match=field):
             workload.validate()
 
 
