@@ -8,6 +8,13 @@ embedded points.  Each gateway gets its own k-means run (seeded with
 ``seed XOR gateway_index``) and claims the cluster whose raw-feature centroid
 best matches its area type.
 
+A k-means run batches its restarts: every k-means++ seeding is drawn first
+from the run's one random stream, then Lloyd's iterations update all
+unconverged restarts together in one array.  Lloyd's iterations draw no
+random numbers, and each distance and centroid is summed in the same order
+as a restart run on its own, so the labels are bit for bit those of running
+the restarts one after another.
+
 The eigensolver is LAPACK's symmetric divide-and-conquer routine
 (``numpy.linalg.eigh``) plus a deterministic sign normalisation: each
 eigenvector is flipped so its largest-magnitude entry is positive.
@@ -69,20 +76,29 @@ def device_features(
     return FeatureMatrix(device_ids=tuple(device_ids), values=values, raw=raw)
 
 
+def _squared_distances(features: FeatureMatrix) -> np.ndarray:
+    """Pairwise squared Euclidean distances of the standardized features."""
+    x = features.values
+    if not np.all(np.isfinite(x)):
+        raise ContractError("features must have finite values")
+    diff = x[:, None, :] - x[None, :, :]
+    return (diff**2).sum(axis=-1)
+
+
+def _median_distance(d2: np.ndarray) -> float:
+    n = d2.shape[0]
+    if n < 2:
+        return 1.0
+    med = float(np.median(np.sqrt(d2[np.triu_indices(n, k=1)])))
+    return med if med > 0 else 1.0
+
+
 def median_bandwidth(features: FeatureMatrix) -> float:
     """Median pairwise distance heuristic for the Gaussian bandwidth.
 
     Falls back to 1.0 when there are no pairs or all points coincide.
     """
-    x = features.values
-    n = x.shape[0]
-    if n < 2:
-        return 1.0
-    diff = x[:, None, :] - x[None, :, :]
-    dists = np.sqrt((diff**2).sum(axis=-1))
-    upper = dists[np.triu_indices(n, k=1)]
-    med = float(np.median(upper))
-    return med if med > 0 else 1.0
+    return _median_distance(_squared_distances(features))
 
 
 @dataclass(frozen=True)
@@ -98,19 +114,18 @@ def similarity_matrix(
 ) -> SimilarityMatrix:
     """Pairwise Gaussian similarity of the standardized features.
 
-    ``bandwidth`` (G) defaults to the median pairwise distance.  The result
-    is exactly symmetric with unit diagonal and entries in [0, 1].
+    ``bandwidth`` (G) defaults to the median pairwise distance, taken from
+    the same squared distances the Gaussian uses.  The result is exactly
+    symmetric with unit diagonal and entries in [0, 1].
     """
+    d2 = _squared_distances(features)
     if bandwidth is None:
-        bandwidth = median_bandwidth(features)
+        bandwidth = _median_distance(d2)
     if not (bandwidth > 0) or not math.isfinite(bandwidth):
         raise ConfigurationError(f"bandwidth must be finite and > 0, got {bandwidth}")
     denominator = 2.0 * bandwidth * bandwidth
     if not denominator > 0:
         raise ConfigurationError(f"bandwidth {bandwidth} is too small: 2*bandwidth^2 underflows to 0")
-    x = features.values
-    diff = x[:, None, :] - x[None, :, :]
-    d2 = (diff**2).sum(axis=-1)
     # A tiny bandwidth can overflow d2 / denominator to inf; exp(-inf) = 0 is
     # the value the true quotient's exp underflows to anyway.
     with np.errstate(over="ignore"):
@@ -195,9 +210,9 @@ def kmeans_cost(points: np.ndarray, labels: np.ndarray) -> float:
     return cost
 
 
-def _kmeans_once(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeanspp_seeding(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Distance-weighted (k-means++) initial centroids, shape ``(k, d)``."""
     n = points.shape[0]
-    # Distance-weighted (k-means++ style) seeding.
     centroids = np.empty((k, points.shape[1]))
     first = int(rng.integers(n))
     centroids[0] = points[first]
@@ -210,30 +225,52 @@ def _kmeans_once(points: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
             idx = int(rng.integers(n))
         centroids[j] = points[idx]
         d2 = np.minimum(d2, ((points - centroids[j]) ** 2).sum(axis=1))
+    return centroids
 
-    labels = np.full(n, -1, dtype=int)
-    for _ in range(KMEANS_MAX_ITER):
-        dists = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=-1)
-        new_labels = dists.argmin(axis=1)
-        # Re-seed any empty cluster with the point farthest from its centroid,
-        # never stealing from a singleton cluster (that would just move the hole).
-        stolen: set[int] = set()
-        for j in range(k):
-            if not np.any(new_labels == j):
-                counts = np.bincount(new_labels, minlength=k)
-                own = dists[np.arange(n), new_labels].copy()
-                own[counts[new_labels] <= 1] = -1.0
-                if stolen:
-                    own[list(stolen)] = -1.0
-                idx = int(own.argmax())
-                new_labels[idx] = j
-                stolen.add(idx)
-        if np.array_equal(new_labels, labels):
-            break
-        labels = new_labels
-        for j in range(k):
-            centroids[j] = points[labels == j].mean(axis=0)
-    return labels
+
+def _reseed_empty_clusters(labels: np.ndarray, dists: np.ndarray, k: int) -> None:
+    """Give each empty cluster the point farthest from its centroid, in place.
+
+    Never steals from a singleton cluster (that would just move the hole)
+    nor a point already moved in this pass.
+    """
+    n = labels.shape[0]
+    stolen: set[int] = set()
+    for j in range(k):
+        if not np.any(labels == j):
+            counts = np.bincount(labels, minlength=k)
+            own = dists[np.arange(n), labels].copy()
+            own[counts[labels] <= 1] = -1.0
+            if stolen:
+                own[list(stolen)] = -1.0
+            idx = int(own.argmax())
+            labels[idx] = j
+            stolen.add(idx)
+
+
+def _cluster_means(points: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+    """Centroids ``(R, k, d)`` of every cluster of every labelling in ``labels`` (R, n).
+
+    ``np.bincount`` adds each group's weights in index order, which is the
+    order the axis-0 ``mean`` of a cluster's rows adds them in when d >= 2.
+    With one column that ``mean`` sums pairwise instead, so it is taken per
+    cluster there.
+    """
+    r, n = labels.shape
+    d = points.shape[1]
+    if d == 1:
+        return np.array(
+            [[points[row == j].mean(axis=0) for j in range(k)] for row in labels]
+        )
+    groups = (labels + k * np.arange(r)[:, None]).ravel()
+    counts = np.bincount(groups, minlength=r * k)
+    columns = np.broadcast_to(points.T[:, None, :], (d, r, n)).reshape(d, r * n)
+    sums = np.stack([np.bincount(groups, weights=w, minlength=r * k) for w in columns], axis=1)
+    return (sums / counts[:, None]).reshape(r, k, d)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def k_means(
@@ -243,27 +280,62 @@ def k_means(
 
     Deterministic for a given (points, k, seed): restarts consume a single
     seeded stream and ties keep the earliest restart.
+
+    The restarts run as one batch.  Lloyd's iterations draw no random
+    numbers, so all ``n_init`` k-means++ seedings are drawn first, in the
+    order a one-restart-at-a-time loop draws them.  Each iteration then
+    assigns every live restart from one ``(R, n, k)`` distance array,
+    computed element by element as a single restart computes it, and a
+    restart whose labels did not change is a fixed point and leaves the
+    batch.  Centroids add each cluster's rows in index order, as the
+    per-cluster mean does, so the labels equal those of the sequential
+    loop bit for bit.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[0] == 0:
         raise ContractError(f"points must be a non-empty 2-d array, got shape {points.shape}")
+    if not np.all(np.isfinite(points)):
+        raise ContractError("points must be finite")
     n = points.shape[0]
-    if not 1 <= k <= n:
-        raise ContractError(f"k must be in [1, {n}], got {k}")
-    if seed < 0:
-        raise ContractError(f"seed must be >= 0, got {seed}")
-    if n_init < 1:
-        raise ContractError(f"n_init must be >= 1, got {n_init}")
+    if not _is_int(k) or not 1 <= k <= n:
+        raise ContractError(f"k must be an integer in [1, {n}], got {k!r}")
+    if not _is_int(seed) or seed < 0:
+        raise ContractError(f"seed must be an integer >= 0, got {seed!r}")
+    if not _is_int(n_init) or n_init < 1:
+        raise ContractError(f"n_init must be an integer >= 1, got {n_init!r}")
     rng = np.random.default_rng(seed)
-    best_labels = None
+    centroids = np.stack([_kmeanspp_seeding(points, k, rng) for _ in range(n_init)])
+
+    final = np.empty((n_init, n), dtype=np.intp)
+    live = np.arange(n_init)
+    labels = np.full((n_init, n), -1, dtype=np.intp)
+    for _ in range(KMEANS_MAX_ITER):
+        dists = ((points[None, :, None, :] - centroids[:, None, :, :]) ** 2).sum(axis=-1)
+        new_labels = dists.argmin(axis=2)
+        groups = new_labels + k * np.arange(len(live))[:, None]
+        sizes = np.bincount(groups.ravel(), minlength=len(live) * k).reshape(-1, k)
+        for r in np.flatnonzero((sizes == 0).any(axis=1)):
+            _reseed_empty_clusters(new_labels[r], dists[r], k)
+        changed = (new_labels != labels).any(axis=1)
+        final[live[~changed]] = labels[~changed]
+        live = live[changed]
+        labels = new_labels[changed]
+        if not len(live):
+            break
+        centroids = _cluster_means(points, labels, k)
+    final[live] = labels
+
+    best = 0
     best_cost = math.inf
-    for _ in range(n_init):
-        labels = _kmeans_once(points, k, rng)
-        cost = kmeans_cost(points, labels)
-        if cost < best_cost:
-            best_cost = cost
-            best_labels = labels
-    return best_labels
+    costs: dict[bytes, float] = {}
+    for r, row in enumerate(final):
+        key = row.tobytes()
+        if key not in costs:
+            costs[key] = kmeans_cost(points, row)
+        if costs[key] < best_cost:
+            best_cost = costs[key]
+            best = r
+    return final[best]
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,9 @@
 Every oracle here recomputes its quantity by a different route than the
 implementation under test: betweenness by exhaustive shortest-path
 enumeration over Floyd-Warshall bounds, fronts by direct all-pairs peeling,
-k-means by exhaustive bipartition search, eigenvalues by the
-Faddeev-LeVerrier characteristic polynomial, gateway selection by a literal
-replay of the ranking rules.  None of them import the corresponding package
+k-means by exhaustive bipartition search and by running its restarts one at
+a time, eigenvalues by the Faddeev-LeVerrier characteristic polynomial,
+gateway selection by a literal replay of the ranking rules.  None of them import the corresponding package
 module's internals.  The one exception is not an oracle:
 :func:`laplacian_eigensystem` exposes the package's own Laplacian and
 eigensolver to the spectral tests, which check it against the oracles.
@@ -21,7 +21,13 @@ from itertools import combinations
 
 import numpy as np
 
-from smartfog.clustering import SimilarityMatrix, _normalized_laplacian, jacobi_eigh
+from smartfog.clustering import (
+    KMEANS_MAX_ITER,
+    SimilarityMatrix,
+    _normalized_laplacian,
+    jacobi_eigh,
+    kmeans_cost,
+)
 from smartfog.errors import ChurnRejectedError
 from smartfog.overlay import (
     Arch,
@@ -214,6 +220,68 @@ def bipartition_best_cost(points: np.ndarray) -> float:
         if cost < best:
             best = cost
     return best
+
+
+def sequential_k_means(
+    points: np.ndarray, k: int, seed: int, n_init: int, max_iter: int = KMEANS_MAX_ITER
+) -> np.ndarray:
+    """Best-of-``n_init`` k-means, one restart at a time.
+
+    This is the restart loop ``clustering.k_means`` ran before it batched
+    its restarts: each restart draws its k-means++ seeding from the shared
+    stream, then runs Lloyd's iterations on its own until the labels stop
+    changing; the cheapest restart wins and ties keep the earliest.  The
+    batched version must return ``np.array_equal`` labels.
+    """
+    points = np.asarray(points, dtype=float)
+    rng = np.random.default_rng(seed)
+    best_labels = None
+    best_cost = math.inf
+    for _ in range(n_init):
+        labels = _lloyd_once(points, k, rng, max_iter)
+        cost = kmeans_cost(points, labels)
+        if cost < best_cost:
+            best_cost = cost
+            best_labels = labels
+    return best_labels
+
+
+def _lloyd_once(points: np.ndarray, k: int, rng: np.random.Generator, max_iter: int) -> np.ndarray:
+    n = points.shape[0]
+    centroids = np.empty((k, points.shape[1]))
+    first = int(rng.integers(n))
+    centroids[0] = points[first]
+    d2 = ((points - centroids[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        if total > 0:
+            idx = int(rng.choice(n, p=d2 / total))
+        else:
+            idx = int(rng.integers(n))
+        centroids[j] = points[idx]
+        d2 = np.minimum(d2, ((points - centroids[j]) ** 2).sum(axis=1))
+
+    labels = np.full(n, -1, dtype=int)
+    for _ in range(max_iter):
+        dists = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=-1)
+        new_labels = dists.argmin(axis=1)
+        stolen: set[int] = set()
+        for j in range(k):
+            if not np.any(new_labels == j):
+                counts = np.bincount(new_labels, minlength=k)
+                own = dists[np.arange(n), new_labels].copy()
+                own[counts[new_labels] <= 1] = -1.0
+                if stolen:
+                    own[list(stolen)] = -1.0
+                idx = int(own.argmax())
+                new_labels[idx] = j
+                stolen.add(idx)
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        for j in range(k):
+            centroids[j] = points[labels == j].mean(axis=0)
+    return labels
 
 
 # ---------------------------------------------------------------------------

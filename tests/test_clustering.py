@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smartfog import clustering
 from smartfog.clustering import (
     FeatureMatrix,
     FunctionalArea,
@@ -32,6 +33,7 @@ from oracles import (
     churned_overlay,
     laplacian_eigensystem,
     planted_overlay,
+    sequential_k_means,
 )
 
 
@@ -118,6 +120,16 @@ class TestSimilarity:
         np.testing.assert_array_equal(
             similarity_matrix(feats, bandwidth=1e-160).values, np.eye(2)
         )
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_features_rejected(self, bad):
+        feats = features_of([[0.0, 0.0], [1.0, bad], [2.0, 1.0]])
+        with pytest.raises(ContractError, match="features"):
+            similarity_matrix(feats)
+        with pytest.raises(ContractError, match="features"):
+            similarity_matrix(feats, bandwidth=1.0)
+        with pytest.raises(ContractError, match="features"):
+            median_bandwidth(feats)
 
     @given(seed=st.integers(0, 500), n=st.integers(2, 20))
     def test_exact_symmetry(self, seed, n):
@@ -349,6 +361,36 @@ class TestKMeans:
             with pytest.raises(ContractError, match="n_init"):
                 k_means(np.ones((3, 2)), 2, seed=0, n_init=n_init)
 
+    @pytest.mark.parametrize(
+        "kwargs,field",
+        [
+            ({"points": [[0.0, 1.0], [math.nan, 0.0], [1.0, 1.0]]}, "points"),
+            ({"points": [[0.0, 1.0], [math.inf, 0.0], [1.0, 1.0]]}, "points"),
+            ({"points": [[0.0, 1.0], [0.0, -math.inf], [1.0, 1.0]]}, "points"),
+            ({"k": 2.5}, "k"),
+            ({"k": True}, "k"),
+            ({"k": "2"}, "k"),
+            ({"seed": 1.5}, "seed"),
+            ({"seed": False}, "seed"),
+            ({"n_init": 2.5}, "n_init"),
+            ({"n_init": True}, "n_init"),
+        ],
+        ids=["nan", "inf", "-inf", "k-float", "k-bool", "k-str", "seed-float", "seed-bool",
+             "n_init-float", "n_init-bool"],
+    )
+    def test_bad_input_named(self, kwargs, field):
+        args = {"points": [[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]], "k": 2, "seed": 0, "n_init": 3}
+        args.update(kwargs)
+        with pytest.raises(ContractError, match=f"^{field} must"):
+            k_means(np.array(args.pop("points")), **args)
+
+    def test_numpy_integer_arguments_accepted(self):
+        pts = np.random.default_rng(4).normal(size=(12, 2))
+        assert np.array_equal(
+            k_means(pts, np.int64(3), seed=np.int32(7), n_init=np.int64(4)),
+            k_means(pts, 3, seed=7, n_init=4),
+        )
+
     def test_cost_never_below_exhaustive_optimum(self):
         hits = 0
         for seed in range(25):
@@ -366,6 +408,76 @@ class TestKMeans:
         labels = np.array([0, 0, 1])
         # cluster {0,2}: mean 1, squared dists 1+1; singleton contributes 0
         assert kmeans_cost(pts, labels) == pytest.approx(2.0)
+
+
+@st.composite
+def kmeans_problems(draw):
+    """Point sets on a 0.1 grid, so duplicate points and exact distance ties occur.
+
+    The n points repeat m distinct rows; with few distinct rows several
+    clusters start empty at once and are re-seeded in one pass.
+    """
+    n = draw(st.integers(1, 60))
+    d = draw(st.integers(1, 4))
+    m = draw(st.integers(1, n))
+    cells = draw(st.lists(st.integers(-20, 20), min_size=m * d, max_size=m * d))
+    rows = draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
+    points = np.round(np.array(cells, dtype=float).reshape(m, d) / 10.0, 1)[rows]
+    k = draw(st.integers(1, min(n, 5)))
+    return points, k, draw(st.integers(0, 2**32)), draw(st.integers(1, 10))
+
+
+def spectral_points(n, seed, k, churn_events=0):
+    overlay = churned_overlay(n, seed, churn_events)
+    pool = sorted(overlay.device_ids)[2:]
+    return spectral_embed(similarity_matrix(device_features(overlay, pool)), k)
+
+
+class TestKMeansMatchesSequentialRestarts:
+    """The batched restarts return the labels of running them one at a time."""
+
+    @settings(max_examples=300)
+    @given(problem=kmeans_problems())
+    def test_property(self, problem):
+        points, k, seed, n_init = problem
+        assert np.array_equal(
+            k_means(points, k, seed, n_init), sequential_k_means(points, k, seed, n_init)
+        )
+
+    @pytest.mark.parametrize(
+        "n,seed,k,churn_events",
+        [(20, 1000, 2, 0), (38, 1042, 2, 0), (40, 7, 3, 0), (60, 3, 4, 0), (99, 1, 2, 0),
+         (100, 1, 2, 40), (100, 2, 3, 41), (160, 5, 2, 0)],
+    )
+    def test_spectral_embeddings(self, n, seed, k, churn_events):
+        points = spectral_points(n, seed, k, churn_events)
+        for kmeans_seed in range(4):
+            assert np.array_equal(
+                k_means(points, k, kmeans_seed),
+                sequential_k_means(points, k, kmeans_seed, 10),
+            )
+
+    def test_one_column_centroids_sum_like_mean(self):
+        """With one column, a cluster mean sums pairwise, not in index order.
+
+        Summing these clusters in index order moves a centroid by an ulp and
+        flips an exactly tied assignment.
+        """
+        points = np.array(
+            [-0.4, 0.4, -1.0, 1.0, 0.1, 0.1, -0.1, -2.5, 0.3, 0.8, 2.1, 0.8]
+        ).reshape(-1, 1)
+        assert np.array_equal(
+            k_means(points, 3, 1048054883), sequential_k_means(points, 3, 1048054883, 10)
+        )
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 3])
+    def test_iteration_cap(self, max_iter, monkeypatch):
+        monkeypatch.setattr(clustering, "KMEANS_MAX_ITER", max_iter)
+        points = spectral_points(80, 11, 3)
+        for seed in range(6):
+            assert np.array_equal(
+                k_means(points, 3, seed), sequential_k_means(points, 3, seed, 10, max_iter)
+            )
 
 
 class TestFunctionalAreas:
