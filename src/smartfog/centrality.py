@@ -28,26 +28,23 @@ final counts suffices.  Overlays past the bound (long chains of parallel
 routes) run the per-source BFS in Python ints instead, which has no size
 limit.  Both give the same scores.
 
-The latency-weighted mode uses floats with an absolute tie tolerance when
-deciding whether two path lengths are equal.
+The latency-weighted mode reads :attr:`FogOverlay.path_table`, the table the
+simulation routes on, so one Dijkstra per source serves both.  Path counts
+and predecessors follow from each row's settle order and exact float
+equality ``dist[v] + ms == dist[w]``.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from itertools import count
 
 import numpy as np
 
 from .errors import TopologyError
 from .overlay import FogOverlay
-
-#: Absolute tolerance for treating two weighted path lengths as equal.
-WEIGHT_TIE_TOL = 1e-12
 
 #: Integers below this are exact in float64 (53-bit significand).
 _EXACT_FLOAT = 2**53
@@ -191,36 +188,27 @@ def _brandes_unweighted(overlay: FogOverlay) -> dict[int, float]:
 
 def _brandes_weighted(overlay: FogOverlay) -> dict[int, float]:
     ids = sorted(overlay.device_ids)
-    acc = {v: 0.0 for v in ids}
-    tiebreak = count()
+    adjacency = overlay.adjacency
+    table = overlay.path_table
+    acc = dict.fromkeys(ids, 0.0)
     for s in ids:
-        dist: dict[int, float] = {}
-        seen = {s: 0.0}
-        sigma = {v: 0 for v in ids}
+        row = table[s]
+        # Keys are in settle order.  v precedes w if it settled first and
+        # dist[v] + ms == dist[w]; the first part matters only when ms is
+        # absorbed (dist[v] + ms == dist[v]), and keeps the graph acyclic.
+        rank = {v: i for i, v in enumerate(row)}
+        sigma = dict.fromkeys(row, 0)
         sigma[s] = 1
-        preds: dict[int, list[int]] = {v: [] for v in ids}
-        order = []
-        heap = [(0.0, next(tiebreak), s)]
-        while heap:
-            d, _, v = heapq.heappop(heap)
-            if v in dist:
-                continue
-            dist[v] = d
-            order.append(v)
-            for w, ms in overlay.adjacency[v]:
-                if w in dist:
-                    continue
-                nd = d + ms
-                if w not in seen or nd < seen[w] - WEIGHT_TIE_TOL:
-                    seen[w] = nd
-                    heapq.heappush(heap, (nd, next(tiebreak), w))
-                    sigma[w] = sigma[v]
-                    preds[w] = [v]
-                elif abs(nd - seen[w]) <= WEIGHT_TIE_TOL:
-                    sigma[w] += sigma[v]
+        preds: dict[int, list[int]] = {v: [] for v in row}
+        for v, (dv, _) in row.items():
+            sv = sigma[v]
+            rv = rank[v]
+            for w, ms in adjacency[v]:
+                if dv + ms == row[w][0] and rank[w] > rv:
+                    sigma[w] += sv
                     preds[w].append(v)
-        delta = {v: 0.0 for v in ids}
-        for w in reversed(order):
+        delta = dict.fromkeys(row, 0.0)
+        for w in reversed(row):
             coeff = (1 + delta[w]) / sigma[w]
             for v in preds[w]:
                 delta[v] += sigma[v] * coeff

@@ -189,8 +189,8 @@ def spectral_embed(similarity: SimilarityMatrix | np.ndarray, k: int) -> np.ndar
     """
     lap = _normalized_laplacian(similarity)
     n = lap.shape[0]
-    if not 1 <= k <= n:
-        raise ContractError(f"k must be in [1, {n}], got {k}")
+    if not _is_int(k) or not 1 <= k <= n:
+        raise ContractError(f"k must be an integer in [1, {n}], got {k!r}")
     _, eigvecs = jacobi_eigh(lap)
     u = eigvecs[:, :k].copy()
     row_norms = np.sqrt((u**2).sum(axis=1))

@@ -4,9 +4,10 @@ The unit of work is one replicate: a size and replication r, whose seed
 ``seed_base + r`` drives overlay generation, the selection/clustering pipeline
 and the simulation.  Every configured mode of a replicate runs on one overlay
 object, so the modes share its workload and its cached path table, and the
-pipeline runs once.  Result rows are emitted in (size, mode, replication)
-order regardless of how the worker pool schedules replicates, and reruns with
-identical config produce byte-identical files.
+pipeline runs once.  Weighted centrality builds that table; after unweighted
+centrality the first simulation does.  Result rows are emitted in (size,
+mode, replication) order regardless of how the worker pool schedules
+replicates, and reruns with identical config produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -208,8 +209,8 @@ class ExperimentConfig:
                 raise ConfigurationError(f"{name} entries must be distinct, got {values}")
         if self.k < 1:
             raise ConfigurationError(f"k must be >= 1, got {self.k}")
-        if self.bandwidth is not None and self.bandwidth <= 0:
-            raise ConfigurationError(f"bandwidth must be > 0, got {self.bandwidth}")
+        if self.bandwidth is not None and not 0 < self.bandwidth < math.inf:
+            raise ConfigurationError(f"bandwidth must be finite and > 0, got {self.bandwidth}")
         if self.jobs is not None and self.jobs < 1:
             raise ConfigurationError(f"jobs must be >= 1, got {self.jobs}")
         self.workload.validate()
@@ -246,7 +247,8 @@ def run_smartfog_pipeline(
     """Centrality -> evaluation -> selection -> clustering, each stage timed.
 
     Objective evaluation (per-device cloud latencies) is preparation and is
-    deliberately excluded from the sorting/decision stage time.
+    deliberately excluded from the sorting/decision stage time.  In weighted
+    mode ``betweenness_ms`` includes building ``overlay.path_table``.
     """
     t0 = time.perf_counter()
     scores = betweenness(overlay, centrality_mode)

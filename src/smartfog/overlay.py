@@ -143,7 +143,7 @@ class FogOverlay:
 
     @cached_property
     def path_table(self) -> dict[int, dict[int, tuple[float, int]]]:
-        """Shortest-path table for every device (see :func:`shortest_paths`)."""
+        """Every device's :func:`shortest_paths`, read by weighted betweenness and routing."""
         return {dev.id: shortest_paths(self, dev.id) for dev in self.devices}
 
     def is_connected(self) -> bool:

@@ -66,6 +66,15 @@ class TestFrozenGraphs:
         assert scores.scores == {0: 0.0, 1: 2.0, 2: 2.0, 3: 0.0}
         assert scores.scores == oracle_betweenness(ov, weighted=True)
 
+    def test_absorbed_latency_keeps_settle_order(self):
+        # 1e17 + 1.0 == 1e17, so 0-1-2 and 0-2 tie at 1e17 and so do 0-2-1
+        # and 0-1; only the device that settled first may be a predecessor,
+        # or 1 and 2 would each precede the other
+        ov = overlay_from_edges(3, [(0, 1), (0, 2), (1, 2)], latencies=[1e17, 1e17, 1.0])
+        assert 1e17 + 1.0 == 1e17
+        scores = betweenness(ov, CentralityMode.WEIGHTED_BY_LATENCY)
+        assert scores.scores == {0: 0.0, 1: 0.5, 2: 0.25}
+
     def test_complete_graph_all_zero(self):
         edges = [(a, b) for a in range(4) for b in range(a + 1, 4)]
         scores = betweenness(overlay_from_edges(4, edges), CentralityMode.UNWEIGHTED)
@@ -195,6 +204,35 @@ class TestAllSourcesPath:
         monkeypatch.setattr(centrality, "_brandes_unweighted", loop)
         scores = betweenness(ov, CentralityMode.UNWEIGHTED).scores
         assert sorted(scores) == sorted(ov.device_ids)
+
+
+class TestExactTies:
+    """Weighted mode with latencies from {1.0, 2.0}: sums are exact, so equal
+    path lengths tie exactly and tied shortest paths are everywhere."""
+
+    @settings(max_examples=150)
+    @given(data=st.data())
+    def test_tied_latencies_match_oracle(self, data):
+        n, edges = data.draw(connected_edge_lists())
+        latencies = data.draw(
+            st.lists(st.sampled_from([1.0, 2.0]), min_size=len(edges), max_size=len(edges))
+        )
+        ov = overlay_from_edges(n, edges, latencies)
+        got = betweenness(ov, CentralityMode.WEIGHTED_BY_LATENCY).scores
+        expected = oracle_betweenness(ov, weighted=True)
+        assert got.keys() == expected.keys()
+        for dev, value in expected.items():
+            assert got[dev] == pytest.approx(value, abs=1e-9)
+
+    @settings(max_examples=150)
+    @given(graph=connected_edge_lists())
+    def test_unit_latencies_match_unweighted(self, graph):
+        ov = overlay_from_edges(*graph)
+        weighted = betweenness(ov, CentralityMode.WEIGHTED_BY_LATENCY).scores
+        unweighted = betweenness(ov, CentralityMode.UNWEIGHTED).scores
+        assert weighted.keys() == unweighted.keys()
+        for dev, value in unweighted.items():
+            assert weighted[dev] == pytest.approx(value, abs=1e-9)
 
 
 class TestInvariances:

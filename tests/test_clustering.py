@@ -249,6 +249,10 @@ class TestSpectralEmbed:
             spectral_embed(sim, 3)
         with pytest.raises(ContractError):
             spectral_embed(np.ones((2, 3)), 1)
+        # True is not a one-column request, and 1.5 must not reach the slicing
+        for k in (1.5, 2.0, True, "2", None):
+            with pytest.raises(ContractError, match="^k must be an integer"):
+                spectral_embed(sim, k)
 
     def test_deterministic(self):
         ov = build_overlay(10, seed=6)

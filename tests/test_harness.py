@@ -155,6 +155,10 @@ class TestExperimentConfig:
             ExperimentConfig(k=0).validate()
         with pytest.raises(ConfigurationError):
             ExperimentConfig(jobs=0).validate()
+        # configs built in code skip from_dict's finiteness check
+        for bandwidth in (math.nan, math.inf):
+            with pytest.raises(ConfigurationError, match="^bandwidth "):
+                ExperimentConfig(bandwidth=bandwidth).validate()
 
     def test_from_file(self, tmp_path):
         path = tmp_path / "config.json"

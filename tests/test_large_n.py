@@ -11,6 +11,7 @@ from collections import deque
 import numpy as np
 import pytest
 
+import smartfog.overlay
 from smartfog.centrality import CentralityMode
 from smartfog.clustering import device_features, similarity_matrix
 from smartfog.decision import AreaType
@@ -81,6 +82,38 @@ def test_unweighted_pipeline_and_simulation_at_n_1000():
     )
     assert math.fsum(scores.scores.values()) == pytest.approx(interior, rel=1e-12)
 
+    _simulate_both_modes(overlay, assignment, areas, seed=n)
+
+
+@pytest.mark.slow
+def test_weighted_pipeline_and_simulation_share_one_table_at_n_1000(monkeypatch):
+    n = 1000
+    calls = []
+    original = smartfog.overlay.shortest_paths
+
+    def counting(overlay, source):
+        calls.append(source)
+        return original(overlay, source)
+
+    monkeypatch.setattr(smartfog.overlay, "shortest_paths", counting)
+    overlay = build_overlay(n, seed=n)
+    assignment, areas, _, scores = run_smartfog_pipeline(
+        overlay, (AreaType.COMPUTE_OPTIMIZED, AreaType.MEMORY_OPTIMIZED), 2, None, seed=n
+    )
+    # Random latencies leave one shortest path per pair, with hops - 1
+    # interior devices.
+    interior = sum(
+        hops - 1
+        for s, row in overlay.path_table.items()
+        for t, (_, hops) in row.items()
+        if s < t
+    )
+    assert math.fsum(scores.scores.values()) == pytest.approx(interior, rel=1e-9)
+    _simulate_both_modes(overlay, assignment, areas, seed=n)
+    assert sorted(calls) == sorted(overlay.device_ids)
+
+
+def _simulate_both_modes(overlay, assignment, areas, seed):
     workload = WorkloadSpec(
         duration_s=120.0, warmup_s=0.0, n_sensors=50, spa_interval_s=20.0, pc_interval_s=60.0
     )
@@ -90,7 +123,7 @@ def test_unweighted_pipeline_and_simulation_at_n_1000():
             overlay,
             mode,
             workload,
-            seed=n,
+            seed=seed,
             assignment=assignment if smart else None,
             areas=areas if smart else None,
         )

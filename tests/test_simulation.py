@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import smartfog.overlay
+from smartfog.centrality import CentralityMode
 from smartfog.clustering import FunctionalArea
 from smartfog.decision import AreaType, GatewayAssignment
 from smartfog.errors import ConfigurationError, ContractError
@@ -459,14 +460,7 @@ class TestSmartfogEndToEnd:
         assert set(hosts.values()) <= set(compute_area.members)
 
     def test_one_path_table_per_overlay(self, monkeypatch):
-        """Placement and the event loop of both modes share one table."""
-        ov = build_overlay(20, seed=1005)
-        assignment, areas, _, _ = run_smartfog_pipeline(
-            ov, (AreaType.COMPUTE_OPTIMIZED, AreaType.MEMORY_OPTIMIZED), 2, None, 1005
-        )
-        # Cloud-latency evaluation runs its own Dijkstras and caches no table,
-        # so long-lived overlays that are only organized stay small.
-        assert "path_table" not in ov.__dict__
+        """Weighted centrality, placement and the event loop of both modes share one table."""
         calls = []
         original = smartfog.overlay.shortest_paths
 
@@ -475,10 +469,28 @@ class TestSmartfogEndToEnd:
             return original(overlay, source)
 
         monkeypatch.setattr(smartfog.overlay, "shortest_paths", counting)
+        ov = build_overlay(20, seed=1005)
+        assignment, areas, _, _ = run_smartfog_pipeline(
+            ov, (AreaType.COMPUTE_OPTIMIZED, AreaType.MEMORY_OPTIMIZED), 2, None, 1005
+        )
         workload = WorkloadSpec()
         run(ov, Mode.SMARTFOG, workload, 1005, assignment=assignment, areas=areas)
         run(ov, Mode.UNOPTIMIZED, workload, 1005)
         assert sorted(calls) == sorted(ov.device_ids)
+
+    def test_unweighted_organizing_caches_no_table(self):
+        # Cloud-latency evaluation runs its own early-stopping searches, so
+        # long-lived overlays that are only organized stay small.
+        ov = build_overlay(20, seed=1005)
+        run_smartfog_pipeline(
+            ov,
+            (AreaType.COMPUTE_OPTIMIZED, AreaType.MEMORY_OPTIMIZED),
+            2,
+            None,
+            1005,
+            CentralityMode.UNWEIGHTED,
+        )
+        assert "path_table" not in ov.__dict__
 
 
 DENSE_SPEC = WorkloadSpec(duration_s=3600.0, spa_interval_s=60.0, pc_interval_s=60.0)
