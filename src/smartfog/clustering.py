@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .decision import AreaType, GatewayAssignment
-from .errors import CapacityError, ConfigurationError, ContractError, NumericalError
+from .errors import CapacityError, ConfigurationError, ContractError, NumericalError, _is_int
 from .overlay import FogOverlay
 
 #: k-means restart count and Lloyd iteration cap.
@@ -267,10 +267,6 @@ def _cluster_means(points: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray
     columns = np.broadcast_to(points.T[:, None, :], (d, r, n)).reshape(d, r * n)
     sums = np.stack([np.bincount(groups, weights=w, minlength=r * k) for w in columns], axis=1)
     return (sums / counts[:, None]).reshape(r, k, d)
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def k_means(

@@ -104,9 +104,15 @@ def select_gateways(
 
     ``evaluations`` may be passed in when already computed (e.g. for stage
     timing); otherwise they are derived from the overlay and centrality.
+    ``areas`` may hold the enum's string values, such as ``"compute"``.
     """
     if not areas:
         raise ContractError("at least one area is required")
+    try:
+        areas = [AreaType(area) for area in areas]
+    except ValueError:
+        allowed = ", ".join(a.value for a in AreaType)
+        raise ContractError(f"areas must each be one of {allowed}, got {list(areas)!r}") from None
     if len(areas) > len(overlay.devices):
         raise CapacityError(
             f"cannot select {len(areas)} gateways from {len(overlay.devices)} devices"

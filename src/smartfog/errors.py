@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check they guard."""
+
+import numbers
+
+
+def _is_int(value) -> bool:
+    """An integer of any kind (numpy's included) that is not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 class SmartFogError(Exception):

@@ -30,7 +30,7 @@ from typing import Sequence
 from .centrality import CentralityMode, CentralityScores, betweenness
 from .clustering import FunctionalArea, cluster_functional_areas
 from .decision import AreaType, GatewayAssignment, evaluate_devices, select_gateways
-from .errors import ConfigurationError
+from .errors import ConfigurationError, _is_int
 from .overlay import FogOverlay, OverlayParams, build_overlay
 from .simulation import Mode, WorkloadSpec, run
 
@@ -70,10 +70,6 @@ TIMING_COLUMNS = (
     "sorting_decision_ms",
     "clustering_ms",
 )
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_number(value) -> bool:

@@ -5,6 +5,9 @@ spanning tree plus random chords up to a target mean degree.  Every quantity
 that the generator draws (device resources, link latencies, cloud latencies)
 comes from a single seeded stream in a fixed order, so the same seed always
 yields the same overlay, byte for byte after serialization.
+
+The cached ``path_table`` and ``cloud_exit`` come from the module's one
+Dijkstra, run from each device or once from every cloud-attached device.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from .errors import (
     ConflictError,
     ContractError,
     TopologyError,
+    _is_int,
 )
 
 
@@ -145,6 +149,11 @@ class FogOverlay:
     def path_table(self) -> dict[int, dict[int, tuple[float, int]]]:
         """Every device's :func:`shortest_paths`, read by weighted betweenness and routing."""
         return {dev.id: shortest_paths(self, dev.id) for dev in self.devices}
+
+    @cached_property
+    def cloud_exit(self) -> dict[int, tuple[float, int]]:
+        """Each device's ``(latency_ms, exit_device)`` to the cloud; ties to the lower exit."""
+        return {node: (dist, root) for dist, _, node, root in _settle(self, self.cloud_latency_ms)}
 
     def is_connected(self) -> bool:
         if not self.devices:
@@ -270,11 +279,13 @@ def build_overlay(n_devices: int, seed: int, params: OverlayParams | None = None
     reaches ``round(mean_degree * n / 2)`` (capped at the complete graph).
     All randomness comes from ``random.Random(seed)`` in a fixed draw order.
     """
-    if n_devices < 2:
-        raise ConfigurationError(f"n_devices must be >= 2, got {n_devices}")
+    if not _is_int(n_devices) or n_devices < 2:
+        raise ConfigurationError(f"n_devices must be an integer >= 2, got {n_devices!r}")
+    if not _is_int(seed) or seed < 0:
+        raise ConfigurationError(f"seed must be an integer >= 0, got {seed!r}")
     params = params or OverlayParams()
     params.validate()
-    rng = random.Random(seed)
+    rng = random.Random(int(seed))  # random.Random refuses numpy integers
 
     devices = []
     for i in range(n_devices):
@@ -382,25 +393,28 @@ def _apply_leave(overlay: FogOverlay, event: Leave) -> FogOverlay:
     return candidate
 
 
-def _settle(overlay: FogOverlay, source: int) -> Iterator[tuple[float, int, int]]:
-    """Dijkstra from ``source``, yielding ``(latency_ms, hops, device)`` in settle order.
+def _settle(
+    overlay: FogOverlay, roots: Mapping[int, float]
+) -> Iterator[tuple[float, int, int, int]]:
+    """Dijkstra from every root at once, yielding ``(latency_ms, hops, device, root)``.
 
-    Heap keys are ``(latency, hops, id)``, so latency ties settle the
-    fewer-hop path first and then the lower id.  A device's neighbour list is
-    read only when the consumer asks for the next settled device.
+    Each root starts at its own latency.  Heap keys are ``(latency, root,
+    hops, id)``: latency ties settle the lower root's path first, then the
+    fewer-hop one, then the lower id.  One root compares as ``(latency, hops, id)``.
     """
     adjacency = overlay.adjacency
     settled: set[int] = set()
-    heap: list[tuple[float, int, int]] = [(0.0, 0, source)]
+    heap = [(ms, root, 0, root) for root, ms in roots.items()]
+    heapq.heapify(heap)
     while heap:
-        dist, hops, node = heapq.heappop(heap)
+        dist, root, hops, node = heapq.heappop(heap)
         if node in settled:
             continue
         settled.add(node)
-        yield dist, hops, node
+        yield dist, hops, node, root
         for nbr, ms in adjacency[node]:
             if nbr not in settled:
-                heapq.heappush(heap, (dist + ms, hops + 1, nbr))
+                heapq.heappush(heap, (dist + ms, root, hops + 1, nbr))
 
 
 def shortest_paths(overlay: FogOverlay, source: int) -> dict[int, tuple[float, int]]:
@@ -413,7 +427,7 @@ def shortest_paths(overlay: FogOverlay, source: int) -> dict[int, tuple[float, i
     """
     if source not in overlay:
         raise ContractError(f"no device with id {source}")
-    return {node: (dist, hops) for dist, hops, node in _settle(overlay, source)}
+    return {node: (dist, hops) for dist, hops, node, _ in _settle(overlay, {source: 0.0})}
 
 
 def latency_to_cloud(overlay: FogOverlay, device_id: int) -> float:
@@ -421,28 +435,15 @@ def latency_to_cloud(overlay: FogOverlay, device_id: int) -> float:
 
     Minimum over cloud-attached devices ``g`` of (shortest-path latency to
     ``g``) + (``g``'s cloud latency); a device that is itself cloud-attached
-    may still be better served through a neighbour.
-
-    The search is the one :func:`shortest_paths` runs, stopped as soon as
-    the settled latency plus the smallest cloud latency of the overlay is no
-    better than the best total found.  Devices settle in ascending latency
-    and float addition is monotone, so every device not yet settled gives a
-    total at least that large: the result is the full search's, bit for bit.
+    may still be better served through a neighbour.  Every device reads it
+    from the one search behind :attr:`FogOverlay.cloud_exit`.
     """
     if device_id not in overlay:
         raise ContractError(f"no device with id {device_id}")
-    cloud = overlay.cloud_latency_ms
-    floor = min(cloud.values())
-    best = None
-    for dist, _, node in _settle(overlay, device_id):
-        if best is not None and dist + floor >= best:
-            break
-        cloud_ms = cloud.get(node)
-        if cloud_ms is not None and (best is None or dist + cloud_ms < best):
-            best = dist + cloud_ms
-    if best is None:
-        raise TopologyError(f"device {device_id} cannot reach any cloud-attached device")
-    return best
+    try:
+        return overlay.cloud_exit[device_id][0]
+    except KeyError:
+        raise TopologyError(f"device {device_id} cannot reach any cloud-attached device") from None
 
 
 def all_pairs_paths(overlay: FogOverlay) -> dict[int, dict[int, tuple[float, int]]]:

@@ -12,7 +12,8 @@ Two tuple kinds flow through the overlay:
   smartfog mode, a random cloud-attached device otherwise).  Loop delay =
   device-to-forwarder path + forwarder-to-cloud latency + cloud queueing and
   processing + the return path.  A forwarder without its own cloud link
-  relays through the cloud-attached device nearest the cloud from it.
+  relays through its ``FogOverlay.cloud_exit`` device; a linked forwarder
+  still uses its own link, even where a relay would be faster.
 
 Each sensor is pinned to a uniformly random access-point device; in smartfog
 mode its SPA host is the nearest member (by path latency) of the functional
@@ -42,7 +43,7 @@ from typing import Sequence
 
 from .clustering import FunctionalArea
 from .decision import AreaType, GatewayAssignment
-from .errors import ConfigurationError, ContractError
+from .errors import ConfigurationError, ContractError, _is_int
 from .overlay import FogOverlay, all_pairs_paths
 
 _ATTACH_SALT = 0x617474
@@ -96,9 +97,15 @@ class WorkloadSpec:
             raise ConfigurationError(
                 f"warmup_s must be in [0, duration_s), got {self.warmup_s}"
             )
-        if self.n_sensors is not None and not 1 <= self.n_sensors < math.inf:
-            raise ConfigurationError(f"n_sensors must be >= 1, got {self.n_sensors}")
-        for name in ("spa_interval_s", "pc_interval_s", "tuple_bytes", "cloud_mips"):
+        if self.n_sensors is not None and not (_is_int(self.n_sensors) and self.n_sensors >= 1):
+            raise ConfigurationError(
+                f"n_sensors must be an integer >= 1 or None, got {self.n_sensors!r}"
+            )
+        if not _is_int(self.tuple_bytes) or self.tuple_bytes < 1:
+            raise ConfigurationError(
+                f"tuple_bytes must be an integer >= 1, got {self.tuple_bytes!r}"
+            )
+        for name in ("spa_interval_s", "pc_interval_s", "cloud_mips"):
             value = getattr(self, name)
             if not 0 < value < math.inf:
                 raise ConfigurationError(f"{name} must be finite and > 0, got {value}")
@@ -148,8 +155,8 @@ def attach_sensors(
     access_ms_range: tuple[float, float] = (1.0, 5.0),
 ) -> SensorAttachment:
     """Pin ``n_sensors`` sensor/actuator pairs to uniformly random devices."""
-    if n_sensors < 1:
-        raise ContractError(f"n_sensors must be >= 1, got {n_sensors}")
+    if not _is_int(n_sensors) or n_sensors < 1:
+        raise ContractError(f"n_sensors must be an integer >= 1, got {n_sensors!r}")
     ids = sorted(overlay.device_ids)
     access_point = {}
     access_ms = {}
@@ -287,12 +294,12 @@ def _sensor_routes(
 
     SPA: the access hop and the path to the host, served by the host.  PC:
     the path from the host to its forwarder and the forwarder's cloud link,
-    served by the cloud.  A forwarder without a cloud link relays through the
-    cloud-attached device with the lowest path-plus-cloud latency from it
-    (ties to the lower id).
+    served by the cloud.  A linked forwarder uses its own cloud link; one
+    without relays through its :attr:`FogOverlay.cloud_exit` device.
     """
     paths = all_pairs_paths(overlay)
     cloud = overlay.cloud_latency_ms
+    exits = overlay.cloud_exit
     routes: dict[tuple[int, TupleKind], _Route] = {}
     for s in sensors.sensor_ids:
         ap = sensors.access_point[s]
@@ -301,20 +308,15 @@ def _sensor_routes(
             path_ms, path_hops = paths[ap][host]
             routes[s, TupleKind.SPA] = (host, sensors.access_ms[s] + path_ms, 1 + path_hops)
         fwd = placement.cloud_route[host]
-        if fwd not in paths[host]:
+        if fwd not in paths[host] or fwd not in exits:
             continue
         # A linked forwarder is its own relay: paths[fwd][fwd] is (0.0, 0),
         # and adding 0.0 leaves the leg's float unchanged.
-        relay = fwd if fwd in cloud else min(
-            (g for g in cloud if g in paths[fwd]),
-            key=lambda g: (paths[fwd][g][0] + cloud[g], g),
-            default=None,
-        )
-        if relay is not None:
-            path_ms, path_hops = paths[host][fwd]
-            relay_ms, relay_hops = paths[fwd][relay]
-            leg_ms = path_ms + relay_ms + cloud[relay]
-            routes[s, TupleKind.PC] = (_CLOUD, leg_ms, path_hops + relay_hops + 1)
+        relay = fwd if fwd in cloud else exits[fwd][1]
+        path_ms, path_hops = paths[host][fwd]
+        relay_ms, relay_hops = paths[fwd][relay]
+        leg_ms = path_ms + relay_ms + cloud[relay]
+        routes[s, TupleKind.PC] = (_CLOUD, leg_ms, path_hops + relay_hops + 1)
     return routes
 
 
@@ -340,6 +342,9 @@ def run(
     next queued tuple, and ``complete`` samples its loop delay.
     """
     workload.validate()
+    if not _is_int(seed) or seed < 0:
+        raise ContractError(f"seed must be an integer >= 0, got {seed!r}")
+    seed = int(seed)  # random.Random refuses numpy integers
     n_devices = len(overlay.devices)
     n_sensors = (
         workload.n_sensors if workload.n_sensors is not None else max(1, n_devices // 2)
@@ -392,7 +397,7 @@ def run(
 
     queue: dict[object, deque] = {server: deque() for server in server_mips}
     busy = dict.fromkeys(server_mips, False)
-    bytes_per_tuple = workload.tuple_bytes
+    bytes_per_tuple = int(workload.tuple_bytes)
 
     def serve(now: float, state: _TupleState) -> None:
         service_ms = state.work_mips / server_mips[state.route[0]] * 1000.0

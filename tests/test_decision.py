@@ -148,6 +148,21 @@ class TestSelectGateways:
                 evaluations=evaluate_devices(ov, scores)[:-1],
             )
 
+    def test_string_areas_rank_as_their_enum(self):
+        ov = build_overlay(20, seed=1000)
+        scores = scores_for(ov)
+        by_value = select_gateways(ov, ["compute", "memory"], scores)
+        assert by_value == select_gateways(
+            ov, [AreaType.COMPUTE_OPTIMIZED, AreaType.MEMORY_OPTIMIZED], scores
+        )
+        assert by_value.to_json_obj() == [
+            {"gateway": 14, "area_type": "compute"},
+            {"gateway": 6, "area_type": "memory"},
+        ]
+        for bad in (["cpu"], [None], ["compute", 1]):
+            with pytest.raises(ContractError, match="areas"):
+                select_gateways(ov, bad, scores)
+
     def test_precomputed_evaluations_match_derived(self):
         ov = build_overlay(12, seed=8)
         scores = scores_for(ov)

@@ -10,7 +10,7 @@ import smartfog.overlay
 from smartfog.centrality import CentralityMode
 from smartfog.clustering import FunctionalArea
 from smartfog.decision import AreaType, GatewayAssignment
-from smartfog.errors import ConfigurationError, ContractError
+from smartfog.errors import ConfigurationError, ContractError, SmartFogError
 from smartfog.harness import run_smartfog_pipeline
 from smartfog.overlay import Arch, FogDevice, FogOverlay, Join, Link, apply_churn, build_overlay
 from smartfog.simulation import (
@@ -80,6 +80,39 @@ class TestWorkloadSpec:
         setattr(workload, field, value)
         with pytest.raises(ConfigurationError, match=field):
             workload.validate()
+
+
+SHORT_SPEC = dict(duration_s=10.0, warmup_s=0.0)
+
+
+@pytest.mark.parametrize(
+    "name,call",
+    [
+        ("n_devices", lambda: build_overlay(2.5, 1)),
+        ("n_devices", lambda: build_overlay("5", 1)),
+        ("seed", lambda: build_overlay(5, -1)),
+        ("seed", lambda: build_overlay(5, 1.5)),
+        ("seed", lambda: run(chain(3), Mode.UNOPTIMIZED, WorkloadSpec(**SHORT_SPEC), 1.5)),
+        ("seed", lambda: run(chain(3), Mode.UNOPTIMIZED, WorkloadSpec(**SHORT_SPEC), -1)),
+        ("n_sensors", lambda: run(chain(3), Mode.UNOPTIMIZED, WorkloadSpec(n_sensors=2.5), 1)),
+        ("n_sensors", lambda: WorkloadSpec(n_sensors=True).validate()),
+        ("tuple_bytes", lambda: WorkloadSpec(tuple_bytes=1.5).validate()),
+    ],
+    ids=[
+        "overlay-size-float",
+        "overlay-size-str",
+        "overlay-seed-negative",
+        "overlay-seed-float",
+        "run-seed-float",
+        "run-seed-negative",
+        "sensors-float",
+        "sensors-bool",
+        "tuple-bytes-float",
+    ],
+)
+def test_integer_parameters_refused_by_name(name, call):
+    with pytest.raises(SmartFogError, match=name):
+        call()
 
 
 class TestAttachSensors:
@@ -309,10 +342,10 @@ class TestDrops:
 class TestCloudRelay:
     """A forwarder without its own cloud link relays through the best-linked device."""
 
-    def test_closed_form_relay_leg(self):
-        # gateway 2 has no cloud link; via 0 costs 4 + 60 = 64 ms over 3 hops,
-        # via the nearer 3 costs 2 + 70 = 72 ms, so the relay is device 0
-        ov = chain(4, cloud={0: 60.0, 3: 70.0})
+    @staticmethod
+    def run_unlinked_gateway(cloud):
+        """One PC tuple from chain(4)'s gateway 2, which has no cloud link."""
+        ov = chain(4, cloud=cloud)
         assignment = GatewayAssignment(gateways=((2, AreaType.COMPUTE_OPTIMIZED),))
         areas = [
             FunctionalArea(
@@ -333,8 +366,22 @@ class TestCloudRelay:
         )
         report = run(ov, Mode.SMARTFOG, workload, 0, assignment=assignment, areas=areas)
         assert report.completed == {"spa": 0, "pc": 1}
+        return report
+
+    def test_closed_form_relay_leg(self):
+        # via 0 costs 4 + 60 = 64 ms over 3 hops, via the nearer 3 costs
+        # 2 + 70 = 72 ms, so the relay is device 0
+        report = self.run_unlinked_gateway({0: 60.0, 3: 70.0})
         # 64 ms up + 1000 ms at the cloud + 64 ms back; 3 hops each way
         assert report.pc_delays_ms == [1128.0]
+        assert report.network_load_bytes == 600
+
+    def test_relay_tie_goes_to_lower_id(self):
+        # via 0 costs 61 + 2 + 2 = 65 ms over 2 links, via 3 costs 63 + 2 =
+        # 65 ms over 1; the lower id wins the tie, not the fewer hops
+        report = self.run_unlinked_gateway({0: 61.0, 3: 63.0})
+        assert report.pc_delays_ms == [1130.0]
+        # 3 hops each way; relay 3 would give 2
         assert report.network_load_bytes == 600
 
     def test_joined_gateway_without_cloud_link_completes_pc(self):
@@ -479,7 +526,7 @@ class TestSmartfogEndToEnd:
         assert sorted(calls) == sorted(ov.device_ids)
 
     def test_unweighted_organizing_caches_no_table(self):
-        # Cloud-latency evaluation runs its own early-stopping searches, so
+        # Cloud-latency evaluation reads the n-entry cloud_exit table, so
         # long-lived overlays that are only organized stay small.
         ov = build_overlay(20, seed=1005)
         run_smartfog_pipeline(
