@@ -5,45 +5,47 @@ of sigma_sd(n) / sigma_sd`` where ``sigma_sd`` counts shortest s-d paths and
 ``sigma_sd(n)`` those passing through n as an interior vertex.  Scores are
 unnormalized; endpoints never count themselves.
 
-The unweighted mode is exact: path counts are integers, so every score is a
+Every score is exact: path counts are integers, so every score is a
 rational number.  Per source s, dependencies are scaled by the lcm L_s of the
 path counts, which makes ``L_s * delta_s(v)`` an integer and every division
 of the recurrence exact; the sources' integer numerators are summed over one
 common denominator and divided once at the end.  Python's int / int is
 correctly rounded, so each score is the double nearest its exact value,
-independent of summation order.
+independent of summation order.  Both modes run that one recurrence,
+:func:`_brandes_sweep`, and differ only in the distances it reads.
 
-All sources run at once on the dense 0/1 adjacency matrix A, one BFS level
-per step (Buluç & Gilbert's batched Brandes): with row s of ``sigma`` holding
-source s's path counts, the next level's counts are ``(sigma on the
-frontier) @ A``, and the backward sweep computes ``share = (L_s + dep) /
-sigma`` on level d + 1 and ``dep = sigma * (share @ A)`` on level d.  The
-matrices are float64, and every entry and partial sum is an integer below
-2**53 as long as ``max sigma < 2**53`` and ``max L_s * n * n < 2**53`` (a
-dependency is at most ``L_s * n``, and a product or a sum of rows adds at
-most n of them).  Such sums are exact in any order, so BLAS may block and
-thread them as it likes, and each division is an exact integer division.
-A float sum that reaches 2**53 rounds to at least 2**53, so checking the
-final counts suffices.  Overlays past the bound (long chains of parallel
-routes) run the per-source BFS in Python ints instead, which has no size
-limit.  Both give the same scores.
+The unweighted mode runs all sources at once on the dense 0/1 adjacency
+matrix A, one BFS level per step (Buluç & Gilbert's batched Brandes): with
+row s of ``sigma`` holding source s's path counts, the next level's counts
+are ``(sigma on the frontier) @ A``, and the backward sweep computes
+``share = (L_s + dep) / sigma`` on level d + 1 and ``dep = sigma * (share @
+A)`` on level d.  The matrices are float64, and every entry and partial sum
+is an integer below 2**53 as long as ``max sigma < 2**53`` and ``max L_s * n
+* n < 2**53`` (a dependency is at most ``L_s * n``, and a product or a sum of
+rows adds at most n of them).  Such sums are exact in any order, so BLAS may
+block and thread them as it likes, and each division is an exact integer
+division.  A float sum that reaches 2**53 rounds to at least 2**53, so
+checking the final counts suffices.  Overlays past the bound (long chains of
+parallel routes) run the per-source sweep on BFS hop counts in Python ints
+instead, which has no size limit.  Both give the same scores.
 
 The latency-weighted mode reads :attr:`FogOverlay.path_table`, the table the
 simulation routes on, so one Dijkstra per source serves both.  Path counts
 and predecessors follow from each row's settle order and exact float
-equality ``dist[v] + ms == dist[w]``.
+equality ``dist[v] + ms == dist[w]``; sums of link latencies are floats, but
+the counts and the recurrence stay integers.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import TopologyError
+from .errors import TopologyError, _as_member
 from .overlay import FogOverlay
 
 #: Integers below this are exact in float64 (53-bit significand).
@@ -69,13 +71,19 @@ class CentralityScores:
 def betweenness(
     overlay: FogOverlay, mode: CentralityMode = CentralityMode.WEIGHTED_BY_LATENCY
 ) -> CentralityScores:
-    """Betweenness of every device; raises TopologyError if disconnected."""
+    """Betweenness of every device; raises TopologyError if disconnected.
+
+    ``mode`` may be the enum's string value, such as ``"unweighted"``.
+    """
+    mode = _as_member(CentralityMode, mode, "mode")
     if not overlay.is_connected():
         raise TopologyError("betweenness requires a connected overlay")
     if mode is CentralityMode.UNWEIGHTED:
         scores = _brandes_all_sources(overlay)
     else:
-        scores = _brandes_weighted(overlay)
+        table = overlay.path_table
+        dists = ((s, {v: ms for v, (ms, _) in table[s].items()}) for s in sorted(table))
+        scores = _brandes_sweep(overlay.adjacency, dists)
     return CentralityScores(scores=scores, mode=mode)
 
 
@@ -133,85 +141,69 @@ def _brandes_all_sources(overlay: FogOverlay) -> dict[int, float]:
 
 
 def _brandes_unweighted(overlay: FogOverlay) -> dict[int, float]:
-    # One BFS per source in Python ints: the exact path past the 2**53 bound.
-    ids = sorted(overlay.device_ids)
-    adjacency = overlay.adjacency
+    # The exact path past the 2**53 bound: BFS hop counts, then the sweep.
+    hops = {v: [(w, 1) for w, _ in nbrs] for v, nbrs in overlay.adjacency.items()}
+    return _brandes_sweep(hops, ((s, _bfs(hops, s)) for s in sorted(hops)))
+
+
+def _bfs(hops: dict[int, list[tuple[int, int]]], s: int) -> dict[int, int]:
+    """Hop counts from s, in BFS order."""
+    dist = {s: 0}
+    order = [s]
+    for v in order:
+        for w, _ in hops[v]:
+            if w not in dist:
+                dist[w] = dist[v] + 1
+                order.append(w)
+    return dist
+
+
+def _brandes_sweep(
+    adjacency: Mapping[int, Iterable[tuple[int, float]]], dists: Iterable[tuple[int, dict]]
+) -> dict[int, float]:
+    """Exact betweenness from every source's shortest-path distances.
+
+    ``dists`` yields ``(s, dist)`` for each source s, with ``dist`` in settle
+    order; ``adjacency`` holds the edge lengths that ``dist`` sums.
+    """
+    ids = sorted(adjacency)
     # Running sum of every source's dependencies as integer numerators over
     # one common denominator ``den``.
     num = dict.fromkeys(ids, 0)
     den = 1
-    for s in ids:
-        # BFS phase: distances, integer path counts, predecessor lists.
-        dist = {s: 0}
-        sigma = {s: 1}
-        preds: dict[int, list[int]] = {s: []}
-        order = []
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            order.append(v)
-            dv1 = dist[v] + 1
+    for s, dist in dists:
+        # Shortest-path DAG: v precedes w if it settled first and
+        # dist[v] + ms == dist[w]; the first part matters only when ms is
+        # absorbed (dist[v] + ms == dist[v]), and keeps the graph acyclic.
+        rank = {v: i for i, v in enumerate(dist)}
+        sigma = dict.fromkeys(dist, 0)
+        sigma[s] = 1
+        preds: dict[int, list[int]] = {v: [] for v in dist}
+        for v, dv in dist.items():
             sv = sigma[v]
-            for w, _ in adjacency[v]:
-                dw = dist.get(w)
-                if dw is None:
-                    dist[w] = dv1
-                    queue.append(w)
-                    sigma[w] = sv
-                    preds[w] = [v]
-                elif dw == dv1:
+            rv = rank[v]
+            for w, ms in adjacency[v]:
+                if dv + ms == dist[w] and rank[w] > rv:
                     sigma[w] += sv
                     preds[w].append(v)
-        # Dependency accumulation scaled by L = lcm(sigma): D[v] = L * delta(v)
-        # is an integer and every division below is exact.
+        # Dependencies scaled by L = lcm(sigma): D[v] = L * delta(v) is an
+        # integer and every division below is exact.  D / L is added into
+        # num / den over their least common denominator.
         scale = math.lcm(*sigma.values())
-        dep = dict.fromkeys(order, 0)
-        for w in reversed(order):
-            share = (scale + dep[w]) // sigma[w]
-            for v in preds[w]:
-                dep[v] += sigma[v] * share
-        # Add dep / scale into num / den over their least common denominator.
         up = scale // math.gcd(den, scale)
         if up != 1:
             for v in ids:
                 num[v] *= up
             den *= up
         down = den // scale
-        for w in order:
+        dep = dict.fromkeys(dist, 0)
+        for w in reversed(dist):
+            share = (scale + dep[w]) // sigma[w]
+            for v in preds[w]:
+                dep[v] += sigma[v] * share
             if w != s:
                 num[w] += dep[w] * down
     # Each unordered pair was counted from both endpoints.  int / int is
     # correctly rounded, so each score is the double nearest the exact value.
     den *= 2
     return {v: num[v] / den for v in ids}
-
-
-def _brandes_weighted(overlay: FogOverlay) -> dict[int, float]:
-    ids = sorted(overlay.device_ids)
-    adjacency = overlay.adjacency
-    table = overlay.path_table
-    acc = dict.fromkeys(ids, 0.0)
-    for s in ids:
-        row = table[s]
-        # Keys are in settle order.  v precedes w if it settled first and
-        # dist[v] + ms == dist[w]; the first part matters only when ms is
-        # absorbed (dist[v] + ms == dist[v]), and keeps the graph acyclic.
-        rank = {v: i for i, v in enumerate(row)}
-        sigma = dict.fromkeys(row, 0)
-        sigma[s] = 1
-        preds: dict[int, list[int]] = {v: [] for v in row}
-        for v, (dv, _) in row.items():
-            sv = sigma[v]
-            rv = rank[v]
-            for w, ms in adjacency[v]:
-                if dv + ms == row[w][0] and rank[w] > rv:
-                    sigma[w] += sv
-                    preds[w].append(v)
-        delta = dict.fromkeys(row, 0.0)
-        for w in reversed(row):
-            coeff = (1 + delta[w]) / sigma[w]
-            for v in preds[w]:
-                delta[v] += sigma[v] * coeff
-            if w != s:
-                acc[w] += delta[w]
-    return {v: acc[v] / 2 for v in ids}

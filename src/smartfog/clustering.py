@@ -359,6 +359,10 @@ def cluster_functional_areas(
     memory-optimized one the highest mean raw memory; score ties resolve to
     the lower cluster label.
     """
+    if not _is_int(k) or k < 1:
+        raise ContractError(f"k must be an integer >= 1, got {k!r}")
+    if not _is_int(seed) or seed < 0:
+        raise ContractError(f"seed must be an integer >= 0, got {seed!r}")
     gateway_ids = assignment.device_ids
     for gw in gateway_ids:
         if gw not in overlay:

@@ -3,10 +3,9 @@
 Each device is evaluated on three objectives: betweenness centrality
 (maximize), MIPS (maximize) and latency to the cloud (minimize).  Memory is
 carried alongside as a plain attribute - it is not an objective, but it is
-the ranking criterion for memory-optimized areas.  Selection walks the
-fronts from the shallowest: for every requested area in order it takes the
-best remaining candidate of the current front under that area's priority,
-peeling the next front only when the current one is exhausted.
+the ranking criterion for memory-optimized areas.  Selection claims the
+requested areas in order: each takes, among the devices not yet taken, the
+best one of the shallowest front under that area's priority.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from enum import Enum
 from typing import Sequence
 
 from .centrality import CentralityScores
-from .errors import CapacityError, ContractError
+from .errors import CapacityError, ContractError, _as_member
 from .overlay import FogOverlay, latency_to_cloud
 from .pareto import ObjectiveVector, Sense, non_dominated_sort
 
@@ -108,32 +107,22 @@ def select_gateways(
     """
     if not areas:
         raise ContractError("at least one area is required")
-    try:
-        areas = [AreaType(area) for area in areas]
-    except ValueError:
-        allowed = ", ".join(a.value for a in AreaType)
-        raise ContractError(f"areas must each be one of {allowed}, got {list(areas)!r}") from None
+    areas = [_as_member(AreaType, area, "areas") for area in areas]
     if len(areas) > len(overlay.devices):
         raise CapacityError(
             f"cannot select {len(areas)} gateways from {len(overlay.devices)} devices"
         )
     evals = list(evaluations) if evaluations is not None else evaluate_devices(overlay, centrality)
-    if len(evals) != len(overlay.devices):
-        raise ContractError("evaluations must cover every device exactly once")
     by_id = {ev.device_id: ev for ev in evals}
+    if len(evals) != len(overlay.devices) or by_id.keys() != set(overlay.device_ids):
+        raise ContractError("evaluations must cover every device exactly once")
     fronts = non_dominated_sort([ev.objectives for ev in evals])
-    # Front entries are indices into evals (ascending id order).
-    pending = [[evals[i].device_id for i in front] for front in fronts.fronts]
-    taken: set[int] = set()
+    # Front entries are indices into evals; rank maps each untaken device to
+    # its front.
+    rank = {evals[i].device_id: r for r, front in enumerate(fronts.fronts) for i in front}
     chosen: list[tuple[int, AreaType]] = []
-    front_idx = 0
     for area in areas:
-        while front_idx < len(pending):
-            remaining = [by_id[d] for d in pending[front_idx] if d not in taken]
-            if remaining:
-                break
-            front_idx += 1
-        best = partition_front(remaining, area)[0]
-        taken.add(best.device_id)
-        chosen.append((best.device_id, area))
+        best = min(rank, key=lambda d: (rank[d], _priority_key(by_id[d], area)))
+        del rank[best]
+        chosen.append((best, area))
     return GatewayAssignment(gateways=tuple(chosen))

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the integer check they guard."""
+"""Exception types shared across the package, and the input checks that raise them."""
 
 import numbers
 
@@ -39,6 +39,11 @@ class ConflictError(SmartFogError):
 class NumericalError(SmartFogError):
     """An iterative numerical routine failed to converge."""
 
-    def __init__(self, message: str, iterations: int | None = None):
-        super().__init__(message)
-        self.iterations = iterations
+
+def _as_member(enum_type, value, field: str):
+    """``value`` as a member of ``enum_type`` (or its value); else ContractError naming ``field``."""
+    try:
+        return enum_type(value)
+    except ValueError:
+        allowed = ", ".join(member.value for member in enum_type)
+        raise ContractError(f"{field} must be one of {allowed}, got {value!r}") from None

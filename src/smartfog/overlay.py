@@ -16,7 +16,7 @@ import heapq
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Iterator, Mapping, Union

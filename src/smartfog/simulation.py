@@ -43,7 +43,7 @@ from typing import Sequence
 
 from .clustering import FunctionalArea
 from .decision import AreaType, GatewayAssignment
-from .errors import ConfigurationError, ContractError, _is_int
+from .errors import ConfigurationError, ContractError, _as_member, _is_int
 from .overlay import FogOverlay, all_pairs_paths
 
 _ATTACH_SALT = 0x617474
@@ -183,6 +183,7 @@ def place_edge_ward(
     unoptimized: uniformly random host per sensor and uniformly random
     cloud-attached forwarder per device, drawn from ``rng``.
     """
+    mode = _as_member(Mode, mode, "mode")
     if not sensors.access_point:
         raise ContractError("placement requires at least one sensor")
     ids = sorted(overlay.device_ids)
@@ -339,8 +340,10 @@ def run(
     devices and the cloud share one table of MIPS, FIFO queue and busy mark.
     ``emit`` drops an unroutable tuple or sends it up its leg, ``arrive``
     queues or serves it, ``done`` sends it back down the leg and serves the
-    next queued tuple, and ``complete`` samples its loop delay.
+    next queued tuple, and ``complete`` samples its loop delay.  ``mode`` may
+    be the enum's string value, such as ``"smartfog"``.
     """
+    mode = _as_member(Mode, mode, "mode")
     workload.validate()
     if not _is_int(seed) or seed < 0:
         raise ContractError(f"seed must be an integer >= 0, got {seed!r}")

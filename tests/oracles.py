@@ -95,15 +95,16 @@ def _all_shortest_paths(s, d, adj, dist, tol):
 
 
 def oracle_betweenness(overlay: FogOverlay, weighted: bool) -> dict[int, float]:
-    """Exhaustive ratio-sum betweenness over unordered device pairs."""
+    """Exhaustive ratio-sum betweenness over unordered device pairs.
+
+    The ratios are summed as :class:`Fraction` and converted once, so the
+    result is the double nearest the exact score in both modes.
+    """
     ids = sorted(overlay.device_ids)
     adj = _adjacency(overlay, weighted)
     dist = _floyd_warshall(ids, adj)
     tol = 1e-9 if weighted else 0.0
-    if weighted:
-        acc = {v: 0.0 for v in ids}
-    else:
-        acc = {v: Fraction(0) for v in ids}
+    acc = {v: Fraction(0) for v in ids}
     for s, d in combinations(ids, 2):
         if dist[s][d] == math.inf:
             continue
@@ -114,10 +115,7 @@ def oracle_betweenness(overlay: FogOverlay, weighted: bool) -> dict[int, float]:
             for v in path[1:-1]:
                 interior[v] = interior.get(v, 0) + 1
         for v, cnt in interior.items():
-            if weighted:
-                acc[v] += cnt / sigma
-            else:
-                acc[v] += Fraction(cnt, sigma)
+            acc[v] += Fraction(cnt, sigma)
     return {v: float(acc[v]) for v in ids}
 
 

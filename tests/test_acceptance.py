@@ -76,8 +76,7 @@ def test_betweenness_matches_exhaustive_oracle(capsys):
         if exact != oracle_betweenness(overlay, weighted=False):
             failures.append((i, "unweighted"))
         weighted = betweenness(overlay, CentralityMode.WEIGHTED_BY_LATENCY).scores
-        expected = oracle_betweenness(overlay, weighted=True)
-        if any(abs(weighted[d] - expected[d]) > 1e-9 for d in expected):
+        if weighted != oracle_betweenness(overlay, weighted=True):
             failures.append((i, "weighted"))
     elapsed = time.perf_counter() - started
     ok = not failures and elapsed < 10.0
@@ -85,7 +84,7 @@ def test_betweenness_matches_exhaustive_oracle(capsys):
         capsys,
         ok,
         "betweenness matches the exhaustive path-enumeration oracle on 200 graphs "
-        f"(exact unweighted, 1e-9 weighted) in {elapsed:.1f}s"
+        f"(exact in both modes) in {elapsed:.1f}s"
         + (f"; mismatches: {failures[:3]}" if failures else ""),
     )
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from smartfog import centrality
 from smartfog.centrality import CentralityMode, betweenness
-from smartfog.errors import TopologyError
+from smartfog.errors import ContractError, TopologyError
 from smartfog.overlay import Arch, FogDevice, FogOverlay, Link, build_overlay
 
 from oracles import (
@@ -89,13 +89,10 @@ class TestOracleEquivalence:
         assert got == oracle_betweenness(ov, weighted=False)
 
     @given(seed=st.integers(0, 3000), n=st.integers(2, 10))
-    def test_weighted_within_tolerance(self, seed, n):
+    def test_weighted_exact(self, seed, n):
         ov = build_overlay(n, seed)
         got = betweenness(ov, CentralityMode.WEIGHTED_BY_LATENCY).scores
-        expected = oracle_betweenness(ov, weighted=True)
-        assert got.keys() == expected.keys()
-        for dev, value in expected.items():
-            assert got[dev] == pytest.approx(value, abs=1e-9)
+        assert got == oracle_betweenness(ov, weighted=True)
 
     def test_default_mode_is_weighted(self):
         ov = build_overlay(8, seed=2)
@@ -103,6 +100,20 @@ class TestOracleEquivalence:
             ov, CentralityMode.WEIGHTED_BY_LATENCY
         ).scores
         assert betweenness(ov).mode is CentralityMode.WEIGHTED_BY_LATENCY
+
+    def test_mode_by_string_value(self):
+        ov = build_overlay(12, seed=5)
+        for mode in CentralityMode:
+            by_value = betweenness(ov, mode.value)
+            assert by_value.mode is mode
+            assert by_value.scores == betweenness(ov, mode).scores
+        # the two modes differ on this overlay, so a wrong mode would show
+        assert betweenness(ov, "unweighted").scores != betweenness(ov).scores
+
+    @pytest.mark.parametrize("bad", ["hops", None, 1, "UNWEIGHTED"])
+    def test_unknown_mode_rejected(self, bad):
+        with pytest.raises(ContractError, match="mode"):
+            betweenness(build_overlay(6, seed=1), bad)
 
 
 class TestExactAtScale:
@@ -219,10 +230,7 @@ class TestExactTies:
         )
         ov = overlay_from_edges(n, edges, latencies)
         got = betweenness(ov, CentralityMode.WEIGHTED_BY_LATENCY).scores
-        expected = oracle_betweenness(ov, weighted=True)
-        assert got.keys() == expected.keys()
-        for dev, value in expected.items():
-            assert got[dev] == pytest.approx(value, abs=1e-9)
+        assert got == oracle_betweenness(ov, weighted=True)
 
     @settings(max_examples=150)
     @given(graph=connected_edge_lists())
@@ -230,9 +238,7 @@ class TestExactTies:
         ov = overlay_from_edges(*graph)
         weighted = betweenness(ov, CentralityMode.WEIGHTED_BY_LATENCY).scores
         unweighted = betweenness(ov, CentralityMode.UNWEIGHTED).scores
-        assert weighted.keys() == unweighted.keys()
-        for dev, value in unweighted.items():
-            assert weighted[dev] == pytest.approx(value, abs=1e-9)
+        assert weighted == unweighted
 
 
 class TestInvariances:

@@ -531,6 +531,28 @@ class TestFunctionalAreas:
         with pytest.raises(ContractError):
             cluster_functional_areas(ov, ghost, k=2)
 
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"k": "2"}, "k"),
+            ({"k": 2.5}, "k"),
+            ({"k": True}, "k"),
+            ({"k": 0}, "k"),
+            ({"seed": 1.5}, "seed"),
+            ({"seed": "0"}, "seed"),
+            ({"seed": False}, "seed"),
+            ({"seed": -1}, "seed"),
+        ],
+        ids=["k-str", "k-float", "k-bool", "k-zero", "seed-float", "seed-str", "seed-bool",
+             "seed-negative"],
+    )
+    def test_bad_integers_named(self, kwargs, field):
+        ov = build_overlay(12, seed=2)
+        args = {"k": 2, "seed": 0}
+        args.update(kwargs)
+        with pytest.raises(ContractError, match=f"^{field} must"):
+            cluster_functional_areas(ov, self.assignment_for(ov), **args)
+
     def test_deterministic_export(self):
         ov = build_overlay(12, seed=2)
         assignment = self.assignment_for(ov)

@@ -147,6 +147,11 @@ class TestSelectGateways:
                 scores,
                 evaluations=evaluate_devices(ov, scores)[:-1],
             )
+        evals = evaluate_devices(ov, scores)
+        with pytest.raises(ContractError, match="every device"):
+            select_gateways(
+                ov, [AreaType.COMPUTE_OPTIMIZED], scores, evaluations=evals[:-1] + evals[:1]
+            )
 
     def test_string_areas_rank_as_their_enum(self):
         ov = build_overlay(20, seed=1000)

@@ -314,6 +314,27 @@ class TestDeterminismAndPairing:
         base = run(ov, Mode.UNOPTIMIZED, workload, seed=6)
         assert smart.emitted == base.emitted
 
+    def test_mode_by_string_value(self):
+        ov = build_overlay(12, seed=6)
+        workload = WorkloadSpec(duration_s=60.0)
+        assignment, areas, _, _ = run_smartfog_pipeline(
+            ov, (AreaType.COMPUTE_OPTIMIZED, AreaType.MEMORY_OPTIMIZED), 2, None, 6
+        )
+        for mode in Mode:
+            kwargs = {"assignment": assignment, "areas": areas} if mode is Mode.SMARTFOG else {}
+            by_value = run(ov, mode.value, workload, seed=6, **kwargs)
+            assert by_value.mode is mode
+            assert by_value.to_json() == run(ov, mode, workload, seed=6, **kwargs).to_json()
+
+    @pytest.mark.parametrize("bad", ["optimized", None, 0, "SMARTFOG"])
+    def test_unknown_mode_rejected(self, bad):
+        ov = build_overlay(6, seed=1)
+        with pytest.raises(ContractError, match="mode"):
+            run(ov, bad, WorkloadSpec(duration_s=60.0), seed=1)
+        sensors = attach_sensors(ov, 2, random.Random(1))
+        with pytest.raises(ContractError, match="mode"):
+            place_edge_ward(ov, sensors, bad, rng=random.Random(2))
+
     def test_empty_horizon(self):
         workload = WorkloadSpec(
             duration_s=1.0, warmup_s=0.0, spa_interval_s=100.0, pc_interval_s=100.0
