@@ -30,7 +30,8 @@ from typing import Sequence
 import numpy as np
 
 from .decision import AreaType, GatewayAssignment
-from .errors import CapacityError, ConfigurationError, ContractError, NumericalError, _is_int
+from .errors import CapacityError, ConfigurationError, ContractError, NumericalError
+from .errors import _convert, _is_int
 from .overlay import FogOverlay
 
 #: k-means restart count and Lloyd iteration cap.
@@ -121,8 +122,9 @@ def similarity_matrix(
     d2 = _squared_distances(features)
     if bandwidth is None:
         bandwidth = _median_distance(d2)
-    if not (bandwidth > 0) or not math.isfinite(bandwidth):
-        raise ConfigurationError(f"bandwidth must be finite and > 0, got {bandwidth}")
+    bandwidth = _convert(float, bandwidth, "bandwidth")
+    if bandwidth <= 0:
+        raise ConfigurationError(f"bandwidth must be > 0, got {bandwidth}")
     denominator = 2.0 * bandwidth * bandwidth
     if not denominator > 0:
         raise ConfigurationError(f"bandwidth {bandwidth} is too small: 2*bandwidth^2 underflows to 0")
@@ -157,9 +159,6 @@ def jacobi_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         eigvals, eigvecs = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"symmetric eigensolver did not converge: {exc}") from exc
-    order = np.argsort(eigvals, kind="stable")
-    eigvals = eigvals[order]
-    eigvecs = eigvecs[:, order]
     if a.size:
         pivots = np.abs(eigvecs).argmax(axis=0)
         eigvecs = eigvecs * np.where(eigvecs[pivots, np.arange(a.shape[0])] < 0, -1.0, 1.0)

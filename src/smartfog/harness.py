@@ -8,6 +8,9 @@ pipeline runs once.  Weighted centrality builds that table; after unweighted
 centrality the first simulation does.  Result rows are emitted in (size,
 mode, replication) order regardless of how the worker pool schedules
 replicates, and reruns with identical config produce byte-identical files.
+
+``ExperimentConfig.from_dict`` only maps JSON keys to fields; ``validate()``
+checks and converts every value by its annotation, as for configs built in code.
 """
 
 from __future__ import annotations
@@ -18,10 +21,9 @@ import logging
 import math
 import os
 import statistics
-import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, is_dataclass
 from functools import partial
 from itertools import product
 from pathlib import Path
@@ -30,7 +32,7 @@ from typing import Sequence
 from .centrality import CentralityMode, CentralityScores, betweenness
 from .clustering import FunctionalArea, cluster_functional_areas
 from .decision import AreaType, GatewayAssignment, evaluate_devices, select_gateways
-from .errors import ConfigurationError, _is_int
+from .errors import ConfigurationError, _convert_fields, _field_hints
 from .overlay import FogOverlay, OverlayParams, build_overlay
 from .simulation import Mode, WorkloadSpec, run
 
@@ -72,88 +74,27 @@ TIMING_COLUMNS = (
 )
 
 
-def _is_number(value) -> bool:
-    # The bound rejects NaN, infinities and ints too large to become a float.
-    return (_is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
-
-
-def _or_null(kind):
-    expected, accepts, convert = kind
-    return (
-        f"{expected} or null",
-        lambda v: v is None or accepts(v),
-        lambda v: None if v is None else convert(v),
-    )
-
-
-def _list_of(expected: str, item, arity: int | None = None):
-    _, accepts, convert = item
-    return (
-        expected,
-        lambda v: isinstance(v, (list, tuple))
-        and (arity is None or len(v) == arity)
-        and all(map(accepts, v)),
-        lambda v: tuple(map(convert, v)),
-    )
-
-
-def _enum(enum):
-    values = tuple(member.value for member in enum)
-    return (f"one of {', '.join(values)}", lambda v: isinstance(v, str) and v in values, enum)
-
-
-_INT = ("an integer", _is_int, int)
-_NUMBER = ("a number", _is_number, float)
-_MODE = _enum(Mode)
-_AREA = _enum(AreaType)
-
-#: ``(expected, accepts, convert)`` for a config value, by its field annotation.
-#: Ints are strict: bools, floats and numeric strings are refused, not truncated.
-_KINDS = {
-    "int": _INT,
-    "float": _NUMBER,
-    "str": ("a string", lambda v: isinstance(v, str), str),
-    "int | None": _or_null(_INT),
-    "float | None": _or_null(_NUMBER),
-    "tuple[int, ...]": _list_of("a list of integers", _INT),
-    "tuple[float, ...]": _list_of("a list of numbers", _NUMBER),
-    "tuple[float, float]": _list_of("a [low, high] pair of numbers", _NUMBER, arity=2),
-    "tuple[Mode, ...]": _list_of(f"a list of modes, each {_MODE[0]}", _MODE),
-    "tuple[AreaType, ...]": _list_of(f"a list of area types, each {_AREA[0]}", _AREA),
-    "CentralityMode": _enum(CentralityMode),
-}
-
-#: Annotations that are nested JSON objects, built field by field like the config.
-_SECTIONS = {"WorkloadSpec": WorkloadSpec, "OverlayParams": OverlayParams}
-
 #: JSON keys that differ from their field name.
 _JSON_KEYS = {"overlay_params": "overlay"}
 
 
 def _build(cls, doc, section: str | None = None):
-    """``cls`` built from a JSON object, each entry coerced by its field annotation.
+    """``cls`` built from a JSON object, with nested objects built the same way.
 
-    Fields missing from ``doc`` keep their defaults; unknown keys and values
-    of the wrong type raise a ConfigurationError naming the field.
+    Missing fields keep their defaults and unknown keys raise a
+    ConfigurationError naming the field; ``validate()`` checks the values.
     """
     label = section or "config"
     if not isinstance(doc, dict):
         raise ConfigurationError(f"{label} must be an object, got {doc!r}")
-    by_key = {_JSON_KEYS.get(f.name, f.name): f for f in fields(cls)}
+    hints = _field_hints(cls)
+    by_key = {_JSON_KEYS.get(name, name): name for name in hints}
     values = {}
     for key, value in doc.items():
         if key not in by_key:
             raise ConfigurationError(f"unknown {label} field: {key}")
-        name = f"{section}.{key}" if section else key
-        annotation = by_key[key].type
-        if annotation in _SECTIONS:
-            value = _build(_SECTIONS[annotation], value, name)
-        else:
-            expected, accepts, convert = _KINDS[annotation]
-            if not accepts(value):
-                raise ConfigurationError(f"{name} must be {expected}, got {value!r}")
-            value = convert(value)
-        values[by_key[key].name] = value
+        name = by_key[key]
+        values[name] = _build(hints[name], value, key) if is_dataclass(hints[name]) else value
     return cls(**values)
 
 
@@ -186,31 +127,30 @@ class ExperimentConfig:
     jobs: int | None = None
 
     def validate(self) -> None:
-        if not self.sizes:
-            raise ConfigurationError("sizes must not be empty")
-        for n in self.sizes:
-            if n < 2:
-                raise ConfigurationError(f"sizes entries must be >= 2, got {n}")
-        if not self.modes:
-            raise ConfigurationError("modes must not be empty")
+        _convert_fields(self)
+        for name in ("sizes", "modes", "areas"):
+            values = [getattr(v, "value", v) for v in getattr(self, name)]
+            if not values:
+                raise ConfigurationError(f"{name} must not be empty")
+            if len(set(values)) != len(values):
+                raise ConfigurationError(f"{name} entries must be distinct, got {values}")
+        if min(self.sizes) < 2:
+            raise ConfigurationError(f"sizes entries must be >= 2, got {min(self.sizes)}")
         if self.replications < 1:
             raise ConfigurationError(f"replications must be >= 1, got {self.replications}")
         if self.seed_base < 0:
             raise ConfigurationError(f"seed_base must be >= 0, got {self.seed_base}")
-        if not self.areas:
-            raise ConfigurationError("areas must not be empty")
-        for name in ("sizes", "modes", "areas"):
-            values = [getattr(v, "value", v) for v in getattr(self, name)]
-            if len(set(values)) != len(values):
-                raise ConfigurationError(f"{name} entries must be distinct, got {values}")
         if self.k < 1:
             raise ConfigurationError(f"k must be >= 1, got {self.k}")
-        if self.bandwidth is not None and not 0 < self.bandwidth < math.inf:
-            raise ConfigurationError(f"bandwidth must be finite and > 0, got {self.bandwidth}")
+        if self.bandwidth is not None and self.bandwidth <= 0:
+            raise ConfigurationError(f"bandwidth must be > 0, got {self.bandwidth}")
         if self.jobs is not None and self.jobs < 1:
             raise ConfigurationError(f"jobs must be >= 1, got {self.jobs}")
-        self.workload.validate()
-        self.overlay_params.validate()
+        for name in ("workload", "overlay_params"):
+            try:
+                getattr(self, name).validate()
+            except ConfigurationError as exc:
+                raise ConfigurationError(f"{_JSON_KEYS.get(name, name)}.{exc}") from None
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":

@@ -27,6 +27,7 @@ from .errors import (
     ConflictError,
     ContractError,
     TopologyError,
+    _convert_fields,
     _is_int,
 )
 
@@ -231,22 +232,17 @@ class OverlayParams:
     cloud_latency_ms: tuple[float, float] = (50.0, 100.0)
 
     def validate(self) -> None:
-        lo, hi = self.mips_range
-        if not (0 < lo <= hi < math.inf):
-            raise ConfigurationError(f"mips_range invalid: {self.mips_range}")
-        memory = self.memory_choices_gb
-        if not memory or not all(0 < m < math.inf for m in memory):
+        _convert_fields(self)
+        for name in ("mips_range", "link_latency_ms", "cloud_latency_ms"):
+            lo, hi = getattr(self, name)
+            if not 0 < lo <= hi:
+                raise ConfigurationError(f"{name} invalid: {(lo, hi)}")
+        if not self.memory_choices_gb or min(self.memory_choices_gb) <= 0:
             raise ConfigurationError(f"memory_choices_gb invalid: {self.memory_choices_gb}")
-        if not 0 <= self.storage_gb < math.inf:
+        if self.storage_gb < 0:
             raise ConfigurationError(f"storage_gb invalid: {self.storage_gb}")
-        if not 1 <= self.mean_degree < math.inf:
-            raise ConfigurationError(f"mean_degree must be finite and >= 1, got {self.mean_degree}")
-        lo, hi = self.link_latency_ms
-        if not (0 < lo <= hi < math.inf):
-            raise ConfigurationError(f"link_latency_ms invalid: {self.link_latency_ms}")
-        lo, hi = self.cloud_latency_ms
-        if not (0 < lo <= hi < math.inf):
-            raise ConfigurationError(f"cloud_latency_ms invalid: {self.cloud_latency_ms}")
+        if self.mean_degree < 1:
+            raise ConfigurationError(f"mean_degree must be >= 1, got {self.mean_degree}")
 
 
 def _random_tree_edges(n: int, rng: random.Random) -> list[tuple[int, int]]:

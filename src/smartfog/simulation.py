@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import heapq
 import json
-import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
@@ -43,7 +42,7 @@ from typing import Sequence
 
 from .clustering import FunctionalArea
 from .decision import AreaType, GatewayAssignment
-from .errors import ConfigurationError, ContractError, _as_member, _is_int
+from .errors import ConfigurationError, ContractError, _as_member, _convert_fields, _is_int
 from .overlay import FogOverlay, all_pairs_paths
 
 _ATTACH_SALT = 0x617474
@@ -88,35 +87,23 @@ class WorkloadSpec:
     cloud_mips: float = 44800.0
 
     def validate(self) -> None:
-        # Chained comparisons are False for NaN, so NaN fails every check.
-        if not 0 < self.duration_s < math.inf:
-            raise ConfigurationError(
-                f"duration_s must be finite and > 0, got {self.duration_s}"
-            )
-        if not 0 <= self.warmup_s < self.duration_s:
-            raise ConfigurationError(
-                f"warmup_s must be in [0, duration_s), got {self.warmup_s}"
-            )
-        if self.n_sensors is not None and not (_is_int(self.n_sensors) and self.n_sensors >= 1):
-            raise ConfigurationError(
-                f"n_sensors must be an integer >= 1 or None, got {self.n_sensors!r}"
-            )
-        if not _is_int(self.tuple_bytes) or self.tuple_bytes < 1:
-            raise ConfigurationError(
-                f"tuple_bytes must be an integer >= 1, got {self.tuple_bytes!r}"
-            )
-        for name in ("spa_interval_s", "pc_interval_s", "cloud_mips"):
+        _convert_fields(self)
+        for name in ("duration_s", "spa_interval_s", "pc_interval_s", "cloud_mips"):
             value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise ConfigurationError(f"{name} must be finite and > 0, got {value}")
+            if value <= 0:
+                raise ConfigurationError(f"{name} must be > 0, got {value}")
+        if not 0 <= self.warmup_s < self.duration_s:
+            raise ConfigurationError(f"warmup_s must be in [0, duration_s), got {self.warmup_s}")
+        if self.n_sensors is not None and self.n_sensors < 1:
+            raise ConfigurationError(f"n_sensors must be >= 1 or None, got {self.n_sensors}")
+        if self.tuple_bytes < 1:
+            raise ConfigurationError(f"tuple_bytes must be >= 1, got {self.tuple_bytes}")
         if not 0 <= self.jitter < 1:
             raise ConfigurationError(f"jitter must be in [0, 1), got {self.jitter}")
         for name in ("spa_mips_range", "pc_mips_range", "access_ms"):
             lo, hi = getattr(self, name)
-            if not 0 < lo <= hi < math.inf:
-                raise ConfigurationError(
-                    f"{name} must satisfy 0 < lo <= hi < inf, got {(lo, hi)}"
-                )
+            if not 0 < lo <= hi:
+                raise ConfigurationError(f"{name} must satisfy 0 < lo <= hi, got {(lo, hi)}")
 
 
 @dataclass(frozen=True)

@@ -108,6 +108,12 @@ class TestSimilarity:
             with pytest.raises(ConfigurationError):
                 similarity_matrix(feats, bandwidth=bad)
 
+    @pytest.mark.parametrize("bad", ["1", [1.0], True], ids=["str", "list", "bool"])
+    def test_non_number_bandwidth_rejected_by_name(self, bad):
+        feats = features_of([[0.0, 0.0], [1.0, 1.0]])
+        with pytest.raises(ConfigurationError, match="^bandwidth must be a finite number"):
+            similarity_matrix(feats, bandwidth=bad)
+
     def test_underflowing_bandwidth_rejected(self):
         """2 * G^2 underflows to 0: refused up front, with no numpy warning."""
         feats = features_of([[0.0, 0.0], [1.0, 1.0]])
@@ -552,6 +558,12 @@ class TestFunctionalAreas:
         args.update(kwargs)
         with pytest.raises(ContractError, match=f"^{field} must"):
             cluster_functional_areas(ov, self.assignment_for(ov), **args)
+
+    @pytest.mark.parametrize("bad", ["1", [1.0], True], ids=["str", "list", "bool"])
+    def test_non_number_bandwidth_named(self, bad):
+        ov = build_overlay(12, seed=2)
+        with pytest.raises(ConfigurationError, match="^bandwidth "):
+            cluster_functional_areas(ov, self.assignment_for(ov), k=2, bandwidth=bad)
 
     def test_deterministic_export(self):
         ov = build_overlay(12, seed=2)

@@ -257,6 +257,37 @@ class TestMipsScalingInvariance:
         )
 
 
+class TestComputeGatewayIdentity:
+    """With distinct MIPS and ``compute`` requested first, the compute gateway is
+    the device with the most MIPS, whatever the centrality mode: no device can
+    dominate it, and front 0 ranks compute candidates by MIPS first.
+    """
+
+    @settings(max_examples=200)
+    @given(
+        seed=st.integers(0, 10_000),
+        mips=st.lists(st.floats(1.0, 1e4), min_size=2, max_size=30, unique=True),
+        mode=st.sampled_from(list(CentralityMode)),
+        rest=st.lists(st.sampled_from(list(AreaType)), max_size=2),
+    )
+    def test_compute_first_takes_the_most_mips(self, seed, mips, mode, rest):
+        built = build_overlay(len(mips), seed)
+        ov = FogOverlay(
+            devices=tuple(
+                FogDevice(
+                    id=d.id, mips=m, memory_gb=d.memory_gb, storage_gb=d.storage_gb, arch=d.arch
+                )
+                for d, m in zip(built.devices, mips)
+            ),
+            links=built.links,
+            cloud_latency_ms=built.cloud_latency_ms,
+        )
+        areas = [AreaType.COMPUTE_OPTIMIZED, *rest][: len(mips)]
+        assignment = select_gateways(ov, areas, betweenness(ov, mode))
+        strongest = max(ov.devices, key=lambda d: d.mips).id
+        assert assignment.gateways[0] == (strongest, AreaType.COMPUTE_OPTIMIZED)
+
+
 class TestDominatedRemovalScoped:
     """Dropping never-selectable dominated devices from the candidate list must
     not change the outcome while every pick still comes from front 0.  (With

@@ -8,7 +8,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import smartfog.harness
@@ -132,6 +132,8 @@ class TestExperimentConfig:
             ({"modes": ["smartfog", "smartfog"]}, "modes"),
             ({"areas": ["compute", "compute"]}, "areas"),
             ({"seed_base": -1}, "seed_base"),
+            ({"workload": {"warmup_s": 500.0}}, "workload.warmup_s"),
+            ({"overlay": {"mips_range": [5.0, 1.0]}}, "overlay.mips_range"),
         ],
     )
     def test_malformed_values_name_the_field(self, doc, field):
@@ -145,6 +147,43 @@ class TestExperimentConfig:
         except ConfigurationError:
             return
         config.validate()
+
+    @settings(max_examples=500)
+    @given(
+        target=st.sampled_from(
+            [
+                (cls, name)
+                for cls in (ExperimentConfig, WorkloadSpec, OverlayParams)
+                for name in cls.__dataclass_fields__
+            ]
+        ),
+        # 1_000_000.5 is the float-for-int case: no integer, but inside every
+        # float field's range, so a float field takes it without naming another.
+        value=st.sampled_from(
+            [True, "x", None, 1_000_000.5, math.nan, math.inf, -math.inf]
+            + [[1.0], [1.0, 2.0, 3.0], ("bogus",)]
+        ),
+    )
+    def test_bad_field_built_in_code_is_rejected_by_name(self, target, value):
+        """Objects built in code meet the check that config files meet."""
+        cls, name = target
+        config = cls(**{name: value})
+        try:
+            config.validate()
+        except ConfigurationError as exc:
+            assert str(exc).startswith(f"{name} "), exc
+            return
+        config.validate()  # the stored values are canonical, so they pass again
+
+    def test_validate_stores_converted_values(self):
+        config = ExperimentConfig(sizes=[6], modes=["unoptimized"], bandwidth=2)
+        config.overlay_params.mips_range = [800, 1200]
+        config.validate()
+        assert config.sizes == (6,)
+        assert config.modes == (Mode.UNOPTIMIZED,) and type(config.modes[0]) is Mode
+        assert type(config.bandwidth) is float
+        assert config.overlay_params.mips_range == (800.0, 1200.0)
+        assert all(type(v) is float for v in config.overlay_params.mips_range)
 
     def test_validation_errors(self):
         with pytest.raises(ConfigurationError):
@@ -230,6 +269,15 @@ class TestRunExperiment:
         res_b, sum_b = run_experiment(config_b)
         assert res_a.read_bytes() == res_b.read_bytes()
         assert sum_a.read_bytes() == sum_b.read_bytes()
+
+    def test_string_modes_match_members(self, tmp_path):
+        """Modes given as their string values run and write the same bytes."""
+        members = run_experiment(tiny_config(tmp_path / "members"))
+        strings = run_experiment(
+            tiny_config(tmp_path / "strings", modes=("smartfog", "unoptimized"))
+        )
+        assert strings[0].read_bytes() == members[0].read_bytes()
+        assert strings[1].read_bytes() == members[1].read_bytes()
 
     def test_parallel_matches_serial(self, tmp_path):
         serial = run_experiment(tiny_config(tmp_path / "serial", jobs=1))
