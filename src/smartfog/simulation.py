@@ -21,9 +21,11 @@ area matching the tuple kind's compute profile, in unoptimized mode a
 uniformly random device.  Network load counts payload bytes once per link
 hop traversed, including the sensor access hop and the cloud hop.
 
-Routes depend only on the sensor and are fixed before the event loop.
-Devices and the cloud are entries of one table of FIFO servers, and the
-engine is a single priority queue keyed by (time, sequence number).  All
+Routes are fixed per sensor and links have no capacity, so every tuple
+visits one FIFO server (a device or the cloud), and each server runs
+Lindley's recursion D = max(A, D_prev) + s over its arrivals on its own.
+Ties are broken exactly as one event heap keyed by (time, sequence number)
+would pop them, by each event's key (time, parent's key, push index).  All
 randomness comes from streams derived from one seed, with draws ordered so
 that emission times and work sizes are identical across modes for the same
 seed.
@@ -31,13 +33,12 @@ seed.
 
 from __future__ import annotations
 
-import heapq
 import json
 import random
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import count
+from functools import cmp_to_key
+from operator import itemgetter
 from typing import Sequence
 
 from .clustering import FunctionalArea
@@ -267,12 +268,11 @@ _CLOUD = "cloud"
 _Route = tuple[object, float, int]
 
 
-@dataclass
-class _TupleState:
-    kind: TupleKind
-    emit_ms: float
-    work_mips: float
-    route: _Route | None
+def _heap_order(a: tuple, b: tuple) -> int:
+    """Nested-tuple order of two distinct heap keys, by a loop that deep ties cannot overflow."""
+    while a[0] == b[0] and a[1] is not b[1] and a[1] and b[1]:
+        a, b = a[1], b[1]
+    return -1 if a < b else 1
 
 
 def _sensor_routes(
@@ -323,12 +323,15 @@ def run(
     modes under one seed see identical workloads and differ only in placement
     and routing.
 
-    Each tuple carries its sensor's route (:func:`_sensor_routes`), and
-    devices and the cloud share one table of MIPS, FIFO queue and busy mark.
-    ``emit`` drops an unroutable tuple or sends it up its leg, ``arrive``
-    queues or serves it, ``done`` sends it back down the leg and serves the
-    next queued tuple, and ``complete`` samples its loop delay.  ``mode`` may
-    be the enum's string value, such as ``"smartfog"``.
+    A tuple without a route (:func:`_sensor_routes`) is dropped.  One emitted
+    at t arrives at A = t + leg, departs at D = start + service and completes
+    at C = D + leg; it starts at A on an idle server, else at the previous
+    departure.  Events after the horizon never happen: uplink load counts at
+    t, downlink load at D, the completion at C.  Heap keys: emit (t, (),
+    emission index), arrive (A, emit key, 0), done (D, arrive key, 0) or,
+    after waiting, (D, previous done key, 1), complete (C, done key, 0).  A
+    server is idle for an arrival iff its previous done key is below the
+    arrive key.  ``mode`` may be the enum's string value, e.g. ``"smartfog"``.
     """
     mode = _as_member(Mode, mode, "mode")
     workload.validate()
@@ -359,76 +362,73 @@ def run(
     for counts in (report.emitted, report.completed, report.dropped):
         counts.update({kind.value: 0 for kind in TupleKind})
 
-    heap: list[tuple[float, int, str, _TupleState]] = []
-    seq = count()
-
-    def push(t: float, event: str, state: _TupleState) -> None:
-        heapq.heappush(heap, (t, next(seq), event, state))
-
     # Emission schedules: per sensor, SPA stream then PC stream, identical
-    # across modes.
-    work_rng = random.Random(seed ^ _WORK_SALT)
+    # across modes; uniform(a, b) spelled out as its own a + (b - a) * random().
+    draw = random.Random(seed ^ _WORK_SALT).random
     duration_ms = workload.duration_s * 1000.0
     warmup_ms = workload.warmup_s * 1000.0
+    bytes_per_tuple = int(workload.tuple_bytes)
+    lo, hi = 1 - workload.jitter, 1 + workload.jitter
+    load = 0
+    arrivals: dict[object, list] = {server: [] for server in server_mips}
+    samples: dict[str, list] = {TupleKind.SPA.value: [], TupleKind.PC.value: []}
+    index = 0
     for s in sensors.sensor_ids:
-        for kind, interval_s, mips_range in (
+        for kind, interval_s, (a, b) in (
             (TupleKind.SPA, workload.spa_interval_s, workload.spa_mips_range),
             (TupleKind.PC, workload.pc_interval_s, workload.pc_mips_range),
         ):
-            t = 0.0
+            route = routes.get((s, kind))
+            if route is not None:
+                server, leg_ms, leg_hops = route
+                queue = arrivals[server]
+                stream = (leg_ms, leg_hops, kind.value)
+            width, first, t = b - a, index, 0.0
             while True:
-                gap = interval_s * work_rng.uniform(1 - workload.jitter, 1 + workload.jitter)
-                t += gap * 1000.0
+                t += interval_s * (lo + (hi - lo) * draw()) * 1000.0
                 if t > duration_ms:
                     break
-                work = work_rng.uniform(*mips_range)
-                push(t, "emit", _TupleState(kind, t, work, routes.get((s, kind))))
-                report.emitted[kind.value] += 1
-
-    queue: dict[object, deque] = {server: deque() for server in server_mips}
-    busy = dict.fromkeys(server_mips, False)
-    bytes_per_tuple = int(workload.tuple_bytes)
-
-    def serve(now: float, state: _TupleState) -> None:
-        service_ms = state.work_mips / server_mips[state.route[0]] * 1000.0
-        push(now + service_ms, "done", state)
-
-    completed_delays = {TupleKind.SPA: report.spa_delays_ms, TupleKind.PC: report.pc_delays_ms}
-
-    while heap:
-        now, _, event, state = heapq.heappop(heap)
-        if now > duration_ms:
-            break
-
-        if event == "emit":
-            if state.route is None:
-                report.dropped[state.kind.value] += 1
-                continue
-            _, leg_ms, leg_hops = state.route
-            report.network_load_bytes += bytes_per_tuple * leg_hops
-            push(now + leg_ms, "arrive", state)
-
-        elif event == "arrive":
-            server = state.route[0]
-            if busy[server]:
-                queue[server].append(state)
+                work = a + width * draw()
+                if route is not None:
+                    queue.append((t + leg_ms, (t, (), index), 0, work, stream))
+                index += 1
+            report.emitted[kind.value] += index - first
+            if route is None:
+                report.dropped[kind.value] += index - first
             else:
-                busy[server] = True
-                serve(now, state)
+                load += bytes_per_tuple * leg_hops * (index - first)
 
-        elif event == "done":
-            server, leg_ms, leg_hops = state.route
-            report.network_load_bytes += bytes_per_tuple * leg_hops
-            push(now + leg_ms, "complete", state)
-            if queue[server]:
-                serve(now, queue[server].popleft())
-            else:
-                busy[server] = False
+    # Lindley's recursion per server.  An arrival is its heap key (A, emit key,
+    # 0) and then its payload, which no comparison reaches: emit keys are unique.
+    for server, queue in arrivals.items():
+        queue.sort()
+        mips = server_mips[server]
+        done = (float("-inf"),)  # below every arrival
+        for arrival in queue:
+            arrive_ms, emit, _, work, (leg_ms, leg_hops, value) = arrival
+            if arrive_ms > duration_ms:
+                break
+            start_ms, parent, j = (arrive_ms, arrival, 0) if done < arrival else (done[0], done, 1)
+            done = (start_ms + work / mips * 1000.0, parent, j)
+            if done[0] > duration_ms:
+                break
+            load += bytes_per_tuple * leg_hops
+            complete_ms = done[0] + leg_ms
+            if complete_ms <= duration_ms:
+                report.completed[value] += 1
+                if emit[0] >= warmup_ms:
+                    samples[value].append((complete_ms, done, complete_ms - emit[0]))
 
-        elif event == "complete":
-            report.completed[state.kind.value] += 1
-            if state.emit_ms >= warmup_ms:
-                completed_delays[state.kind].append(now - state.emit_ms)
+    # Delays in completion order.  A sample is its complete's key with the delay
+    # in place of the push index, which no comparison reaches either.
+    for kind, out in ((TupleKind.SPA, report.spa_delays_ms), (TupleKind.PC, report.pc_delays_ms)):
+        sampled = samples[kind.value]
+        try:
+            sampled.sort()
+        except RecursionError:
+            sampled.sort(key=cmp_to_key(_heap_order))
+        out.extend(map(itemgetter(2), sampled))
+    report.network_load_bytes = load
 
     for k in report.emitted:
         report.in_flight[k] = report.emitted[k] - report.completed[k] - report.dropped[k]

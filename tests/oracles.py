@@ -5,30 +5,39 @@ implementation under test: betweenness by exhaustive shortest-path
 enumeration over Floyd-Warshall bounds, fronts by direct all-pairs peeling,
 k-means by exhaustive bipartition search and by running its restarts one at
 a time, eigenvalues by the Faddeev-LeVerrier characteristic polynomial,
-gateway selection by a literal replay of the ranking rules.  None of them import the corresponding package
-module's internals.  The one exception is not an oracle:
-:func:`laplacian_eigensystem` exposes the package's own Laplacian and
-eigensolver to the spectral tests, which check it against the oracles.
+gateway selection by a literal replay of the ranking rules, the
+simulation by one global event heap.  None of them import the corresponding
+package module's internals, with two exceptions.
+:func:`laplacian_eigensystem` is not an oracle: it exposes the package's own
+Laplacian and eigensolver to the spectral tests, which check it against the
+oracles.  :func:`event_loop_run` reuses the package's unchanged
+``attach_sensors``, ``place_edge_ward`` and ``_sensor_routes``, so it
+checks only the queueing and the order of events.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from collections import deque
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
+from typing import Sequence
 
 import numpy as np
 
 from smartfog.clustering import (
     KMEANS_MAX_ITER,
+    FunctionalArea,
     SimilarityMatrix,
     _normalized_laplacian,
     jacobi_eigh,
     kmeans_cost,
 )
-from smartfog.errors import ChurnRejectedError
+from smartfog.decision import GatewayAssignment
+from smartfog.errors import ChurnRejectedError, ContractError, _as_member, _is_int
 from smartfog.overlay import (
     Arch,
     FogDevice,
@@ -38,6 +47,20 @@ from smartfog.overlay import (
     Link,
     apply_churn,
     build_overlay,
+)
+from smartfog.simulation import (
+    _ATTACH_SALT,
+    _CLOUD,
+    _PLACE_SALT,
+    _WORK_SALT,
+    Mode,
+    SimulationReport,
+    TupleKind,
+    WorkloadSpec,
+    _Route,
+    _sensor_routes,
+    attach_sensors,
+    place_edge_ward,
 )
 
 # ---------------------------------------------------------------------------
@@ -397,6 +420,140 @@ def brute_force_latency_to_cloud(overlay: FogOverlay, device_id: int) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Discrete-event simulation
+
+
+@dataclass
+class _TupleState:
+    kind: TupleKind
+    emit_ms: float
+    work_mips: float
+    route: _Route | None
+
+
+def event_loop_run(
+    overlay: FogOverlay,
+    mode: Mode,
+    workload: WorkloadSpec,
+    seed: int,
+    assignment: GatewayAssignment | None = None,
+    areas: Sequence[FunctionalArea] | None = None,
+) -> SimulationReport:
+    """:func:`smartfog.simulation.run` as one global event heap.
+
+    Every event is a heap entry keyed by (time, sequence number): ``emit``
+    drops an unroutable tuple or sends it up its leg, ``arrive`` queues or
+    serves it, ``done`` sends it back down the leg and serves the next queued
+    tuple, and ``complete`` samples its loop delay.  The loop stops at the
+    first event past the horizon.  Attachment, placement and routes come
+    from the package, so this checks the queueing and the event order.
+    """
+    mode = _as_member(Mode, mode, "mode")
+    workload.validate()
+    if not _is_int(seed) or seed < 0:
+        raise ContractError(f"seed must be an integer >= 0, got {seed!r}")
+    seed = int(seed)  # random.Random refuses numpy integers
+    n_devices = len(overlay.devices)
+    n_sensors = (
+        workload.n_sensors if workload.n_sensors is not None else max(1, n_devices // 2)
+    )
+
+    sensors = attach_sensors(
+        overlay, n_sensors, random.Random(seed ^ _ATTACH_SALT), workload.access_ms
+    )
+    placement = place_edge_ward(
+        overlay,
+        sensors,
+        mode,
+        assignment=assignment,
+        areas=areas,
+        rng=random.Random(seed ^ _PLACE_SALT),
+    )
+    routes = _sensor_routes(overlay, sensors, placement)
+    server_mips: dict[object, float] = {d.id: d.mips for d in overlay.devices}
+    server_mips[_CLOUD] = workload.cloud_mips
+
+    report = SimulationReport(mode=mode, n_devices=n_devices, seed=seed)
+    for counts in (report.emitted, report.completed, report.dropped):
+        counts.update({kind.value: 0 for kind in TupleKind})
+
+    heap: list[tuple[float, int, str, _TupleState]] = []
+    seq = count()
+
+    def push(t: float, event: str, state: _TupleState) -> None:
+        heapq.heappush(heap, (t, next(seq), event, state))
+
+    # Emission schedules: per sensor, SPA stream then PC stream, identical
+    # across modes.
+    work_rng = random.Random(seed ^ _WORK_SALT)
+    duration_ms = workload.duration_s * 1000.0
+    warmup_ms = workload.warmup_s * 1000.0
+    for s in sensors.sensor_ids:
+        for kind, interval_s, mips_range in (
+            (TupleKind.SPA, workload.spa_interval_s, workload.spa_mips_range),
+            (TupleKind.PC, workload.pc_interval_s, workload.pc_mips_range),
+        ):
+            t = 0.0
+            while True:
+                gap = interval_s * work_rng.uniform(1 - workload.jitter, 1 + workload.jitter)
+                t += gap * 1000.0
+                if t > duration_ms:
+                    break
+                work = work_rng.uniform(*mips_range)
+                push(t, "emit", _TupleState(kind, t, work, routes.get((s, kind))))
+                report.emitted[kind.value] += 1
+
+    queue: dict[object, deque] = {server: deque() for server in server_mips}
+    busy = dict.fromkeys(server_mips, False)
+    bytes_per_tuple = int(workload.tuple_bytes)
+
+    def serve(now: float, state: _TupleState) -> None:
+        service_ms = state.work_mips / server_mips[state.route[0]] * 1000.0
+        push(now + service_ms, "done", state)
+
+    completed_delays = {TupleKind.SPA: report.spa_delays_ms, TupleKind.PC: report.pc_delays_ms}
+
+    while heap:
+        now, _, event, state = heapq.heappop(heap)
+        if now > duration_ms:
+            break
+
+        if event == "emit":
+            if state.route is None:
+                report.dropped[state.kind.value] += 1
+                continue
+            _, leg_ms, leg_hops = state.route
+            report.network_load_bytes += bytes_per_tuple * leg_hops
+            push(now + leg_ms, "arrive", state)
+
+        elif event == "arrive":
+            server = state.route[0]
+            if busy[server]:
+                queue[server].append(state)
+            else:
+                busy[server] = True
+                serve(now, state)
+
+        elif event == "done":
+            server, leg_ms, leg_hops = state.route
+            report.network_load_bytes += bytes_per_tuple * leg_hops
+            push(now + leg_ms, "complete", state)
+            if queue[server]:
+                serve(now, queue[server].popleft())
+            else:
+                busy[server] = False
+
+        elif event == "complete":
+            report.completed[state.kind.value] += 1
+            if state.emit_ms >= warmup_ms:
+                completed_delays[state.kind].append(now - state.emit_ms)
+
+    for k in report.emitted:
+        report.in_flight[k] = report.emitted[k] - report.completed[k] - report.dropped[k]
+    return report
+
+
+# ---------------------------------------------------------------------------
 # Test overlay builders
 
 
@@ -442,6 +599,25 @@ def two_component_overlay() -> FogOverlay:
         for a, b in [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
     )
     return FogOverlay(devices=devices, links=links, cloud_latency_ms={0: 55.0, 3: 70.0})
+
+
+def tied_overlay(overlay: FogOverlay, rng: random.Random, unit_ms: float = 1.0) -> FogOverlay:
+    """``overlay`` with links of 1 or 2 ``unit_ms``, 60 or 62 ms cloud links
+    and 1000 or 2000 MIPS devices, drawn from ``rng``.
+
+    With jitter 0 and fixed work every event time is a whole number of
+    milliseconds, so simultaneous events are common and only the event order
+    separates them.  Links as long as a service (``unit_ms=1000``) also line
+    up arrivals over different paths with departures.
+    """
+    return FogOverlay(
+        devices=tuple(replace(d, mips=rng.choice((1000.0, 2000.0))) for d in overlay.devices),
+        links=tuple(
+            Link(a=link.a, b=link.b, latency_ms=unit_ms * rng.choice((1.0, 2.0)))
+            for link in overlay.links
+        ),
+        cloud_latency_ms={d: rng.choice((60.0, 62.0)) for d in sorted(overlay.cloud_latency_ms)},
+    )
 
 
 def bundle_chain_overlay(widths: list[int]) -> FogOverlay:

@@ -53,11 +53,14 @@ from smartfog.simulation import Mode, WorkloadSpec, run
 from oracles import (
     adjusted_rand_index,
     bipartition_best_cost,
+    event_loop_run,
     laplacian_eigensystem,
     oracle_betweenness,
     oracle_fronts,
     planted_overlay,
+    tied_overlay,
 )
+from test_simulation import TIES_SPEC
 
 
 def verdict(capsys, ok, line):
@@ -342,6 +345,55 @@ def test_every_operation_serializes_byte_identically(capsys, tmp_path):
         "repeated runs of every top-level operation serialized byte-identically "
         "(overlay, centrality, fronts, selection, clustering, both simulation modes, "
         "parallel sweep)" + (f"; diverged: {mismatches}" if mismatches else ""),
+    )
+
+
+def test_simulation_matches_event_heap_oracle(capsys):
+    """The per-server simulation against the global event-heap loop it
+    replaced, over a fixed grid of sizes, seeds, workloads and overlays, both
+    modes.  Overlays as built have random-float times; the rewritten ones have
+    whole-millisecond times at link scales of 1 ms and 1 s, which together
+    with the tie and saturated workloads make simultaneous events common.
+    """
+    saturated = WorkloadSpec(
+        duration_s=120.0,
+        warmup_s=0.0,
+        jitter=0.0,
+        spa_interval_s=2.0,
+        pc_interval_s=2.0,
+        spa_mips_range=(2000.0, 2000.0),
+        pc_mips_range=(44800.0, 44800.0),
+        access_ms=(1.0, 1.0),
+    )
+    cases = ties = 0
+    mismatches = []
+    for n in (6, 12, 20, 40):
+        for seed in (1000, 1001):
+            built = build_overlay(n, seed)
+            for unit_ms in (None, 1.0, 1000.0):
+                overlay = built
+                if unit_ms is not None:
+                    overlay = tied_overlay(built, random.Random(seed), unit_ms)
+                assignment, areas, _, _ = run_smartfog_pipeline(
+                    overlay, (AreaType.COMPUTE_OPTIMIZED, AreaType.MEMORY_OPTIMIZED), 2, None, seed
+                )
+                for workload in (WorkloadSpec(), TIES_SPEC, saturated):
+                    for mode, kwargs in (
+                        (Mode.SMARTFOG, {"assignment": assignment, "areas": areas}),
+                        (Mode.UNOPTIMIZED, {}),
+                    ):
+                        report = run(overlay, mode, workload, seed, **kwargs)
+                        oracle = event_loop_run(overlay, mode, workload, seed, **kwargs)
+                        cases += 1
+                        delays = report.spa_delays_ms + report.pc_delays_ms
+                        ties += len(set(delays)) < len(delays)
+                        if report.to_json() != oracle.to_json():
+                            mismatches.append((n, seed, unit_ms, mode.value))
+    verdict(
+        capsys,
+        not mismatches,
+        f"simulation equals the event-heap oracle byte for byte on {cases} cases "
+        f"({ties} with exact delay ties)" + (f"; differ: {mismatches}" if mismatches else ""),
     )
 
 

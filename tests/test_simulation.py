@@ -19,12 +19,13 @@ from smartfog.simulation import (
     SensorAttachment,
     TupleKind,
     WorkloadSpec,
+    _heap_order,
     attach_sensors,
     place_edge_ward,
     run,
 )
 
-from oracles import two_component_overlay
+from oracles import event_loop_run, tied_overlay, two_component_overlay
 
 
 def single_device_overlay(mips=1000.0):
@@ -590,8 +591,8 @@ PINNED_REPORTS = [
 ]
 
 
-@pytest.mark.parametrize("n,seed,spec,mode,digest", PINNED_REPORTS)
-def test_pinned_simulation_reports(n, seed, spec, mode, digest):
+def pinned_case(n, seed, spec, mode):
+    """The overlay, workload and organization of one ``PINNED_REPORTS`` case."""
     if spec == "drops":
         ov = two_component_overlay()
         workload = WorkloadSpec(
@@ -606,6 +607,12 @@ def test_pinned_simulation_reports(n, seed, spec, mode, digest):
             ov, (AreaType.COMPUTE_OPTIMIZED, AreaType.MEMORY_OPTIMIZED), 2, None, seed
         )
         kwargs = {"assignment": assignment, "areas": areas}
+    return ov, workload, kwargs
+
+
+@pytest.mark.parametrize("n,seed,spec,mode,digest", PINNED_REPORTS)
+def test_pinned_simulation_reports(n, seed, spec, mode, digest):
+    ov, workload, kwargs = pinned_case(n, seed, spec, mode)
     report = run(ov, mode, workload, seed, **kwargs)
     if spec == "drops":
         assert report.total_dropped > 0
@@ -613,3 +620,168 @@ def test_pinned_simulation_reports(n, seed, spec, mode, digest):
         delays = report.spa_delays_ms + report.pc_delays_ms
         assert len(set(delays)) < len(delays)
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
+
+
+class TestEventHeapOracle:
+    """``run`` equals the global event-heap loop it replaced, byte for byte."""
+
+    @pytest.mark.parametrize("n,seed,spec,mode", [case[:4] for case in PINNED_REPORTS])
+    def test_pinned_cases_match_oracle(self, n, seed, spec, mode):
+        ov, workload, kwargs = pinned_case(n, seed, spec, mode)
+        report = run(ov, mode, workload, seed, **kwargs)
+        assert report.to_json() == event_loop_run(ov, mode, workload, seed, **kwargs).to_json()
+
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(4, 10),
+        rng=st.randoms(use_true_random=False),
+        unit_ms=st.sampled_from((1.0, 1000.0)),
+        sensors=st.integers(2, 10),
+        spa_every=st.integers(1, 4),
+        pc_every=st.integers(1, 4),
+        spa_work=st.sampled_from((1000.0, 2000.0, 4000.0)),
+        access=st.sampled_from((1.0, 2.0)),
+    )
+    def test_tie_order_matches_oracle(
+        self, seed, n, rng, unit_ms, sensors, spa_every, pc_every, spa_work, access
+    ):
+        # Whole-millisecond link, access, cloud and service times with jitter
+        # 0: sensors emit at the same instants and servers saturate, so events
+        # tie exactly.
+        ov = tied_overlay(build_overlay(n, seed), rng, unit_ms)
+        workload = WorkloadSpec(
+            duration_s=60.0,
+            warmup_s=0.0,
+            n_sensors=sensors,
+            spa_interval_s=float(spa_every),
+            pc_interval_s=float(pc_every),
+            jitter=0.0,
+            spa_mips_range=(spa_work, spa_work),
+            pc_mips_range=(44800.0, 44800.0),
+            access_ms=(unit_ms * access, unit_ms * access),
+        )
+        assignment, areas, _, _ = run_smartfog_pipeline(
+            ov, (AreaType.COMPUTE_OPTIMIZED, AreaType.MEMORY_OPTIMIZED), 2, None, seed
+        )
+        for mode, kwargs in (
+            (Mode.SMARTFOG, {"assignment": assignment, "areas": areas}),
+            (Mode.UNOPTIMIZED, {}),
+        ):
+            report = run(ov, mode, workload, seed, **kwargs)
+            assert report.to_json() == event_loop_run(ov, mode, workload, seed, **kwargs).to_json()
+
+    def test_deep_tie_chain_matches_oracle(self):
+        # Two equal devices, each hosting one sensor with the same leg, stay
+        # busy from the first arrival on and depart at the same instants, so
+        # their completion keys tie about 2000 levels deep: past the depth at
+        # which Python's recursive tuple comparison gives up.
+        devices = tuple(
+            FogDevice(id=i, mips=1000.0, memory_gb=2.0, storage_gb=16.0, arch=Arch.ARM)
+            for i in range(2)
+        )
+        ov = FogOverlay(
+            devices=devices, links=(Link(a=0, b=1, latency_ms=1.0),), cloud_latency_ms={0: 60.0}
+        )
+        kwargs = {
+            "assignment": GatewayAssignment(gateways=((0, AreaType.COMPUTE_OPTIMIZED),)),
+            "areas": [
+                FunctionalArea(
+                    owner_gateway=0,
+                    area_type=AreaType.COMPUTE_OPTIMIZED,
+                    members=frozenset({0, 1}),
+                    cluster_label=0,
+                )
+            ],
+        }
+        workload = WorkloadSpec(
+            duration_s=3000.0,
+            warmup_s=0.0,
+            n_sensors=2,
+            spa_interval_s=1.0,
+            pc_interval_s=4000.0,
+            jitter=0.0,
+            spa_mips_range=(1500.0, 1500.0),
+            access_ms=(2.0, 2.0),
+        )
+        # seed 2 attaches the two sensors to different devices
+        report = run(ov, Mode.SMARTFOG, workload, 2, **kwargs)
+        oracle = event_loop_run(ov, Mode.SMARTFOG, workload, 2, **kwargs)
+        assert report.completed["spa"] > 3000
+        assert report.to_json() == oracle.to_json()
+
+    @given(chains=st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=60), min_size=2))
+    def test_heap_order_matches_tuple_comparison(self, chains):
+        # Keys built like done keys: each level's time drawn from {0, 1, 2},
+        # an emit key at the root, push index 1 above it.
+        keys = []
+        for index, times in enumerate(chains):
+            key = (float(times[0]), (), index)
+            for t in times[1:]:
+                key = (float(t), key, 1)
+            keys.append(key)
+        for a in keys:
+            for b in keys:
+                if a is not b:
+                    assert _heap_order(a, b) == (-1 if a < b else 1)
+
+
+class TestHorizon:
+    """Every event at or before ``duration_s`` happens and nothing later does.
+
+    One device at 1000 MIPS and one sensor emitting once, at whole seconds:
+    the access hop takes 1000 ms each way and 1000 M-instr take 1000 ms, so
+    each case puts one event exactly on the 100 s horizon.
+    """
+
+    @staticmethod
+    def run_once(emit_s):
+        workload = WorkloadSpec(
+            duration_s=100.0,
+            warmup_s=0.0,
+            n_sensors=1,
+            spa_interval_s=emit_s,
+            pc_interval_s=400.0,
+            jitter=0.0,
+            spa_mips_range=(1000.0, 1000.0),
+            access_ms=(1000.0, 1000.0),
+        )
+        report = run(single_device_overlay(), Mode.UNOPTIMIZED, workload, seed=0)
+        assert report.emitted == {"spa": 1, "pc": 0}
+        return report
+
+    def test_arrival_on_horizon_adds_uplink_load_only(self):
+        report = self.run_once(99.0)
+        assert report.network_load_bytes == 100
+        assert report.in_flight["spa"] == 1
+
+    def test_departure_on_horizon_adds_downlink_load_and_stays_in_flight(self):
+        report = self.run_once(98.0)
+        assert report.network_load_bytes == 200
+        assert report.in_flight["spa"] == 1
+        assert report.spa_delays_ms == []
+
+    def test_completion_on_horizon_is_counted_and_sampled(self):
+        report = self.run_once(97.0)
+        assert report.completed["spa"] == 1
+        assert report.spa_delays_ms == [3000.0]
+        assert report.network_load_bytes == 200
+
+    def test_arrival_on_departure_is_served_next_in_fifo_order(self):
+        # Two sensors emit every 2 s; their 1 s jobs queue back to back, so
+        # the second departs exactly as the next pair arrives, and the first
+        # of that pair (sensor 0, the lower emission index) starts at once.
+        workload = WorkloadSpec(
+            duration_s=10.0,
+            warmup_s=0.0,
+            n_sensors=2,
+            spa_interval_s=2.0,
+            pc_interval_s=400.0,
+            jitter=0.0,
+            spa_mips_range=(1000.0, 1000.0),
+            access_ms=(5.0, 5.0),
+        )
+        report = run(single_device_overlay(), Mode.UNOPTIMIZED, workload, seed=0)
+        assert report.spa_delays_ms == [1010.0, 2010.0] * 3 + [1010.0]
+        # the second job of the t = 8 s pair departs at 10.005 s
+        assert report.in_flight["spa"] == 3
+        assert report.network_load_bytes == 100 * (10 + 7)
