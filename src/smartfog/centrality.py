@@ -45,7 +45,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import TopologyError, _as_member
+from .errors import ContractError, TopologyError, _convert
 from .overlay import FogOverlay
 
 #: Integers below this are exact in float64 (53-bit significand).
@@ -75,7 +75,7 @@ def betweenness(
 
     ``mode`` may be the enum's string value, such as ``"unweighted"``.
     """
-    mode = _as_member(CentralityMode, mode, "mode")
+    mode = _convert(CentralityMode, mode, "mode", ContractError)
     if not overlay.is_connected():
         raise TopologyError("betweenness requires a connected overlay")
     if mode is CentralityMode.UNWEIGHTED:

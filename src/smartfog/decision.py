@@ -15,7 +15,7 @@ from enum import Enum
 from typing import Sequence
 
 from .centrality import CentralityScores
-from .errors import CapacityError, ContractError, _as_member
+from .errors import CapacityError, ContractError, _convert
 from .overlay import FogOverlay, latency_to_cloud
 from .pareto import ObjectiveVector, Sense, non_dominated_sort
 
@@ -89,7 +89,8 @@ def _priority_key(ev: DeviceEvaluation, area: AreaType):
 def partition_front(
     front: Sequence[DeviceEvaluation], area: AreaType
 ) -> list[DeviceEvaluation]:
-    """Order candidates for one area, best first."""
+    """Order candidates for one area, best first; ``area`` may be the enum's value."""
+    area = _convert(AreaType, area, "area", ContractError)
     return sorted(front, key=lambda ev: _priority_key(ev, area))
 
 
@@ -107,7 +108,7 @@ def select_gateways(
     """
     if not areas:
         raise ContractError("at least one area is required")
-    areas = [_as_member(AreaType, area, "areas") for area in areas]
+    areas = [_convert(AreaType, area, "areas", ContractError) for area in areas]
     if len(areas) > len(overlay.devices):
         raise CapacityError(
             f"cannot select {len(areas)} gateways from {len(overlay.devices)} devices"

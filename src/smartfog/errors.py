@@ -10,7 +10,7 @@ from functools import cache
 
 def _is_int(value) -> bool:
     """An integer of any kind (numpy's included) that is not a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    return type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 class SmartFogError(Exception):
@@ -45,15 +45,6 @@ class NumericalError(SmartFogError):
     """An iterative numerical routine failed to converge."""
 
 
-def _as_member(enum_type, value, field: str):
-    """``value`` as a member of ``enum_type`` (or its value); else ContractError naming ``field``."""
-    try:
-        return enum_type(value)
-    except ValueError:
-        allowed = ", ".join(member.value for member in enum_type)
-        raise ContractError(f"{field} must be one of {allowed}, got {value!r}") from None
-
-
 class _Mismatch(Exception):
     """A value does not fit its annotation; ``_convert`` names the field."""
 
@@ -64,22 +55,15 @@ def _coerce(hint, value):
     Ints are strict (no bools, floats or strings); numbers must be finite and
     become floats; lists become tuples of the annotated arity; enum values
     become members; ``X | None`` takes None; any other class, such as a
-    nested dataclass, must hold an instance of itself.
+    nested dataclass, must hold an instance of itself.  Any other hint is
+    ``X | None`` or ``tuple[...]``, read by its ``__args__``.
     """
-    args = typing.get_args(hint)
-    if typing.get_origin(hint) is tuple:
-        if isinstance(value, (list, tuple)):
-            kinds = args[:1] * len(value) if args[-1] is Ellipsis else args
-            if len(kinds) == len(value):
-                return tuple(map(_coerce, kinds, value))
-    elif type(None) in args:
-        return None if value is None else _coerce(args[0], value)
-    elif hint is int:
+    if hint is int:
         if _is_int(value):
             return int(value)
     elif hint is float:
         # The bound rejects NaN, infinities and ints too large to become a float.
-        if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        if type(value) is float or isinstance(value, numbers.Real) and not isinstance(value, bool):
             if abs(value) <= sys.float_info.max:
                 return float(value)
     elif isinstance(hint, enum.EnumMeta):
@@ -87,8 +71,16 @@ def _coerce(hint, value):
             return hint(value)
         except (ValueError, TypeError):
             pass
-    elif isinstance(value, hint):
-        return value
+    elif type(hint) is type:  # a plain class, such as a nested dataclass
+        if isinstance(value, hint):
+            return value
+    elif type(None) in hint.__args__:  # X | None
+        return None if value is None else _coerce(hint.__args__[0], value)
+    elif isinstance(value, (list, tuple)):  # tuple[...]
+        args = hint.__args__
+        kinds = args[:1] * len(value) if args[-1] is Ellipsis else args
+        if len(kinds) == len(value):
+            return tuple(map(_coerce, kinds, value))
     raise _Mismatch
 
 
@@ -96,6 +88,8 @@ def _describe(hint) -> str:
     """What a value of type ``hint`` must be, as an error message says it."""
     args = typing.get_args(hint)
     if typing.get_origin(hint) is tuple:
+        if len(set(args)) > 1 and Ellipsis not in args:
+            return "a list of " + " and ".join(map(_describe, args))
         size = "a list" if args[-1] is Ellipsis else f"a list of {len(args)}"
         return f"{size}, each {_describe(args[0])}"
     if type(None) in args:
@@ -106,12 +100,38 @@ def _describe(hint) -> str:
     return names.get(hint, f"an instance of {hint.__name__}")
 
 
-def _convert(hint, value, field: str):
-    """``value`` as the type ``hint`` describes; else ConfigurationError naming ``field``."""
+def _convert(hint, value, field: str, error: type[SmartFogError] = ConfigurationError):
+    """``value`` as the type ``hint`` describes; else ``error`` naming ``field``."""
     try:
         return _coerce(hint, value)
     except _Mismatch:
-        raise ConfigurationError(f"{field} must be {_describe(hint)}, got {value!r}") from None
+        raise error(f"{field} must be {_describe(hint)}, got {value!r}") from None
+
+
+def _convert_int(value, field: str, low: int, error: type[SmartFogError] = ConfigurationError):
+    """``value`` as an int >= ``low``; else ``error`` naming ``field``."""
+    value = _convert(int, value, field, error)
+    if value < low:
+        raise error(f"{field} must be an integer >= {low}, got {value!r}")
+    return value
+
+
+def _convert_range(value, field: str):
+    """``value`` as a finite ``(lo, hi)`` with ``0 < lo <= hi``; else ConfigurationError."""
+    lo, hi = _convert(tuple[float, float], value, field)
+    if not 0 < lo <= hi:
+        raise ConfigurationError(f"{field} must satisfy 0 < lo <= hi, got {(lo, hi)}")
+    return lo, hi
+
+
+def _is_plain(value, hint) -> bool:
+    """Whether ``value`` is exactly a ``hint``: a value object's test before ``_convert``."""
+    return type(value) is hint
+
+
+def _are_plain(values, hint) -> bool:
+    """Whether every one of ``values`` is exactly a ``hint``, in one pass at C speed."""
+    return set(map(type, values)) <= {hint}
 
 
 @cache

@@ -32,7 +32,7 @@ from typing import Sequence
 from .centrality import CentralityMode, CentralityScores, betweenness
 from .clustering import FunctionalArea, cluster_functional_areas
 from .decision import AreaType, GatewayAssignment, evaluate_devices, select_gateways
-from .errors import ConfigurationError, _convert_fields, _field_hints
+from .errors import ConfigurationError, _convert_fields, _convert_int, _field_hints
 from .overlay import FogOverlay, OverlayParams, build_overlay
 from .simulation import Mode, WorkloadSpec, run
 
@@ -134,18 +134,14 @@ class ExperimentConfig:
                 raise ConfigurationError(f"{name} must not be empty")
             if len(set(values)) != len(values):
                 raise ConfigurationError(f"{name} entries must be distinct, got {values}")
-        if min(self.sizes) < 2:
-            raise ConfigurationError(f"sizes entries must be >= 2, got {min(self.sizes)}")
-        if self.replications < 1:
-            raise ConfigurationError(f"replications must be >= 1, got {self.replications}")
-        if self.seed_base < 0:
-            raise ConfigurationError(f"seed_base must be >= 0, got {self.seed_base}")
-        if self.k < 1:
-            raise ConfigurationError(f"k must be >= 1, got {self.k}")
+        _convert_int(min(self.sizes), "sizes entries", 2)
+        _convert_int(self.replications, "replications", 1)
+        _convert_int(self.seed_base, "seed_base", 0)
+        _convert_int(self.k, "k", 1)
+        if self.jobs is not None:
+            _convert_int(self.jobs, "jobs", 1)
         if self.bandwidth is not None and self.bandwidth <= 0:
             raise ConfigurationError(f"bandwidth must be > 0, got {self.bandwidth}")
-        if self.jobs is not None and self.jobs < 1:
-            raise ConfigurationError(f"jobs must be >= 1, got {self.jobs}")
         for name in ("workload", "overlay_params"):
             try:
                 getattr(self, name).validate()

@@ -19,6 +19,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import chain
 from typing import Iterator, Mapping, Union
 
 from .errors import (
@@ -27,9 +28,18 @@ from .errors import (
     ConflictError,
     ContractError,
     TopologyError,
+    _are_plain,
+    _convert,
     _convert_fields,
-    _is_int,
+    _convert_int,
+    _convert_range,
+    _is_plain,
 )
+
+# The value objects below test exact classes and plain comparisons first and
+# call _convert only when those fail.  Every device and link runs these tests,
+# so floats are tested inline and math.inf is read from a global.
+_INF = math.inf
 
 
 class Arch(str, Enum):
@@ -41,7 +51,7 @@ class Arch(str, Enum):
 
 @dataclass(frozen=True)
 class FogDevice:
-    """A single fog node with its compute resources."""
+    """A single fog node with its compute resources; an ``arch`` value becomes its member."""
 
     id: int
     mips: float
@@ -50,16 +60,27 @@ class FogDevice:
     arch: Arch
 
     def __post_init__(self):
+        if not (
+            _is_plain(self.id, int)
+            and _is_plain(self.arch, Arch)
+            and type(self.mips) is float
+            and type(self.memory_gb) is float
+            and type(self.storage_gb) is float
+        ):
+            _convert(int, self.id, "device id")
+            object.__setattr__(self, "arch", _convert(Arch, self.arch, f"device {self.id}: arch"))
+            for name in ("mips", "memory_gb", "storage_gb"):
+                _convert(float, getattr(self, name), f"device {self.id}: {name}")
         # Comparisons with NaN are false, so these checks refuse NaN as well.
-        if not 0 < self.mips < math.inf:
+        if not 0 < self.mips < _INF:
             raise ConfigurationError(
                 f"device {self.id}: mips must be finite and > 0, got {self.mips}"
             )
-        if not 0 < self.memory_gb < math.inf:
+        if not 0 < self.memory_gb < _INF:
             raise ConfigurationError(
                 f"device {self.id}: memory_gb must be finite and > 0, got {self.memory_gb}"
             )
-        if not 0 <= self.storage_gb < math.inf:
+        if not 0 <= self.storage_gb < _INF:
             raise ConfigurationError(
                 f"device {self.id}: storage_gb must be finite and >= 0, got {self.storage_gb}"
             )
@@ -74,11 +95,17 @@ class Link:
     latency_ms: float
 
     def __post_init__(self):
+        if not (
+            _is_plain(self.a, int) and _is_plain(self.b, int) and type(self.latency_ms) is float
+        ):
+            _convert(int, self.a, "link endpoint a")
+            _convert(int, self.b, "link endpoint b")
+            _convert(float, self.latency_ms, f"link ({self.a}, {self.b}): latency_ms")
         if self.a == self.b:
             raise ConfigurationError(f"link ({self.a}, {self.b}) is a self-loop")
         if self.a > self.b:
             raise ConfigurationError(f"link endpoints must satisfy a < b, got ({self.a}, {self.b})")
-        if not 0 < self.latency_ms < math.inf:
+        if not 0 < self.latency_ms < _INF:
             raise ConfigurationError(
                 f"link ({self.a}, {self.b}): latency_ms must be finite and > 0,"
                 f" got {self.latency_ms}"
@@ -100,22 +127,27 @@ class FogOverlay:
 
     def __post_init__(self):
         ids = [d.id for d in self.devices]
-        if len(set(ids)) != len(ids):
-            raise ConfigurationError("duplicate device ids in overlay")
         known = set(ids)
-        seen_links = set()
-        for link in self.links:
-            if link.a not in known or link.b not in known:
-                raise ConfigurationError(f"link ({link.a}, {link.b}) references unknown device")
-            if (link.a, link.b) in seen_links:
-                raise ConfigurationError(f"duplicate link ({link.a}, {link.b})")
-            seen_links.add((link.a, link.b))
-        if not self.cloud_latency_ms:
+        if len(known) != len(ids):
+            raise ConfigurationError("duplicate device ids in overlay")
+        ends = {(link.a, link.b) for link in self.links}
+        if len(ends) != len(self.links):
+            raise ConfigurationError("duplicate links in overlay")
+        if not known.issuperset(chain.from_iterable(ends)):
+            unknown = set(chain.from_iterable(ends)) - known
+            raise ConfigurationError(f"links reference unknown devices {sorted(unknown)}")
+        cloud = self.cloud_latency_ms
+        if not cloud:
             raise ConfigurationError("overlay must have at least one cloud-attached device")
-        for dev_id, ms in self.cloud_latency_ms.items():
+        # Only a type test refuses True or 1.0, which are in ``known`` when 1 is.
+        if not (_are_plain(cloud, int) and _are_plain(cloud.values(), float)):
+            for dev_id, ms in cloud.items():
+                _convert(int, dev_id, "cloud_latency_ms key")
+                _convert(float, ms, f"device {dev_id}: cloud_latency_ms")
+        for dev_id, ms in cloud.items():
             if dev_id not in known:
-                raise ConfigurationError(f"cloud attachment references unknown device {dev_id}")
-            if not 0 < ms < math.inf:
+                raise ConfigurationError(f"cloud_latency_ms names unknown device {dev_id}")
+            if not 0 < ms < _INF:
                 raise ConfigurationError(
                     f"device {dev_id}: cloud_latency_ms must be finite and > 0, got {ms}"
                 )
@@ -200,23 +232,15 @@ class FogOverlay:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigurationError(f"malformed overlay document: {exc}") from exc
+        # Device and link records hold exactly their object's fields, which check them.
         try:
-            devices = tuple(
-                FogDevice(
-                    id=d["id"],
-                    mips=d["mips"],
-                    memory_gb=d["memory_gb"],
-                    storage_gb=d["storage_gb"],
-                    arch=Arch(d["arch"]),
-                )
-                for d in doc["devices"]
-            )
-            links = tuple(
-                Link(a=l["a"], b=l["b"], latency_ms=l["latency_ms"]) for l in doc["links"]
-            )
+            devices = tuple(FogDevice(**d) for d in doc["devices"])
+            links = tuple(Link(**l) for l in doc["links"])
             cloud = {c["id"]: c["latency_ms"] for c in doc["cloud"]}
-        except (KeyError, TypeError) as exc:
+        except KeyError as exc:
             raise ConfigurationError(f"overlay document missing field: {exc}") from exc
+        except TypeError as exc:  # a section or a record that is not what the format says
+            raise ConfigurationError(f"malformed overlay document: {exc}") from exc
         return cls(devices=devices, links=links, cloud_latency_ms=cloud)
 
 
@@ -234,9 +258,7 @@ class OverlayParams:
     def validate(self) -> None:
         _convert_fields(self)
         for name in ("mips_range", "link_latency_ms", "cloud_latency_ms"):
-            lo, hi = getattr(self, name)
-            if not 0 < lo <= hi:
-                raise ConfigurationError(f"{name} invalid: {(lo, hi)}")
+            _convert_range(getattr(self, name), name)
         if not self.memory_choices_gb or min(self.memory_choices_gb) <= 0:
             raise ConfigurationError(f"memory_choices_gb invalid: {self.memory_choices_gb}")
         if self.storage_gb < 0:
@@ -275,13 +297,11 @@ def build_overlay(n_devices: int, seed: int, params: OverlayParams | None = None
     reaches ``round(mean_degree * n / 2)`` (capped at the complete graph).
     All randomness comes from ``random.Random(seed)`` in a fixed draw order.
     """
-    if not _is_int(n_devices) or n_devices < 2:
-        raise ConfigurationError(f"n_devices must be an integer >= 2, got {n_devices!r}")
-    if not _is_int(seed) or seed < 0:
-        raise ConfigurationError(f"seed must be an integer >= 0, got {seed!r}")
+    n_devices = _convert_int(n_devices, "n_devices", 2)
+    seed = _convert_int(seed, "seed", 0)
     params = params or OverlayParams()
     params.validate()
-    rng = random.Random(int(seed))  # random.Random refuses numpy integers
+    rng = random.Random(seed)
 
     devices = []
     for i in range(n_devices):
@@ -324,12 +344,21 @@ class Join:
     links: tuple[tuple[int, float], ...]
     cloud_latency_ms: float | None = None
 
+    def __post_init__(self):
+        # Ranges are checked by the links and the overlay that apply_churn builds.
+        _convert(FogDevice, self.device, "device")
+        _convert(tuple[tuple[int, float], ...], self.links, "links of (device id, latency_ms)")
+        _convert(float | None, self.cloud_latency_ms, "cloud_latency_ms")
+
 
 @dataclass(frozen=True)
 class Leave:
     """A device leaving the overlay together with all of its links."""
 
     device_id: int
+
+    def __post_init__(self):
+        _convert(int, self.device_id, "device_id")
 
 
 ChurnEvent = Union[Join, Leave]
@@ -421,8 +450,8 @@ def shortest_paths(overlay: FogOverlay, source: int) -> dict[int, tuple[float, i
     chosen route deterministic.  Unreachable devices are absent from the map.
     Keys are in settle order (ascending latency).
     """
-    if source not in overlay:
-        raise ContractError(f"no device with id {source}")
+    if _convert(int, source, "source", ContractError) not in overlay:
+        raise ContractError(f"source {source} names no device")
     return {node: (dist, hops) for dist, hops, node, _ in _settle(overlay, {source: 0.0})}
 
 
@@ -434,8 +463,8 @@ def latency_to_cloud(overlay: FogOverlay, device_id: int) -> float:
     may still be better served through a neighbour.  Every device reads it
     from the one search behind :attr:`FogOverlay.cloud_exit`.
     """
-    if device_id not in overlay:
-        raise ContractError(f"no device with id {device_id}")
+    if _convert(int, device_id, "device_id", ContractError) not in overlay:
+        raise ContractError(f"device_id {device_id} names no device")
     try:
         return overlay.cloud_exit[device_id][0]
     except KeyError:

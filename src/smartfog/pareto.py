@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, _are_plain, _convert, _is_plain
 
 
 class Sense(Enum):
@@ -26,7 +26,7 @@ class Sense(Enum):
 
 @dataclass(frozen=True)
 class ObjectiveVector:
-    """One candidate's objective values plus their optimization senses."""
+    """One candidate's objective values and senses; a sense's value becomes its member."""
 
     values: tuple[float, ...]
     senses: tuple[Sense, ...]
@@ -38,9 +38,12 @@ class ObjectiveVector:
             )
         if len(self.values) < 2:
             raise ContractError("objective vectors need at least two objectives")
-        for v in self.values:
-            if not math.isfinite(v):
-                raise ContractError(f"objective values must be finite, got {v}")
+        if not (_is_plain(self.senses, tuple) and _are_plain(self.senses, Sense)):
+            senses = _convert(tuple[Sense, ...], self.senses, "senses", ContractError)
+            object.__setattr__(self, "senses", senses)
+        # Values are checked, not converted, so a hand-built vector keeps its numbers.
+        if not (_are_plain(self.values, float) and all(map(math.isfinite, self.values))):
+            _convert(tuple[float, ...], self.values, "values", ContractError)
 
     def minimized(self) -> tuple[float, ...]:
         """Values with maximized objectives negated, so lower is always better."""

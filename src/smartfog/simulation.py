@@ -43,7 +43,8 @@ from typing import Sequence
 
 from .clustering import FunctionalArea
 from .decision import AreaType, GatewayAssignment
-from .errors import ConfigurationError, ContractError, _as_member, _convert_fields, _is_int
+from .errors import ConfigurationError, ContractError, _convert, _convert_fields, _convert_int
+from .errors import _convert_range
 from .overlay import FogOverlay, all_pairs_paths
 
 _ATTACH_SALT = 0x617474
@@ -95,16 +96,13 @@ class WorkloadSpec:
                 raise ConfigurationError(f"{name} must be > 0, got {value}")
         if not 0 <= self.warmup_s < self.duration_s:
             raise ConfigurationError(f"warmup_s must be in [0, duration_s), got {self.warmup_s}")
-        if self.n_sensors is not None and self.n_sensors < 1:
-            raise ConfigurationError(f"n_sensors must be >= 1 or None, got {self.n_sensors}")
-        if self.tuple_bytes < 1:
-            raise ConfigurationError(f"tuple_bytes must be >= 1, got {self.tuple_bytes}")
+        if self.n_sensors is not None:
+            _convert_int(self.n_sensors, "n_sensors", 1)
+        _convert_int(self.tuple_bytes, "tuple_bytes", 1)
         if not 0 <= self.jitter < 1:
             raise ConfigurationError(f"jitter must be in [0, 1), got {self.jitter}")
         for name in ("spa_mips_range", "pc_mips_range", "access_ms"):
-            lo, hi = getattr(self, name)
-            if not 0 < lo <= hi:
-                raise ConfigurationError(f"{name} must satisfy 0 < lo <= hi, got {(lo, hi)}")
+            _convert_range(getattr(self, name), name)
 
 
 @dataclass(frozen=True)
@@ -143,8 +141,8 @@ def attach_sensors(
     access_ms_range: tuple[float, float] = (1.0, 5.0),
 ) -> SensorAttachment:
     """Pin ``n_sensors`` sensor/actuator pairs to uniformly random devices."""
-    if not _is_int(n_sensors) or n_sensors < 1:
-        raise ContractError(f"n_sensors must be an integer >= 1, got {n_sensors!r}")
+    n_sensors = _convert_int(n_sensors, "n_sensors", 1, ContractError)
+    access_ms_range = _convert_range(access_ms_range, "access_ms_range")
     ids = sorted(overlay.device_ids)
     access_point = {}
     access_ms = {}
@@ -171,7 +169,7 @@ def place_edge_ward(
     unoptimized: uniformly random host per sensor and uniformly random
     cloud-attached forwarder per device, drawn from ``rng``.
     """
-    mode = _as_member(Mode, mode, "mode")
+    mode = _convert(Mode, mode, "mode", ContractError)
     if not sensors.access_point:
         raise ContractError("placement requires at least one sensor")
     ids = sorted(overlay.device_ids)
@@ -333,11 +331,9 @@ def run(
     server is idle for an arrival iff its previous done key is below the
     arrive key.  ``mode`` may be the enum's string value, e.g. ``"smartfog"``.
     """
-    mode = _as_member(Mode, mode, "mode")
+    mode = _convert(Mode, mode, "mode", ContractError)
     workload.validate()
-    if not _is_int(seed) or seed < 0:
-        raise ContractError(f"seed must be an integer >= 0, got {seed!r}")
-    seed = int(seed)  # random.Random refuses numpy integers
+    seed = _convert_int(seed, "seed", 0, ContractError)
     n_devices = len(overlay.devices)
     n_sensors = (
         workload.n_sensors if workload.n_sensors is not None else max(1, n_devices // 2)
@@ -367,7 +363,7 @@ def run(
     draw = random.Random(seed ^ _WORK_SALT).random
     duration_ms = workload.duration_s * 1000.0
     warmup_ms = workload.warmup_s * 1000.0
-    bytes_per_tuple = int(workload.tuple_bytes)
+    bytes_per_tuple = workload.tuple_bytes
     lo, hi = 1 - workload.jitter, 1 + workload.jitter
     load = 0
     arrivals: dict[object, list] = {server: [] for server in server_mips}

@@ -37,7 +37,7 @@ from smartfog.clustering import (
     kmeans_cost,
 )
 from smartfog.decision import GatewayAssignment
-from smartfog.errors import ChurnRejectedError, ContractError, _as_member, _is_int
+from smartfog.errors import ChurnRejectedError, ContractError, _convert
 from smartfog.overlay import (
     Arch,
     FogDevice,
@@ -448,9 +448,9 @@ def event_loop_run(
     first event past the horizon.  Attachment, placement and routes come
     from the package, so this checks the queueing and the event order.
     """
-    mode = _as_member(Mode, mode, "mode")
+    mode = _convert(Mode, mode, "mode", ContractError)
     workload.validate()
-    if not _is_int(seed) or seed < 0:
+    if _convert(int, seed, "seed", ContractError) < 0:
         raise ContractError(f"seed must be an integer >= 0, got {seed!r}")
     seed = int(seed)  # random.Random refuses numpy integers
     n_devices = len(overlay.devices)

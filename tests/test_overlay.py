@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -115,6 +116,23 @@ class TestSerialization:
         assert set(doc["links"][0]) == {"a", "b", "latency_ms"}
         assert set(doc["cloud"][0]) == {"id", "latency_ms"}
 
+    def test_arch_value_becomes_member(self):
+        ov = chain_overlay(2)
+        by_value = FogOverlay(
+            devices=tuple(replace(d, arch="arm") for d in ov.devices),
+            links=ov.links,
+            cloud_latency_ms=ov.cloud_latency_ms,
+        )
+        assert by_value.devices[0].arch is Arch.ARM
+        assert by_value.to_json() == ov.to_json()
+
+    def test_hand_built_numbers_kept(self):
+        # The checks do not convert, so an int stays an int in the document.
+        dev = FogDevice(id=0, mips=1000, memory_gb=2, storage_gb=0, arch=Arch.ARM)
+        ov = FogOverlay(devices=(dev,), links=(), cloud_latency_ms={0: 60})
+        assert '"mips":1000,' in ov.to_json() and '"latency_ms":60}' in ov.to_json()
+        assert FogOverlay.from_json(ov.to_json()).to_json() == ov.to_json()
+
     def test_malformed_rejected(self):
         with pytest.raises(ConfigurationError):
             FogOverlay.from_json("not json")
@@ -134,6 +152,13 @@ def _overlay_json_with(section, key, value):
     text = json.dumps(doc)
     assert "NaN" in text or "Infinity" in text  # the bare non-JSON tokens
     return text
+
+
+def _overlay_json_setting(section, key, value):
+    """``build_overlay(3, 1)`` serialized with one field of ``section[0]`` set to any value."""
+    doc = json.loads(build_overlay(3, seed=1).to_json())
+    doc[section][0][key] = value
+    return json.dumps(doc)
 
 
 def _join(cloud_ms=None, link_ms=4.0):
@@ -204,6 +229,40 @@ NAN, INF = math.nan, math.inf
             lambda: build_overlay(5, 0, OverlayParams(cloud_latency_ms=(50.0, INF))),
             "cloud_latency_ms",
             id="params-cloud-inf",
+        ),
+        pytest.param(lambda: _device(id="x"), "device id", id="device-id-str"),
+        pytest.param(lambda: _device(id=2.5), "device id", id="device-id-float"),
+        pytest.param(lambda: _device(id=NAN), "device id", id="device-id-nan"),
+        pytest.param(lambda: _device(id=True), "device id", id="device-id-bool"),
+        pytest.param(lambda: _device(arch="mips"), "arch", id="device-arch-unknown"),
+        pytest.param(lambda: _device(mips="x"), "mips", id="device-mips-str"),
+        pytest.param(lambda: _device(storage_gb=True), "storage_gb", id="device-storage-bool"),
+        pytest.param(lambda: Link(a=0, b=1, latency_ms="x"), "latency_ms", id="link-str"),
+        pytest.param(lambda: Link(a=True, b=2, latency_ms=1.0), "endpoint", id="link-bool"),
+        pytest.param(lambda: _join(link_ms="x"), "latency_ms", id="join-link-str"),
+        pytest.param(lambda: _join(cloud_ms="x"), "cloud_latency_ms", id="join-cloud-str"),
+        pytest.param(
+            lambda: Join(device=_device(id=7), links=((NAN, 4.0),)), "links", id="join-target-nan"
+        ),
+        pytest.param(lambda: Leave(True), "device_id", id="leave-bool"),
+        pytest.param(lambda: Leave(NAN), "device_id", id="leave-nan"),
+        pytest.param(
+            lambda: chain_overlay(3, cloud={True: 60.0}),
+            "cloud_latency_ms",
+            id="overlay-cloud-bool",
+        ),
+        pytest.param(
+            lambda: chain_overlay(3, cloud={0: "x"}), "cloud_latency_ms", id="overlay-cloud-str"
+        ),
+        pytest.param(
+            lambda: FogOverlay.from_json(_overlay_json_setting("devices", "arch", "mips")),
+            "arch",
+            id="json-arch-unknown",
+        ),
+        pytest.param(
+            lambda: FogOverlay.from_json(_overlay_json_setting("devices", "mips", "x")),
+            "mips",
+            id="json-mips-str",
         ),
     ],
 )

@@ -85,6 +85,28 @@ class TestDominates:
         with pytest.raises(ContractError):
             ObjectiveVector(values=(1.0, 2.0, 3.0), senses=MIN2)
 
+    def test_sense_values_become_members(self):
+        # Raw strings were stored and read as "minimize", which reversed these fronts.
+        points = [ObjectiveVector(values=(v, v), senses=("max", "max")) for v in (1.0, 9.0)]
+        assert points[0].senses == (Sense.MAXIMIZE, Sense.MAXIMIZE)
+        assert non_dominated_sort(points).fronts == ((1,), (0,))
+        # A list of members becomes the tuple, which dominates() compares.
+        assert ObjectiveVector(values=(1.0, 2.0), senses=list(MIN2)).senses == MIN2
+
+    @pytest.mark.parametrize(
+        "values,senses,field",
+        [
+            (("x", 1.0), MIN2, "values"),
+            ((True, 1.0), MIN2, "values"),
+            ((1.0, 2.0), ("max", "up"), "senses"),
+            ((1.0, 2.0), (Sense.MAXIMIZE, None), "senses"),
+        ],
+        ids=["value-str", "value-bool", "sense-unknown", "sense-none"],
+    )
+    def test_bad_entries_refused_by_name(self, values, senses, field):
+        with pytest.raises(ContractError, match=f"^{field} must"):
+            ObjectiveVector(values=values, senses=senses)
+
     @given(vs=vectors(2, MIN2))
     def test_antisymmetric_and_irreflexive(self, vs):
         for a in vs:

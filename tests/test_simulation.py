@@ -127,6 +127,15 @@ class TestAttachSensors:
             assert a.access_point[s] in ov.device_ids
             assert 1.0 <= a.access_ms[s] <= 5.0
 
+    @pytest.mark.parametrize(
+        "bad",
+        [(math.nan, 2.0), (5.0, -2.0), ("x", 2.0), (1.0,)],
+        ids=["nan", "order", "str", "arity"],
+    )
+    def test_bad_access_range_refused_by_name(self, bad):
+        with pytest.raises(ConfigurationError, match="^access_ms_range must"):
+            attach_sensors(build_overlay(4, 0), 2, random.Random(0), bad)
+
     def test_rejects_zero_sensors(self):
         with pytest.raises(ContractError):
             attach_sensors(build_overlay(4, 0), 0, random.Random(0))
