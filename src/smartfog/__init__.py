@@ -36,7 +36,7 @@ from .errors import (
     SmartFogError,
     TopologyError,
 )
-from .harness import ExperimentConfig, run_experiment, run_smartfog_pipeline, timing_report
+from .harness import ExperimentConfig, run_experiment, run_smartfog_pipeline
 from .overlay import (
     Arch,
     ChurnEvent,
@@ -123,5 +123,4 @@ __all__ = [
     "shortest_paths",
     "similarity_matrix",
     "spectral_embed",
-    "timing_report",
 ]

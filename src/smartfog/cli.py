@@ -1,4 +1,4 @@
-"""Command-line entry points: simulate, timing, cluster, select.
+"""Command-line entry points: simulate, cluster, select.
 
 Every flag that sets an ``ExperimentConfig`` field is stored under that
 field's name and merged over the ``--config`` file, so flags and file entries
@@ -19,13 +19,7 @@ from .centrality import betweenness
 from .clustering import areas_to_json
 from .decision import select_gateways
 from .errors import SmartFogError
-from .harness import (
-    ExperimentConfig,
-    read_config_file,
-    run_experiment,
-    run_smartfog_pipeline,
-    timing_report,
-)
+from .harness import ExperimentConfig, read_config_file, run_experiment, run_smartfog_pipeline
 from .overlay import build_overlay
 from .simulation import Mode
 
@@ -66,18 +60,6 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
         if name in _CONFIG_FIELDS and value is not None
     }
     return ExperimentConfig.from_dict({**doc, **flags})
-
-
-def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON config file")
-    parser.add_argument(
-        "--sizes", type=_int_list, help="comma-separated overlay sizes, e.g. 20,30,40"
-    )
-    parser.add_argument("--reps", dest="replications", type=int, help="replications per cell")
-    parser.add_argument(
-        "--seed", dest="seed_base", type=int, help="base seed; replication r uses seed+r"
-    )
-    parser.add_argument("--out", dest="out_dir", help="output directory")
 
 
 def _add_single_overlay_flags(parser: argparse.ArgumentParser) -> None:
@@ -142,14 +124,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     log.info("wrote %s and %s", results_path, summary_path)
     if {Mode.SMARTFOG, Mode.UNOPTIMIZED} <= set(config.modes):
         print(_sweep_digest(summary_path))
-    return 0
-
-
-def _cmd_timing(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    timing_path, summary_path = timing_report(config)
-    log.info("wrote %s and %s", timing_path, summary_path)
-    print(_timing_digest(summary_path))
+    if Mode.SMARTFOG in config.modes:
+        print(_timing_digest(summary_path.with_name("timing_summary.csv")))
     return 0
 
 
@@ -182,20 +158,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser(
         "simulate",
-        help="run the full size x mode x replication sweep and print a per-size digest",
+        help="run the full size x mode x replication sweep and print its per-size digests",
     )
-    _add_sweep_flags(sim)
+    sim.add_argument("--config", help="JSON config file")
+    sim.add_argument("--sizes", type=_int_list, help="comma-separated overlay sizes, e.g. 20,30,40")
+    sim.add_argument("--reps", dest="replications", type=int, help="replications per cell")
+    sim.add_argument(
+        "--seed", dest="seed_base", type=int, help="base seed; replication r uses seed+r"
+    )
+    sim.add_argument("--out", dest="out_dir", help="output directory")
     sim.add_argument(
         "--modes", type=_comma_list, help="comma-separated modes: smartfog,unoptimized"
     )
-    sim.add_argument("--jobs", type=int, help="worker processes (default: cpu count)")
-    sim.set_defaults(func=_cmd_simulate)
-
-    tim = sub.add_parser(
-        "timing", help="benchmark pipeline stages per overlay size and print their medians"
+    sim.add_argument(
+        "--jobs", type=int, help="worker processes (default: cpu count; 1 for stable stage timings)"
     )
-    _add_sweep_flags(tim)
-    tim.set_defaults(func=_cmd_timing)
+    sim.set_defaults(func=_cmd_simulate)
 
     clu = sub.add_parser("cluster", help="emit functional areas for one overlay")
     _add_single_overlay_flags(clu)

@@ -124,11 +124,6 @@ def _convert_range(value, field: str):
     return lo, hi
 
 
-def _is_plain(value, hint) -> bool:
-    """Whether ``value`` is exactly a ``hint``: a value object's test before ``_convert``."""
-    return type(value) is hint
-
-
 def _are_plain(values, hint) -> bool:
     """Whether every one of ``values`` is exactly a ``hint``, in one pass at C speed."""
     return set(map(type, values)) <= {hint}

@@ -8,6 +8,9 @@ pipeline runs once.  Weighted centrality builds that table; after unweighted
 centrality the first simulation does.  Result rows are emitted in (size,
 mode, replication) order regardless of how the worker pool schedules
 replicates, and reruns with identical config produce byte-identical files.
+The pipeline's stage timings ride along with each replicate's rows into
+timing.csv, so no second loop rebuilds an overlay to time it; clocks read in
+worker processes are noisier, so stable timings need ``jobs=1``.
 
 ``ExperimentConfig.from_dict`` only maps JSON keys to fields; ``validate()``
 checks and converts every value by its annotation, as for configs built in code.
@@ -223,19 +226,21 @@ def _write_csv(path: Path, columns: Sequence[str], rows: Sequence[dict]) -> Path
     return path
 
 
-def _replicate(config: ExperimentConfig, size: int, rep: int) -> list[dict]:
-    """One result row per configured mode, in ``config.modes`` order.
+def _replicate(config: ExperimentConfig, size: int, rep: int) -> tuple[list[dict], list[dict]]:
+    """One result row per configured mode, in ``config.modes`` order, and the timing rows.
 
     Every mode runs on one overlay object, so all of them read one cached
-    path table; the smartfog pipeline runs only when smartfog is configured.
+    path table.  The smartfog pipeline runs only when smartfog is configured,
+    and then its stage timings make the one timing row; otherwise there is none.
     """
     seed = config.seed_base + rep
     overlay = build_overlay(size, seed, config.overlay_params)
-    organized = (None, None)  # (assignment, areas); the unoptimized mode ignores them
+    organized, timing_rows = (None, None), []  # the unoptimized mode ignores (assignment, areas)
     if Mode.SMARTFOG in config.modes:
-        organized = run_smartfog_pipeline(
+        *organized, timings, _ = run_smartfog_pipeline(
             overlay, config.areas, config.k, config.bandwidth, seed, config.centrality_mode
-        )[:2]
+        )
+        timing_rows = [{"n_devices": size, "seed": seed, **asdict(timings)}]
     rows = []
     for mode in config.modes:
         report = run(overlay, mode, config.workload, seed, *organized)
@@ -251,13 +256,16 @@ def _replicate(config: ExperimentConfig, size: int, rep: int) -> list[dict]:
                 "dropped": report.total_dropped,
             }
         )
-    return rows
+    return rows, timing_rows
 
 
 def run_experiment(config: ExperimentConfig) -> tuple[Path, Path]:
-    """Run the sweep, write results.csv and summary.csv, return their paths.
+    """Run the sweep, write its four CSV files, return the results and summary paths.
 
     The unit of work is one replicate ``(size, seed)`` with all its modes.
+    Beside results.csv and summary.csv go timing.csv, one row per smartfog
+    replicate in (size, seed) order, and timing_summary.csv, one row per size;
+    a sweep without smartfog writes them with no replicates.
     """
     config.validate()
     out_dir = Path(config.out_dir)
@@ -272,17 +280,28 @@ def run_experiment(config: ExperimentConfig) -> tuple[Path, Path]:
             replicates = list(pool.map(replicate, sizes, reps, chunksize=chunk))
     else:
         replicates = list(map(replicate, sizes, reps))
+    results, timings = zip(*replicates)
     # Replicates come size-major; transpose each size's block to mode-major.
     per_size = config.replications
     rows = [
         row
-        for start in range(0, len(replicates), per_size)
-        for mode_rows in zip(*replicates[start : start + per_size])
+        for start in range(0, len(results), per_size)
+        for mode_rows in zip(*results[start : start + per_size])
         for row in mode_rows
     ]
     results_path = _write_csv(out_dir / "results.csv", RESULT_COLUMNS, rows)
     summary_path = out_dir / "summary.csv"
     write_summary(rows, summary_path)
+    timing_rows = [row for replicate_rows in timings for row in replicate_rows]
+    _write_csv(out_dir / "timing.csv", TIMING_COLUMNS, timing_rows)
+    timing_summary = []
+    for size in config.sizes:
+        cell = [row for row in timing_rows if row["n_devices"] == size]
+        entry = {"n_devices": size, "replications": len(cell)}
+        for stage in TIMING_COLUMNS[2:]:
+            entry.update(_stats(stage.removesuffix("_ms"), "ms", [row[stage] for row in cell]))
+        timing_summary.append(entry)
+    _write_csv(out_dir / "timing_summary.csv", list(timing_summary[0]), timing_summary)
     return results_path, summary_path
 
 
@@ -306,34 +325,3 @@ def summarize(rows: Sequence[dict]) -> list[dict]:
 
 def write_summary(rows: Sequence[dict], path: Path) -> None:
     _write_csv(Path(path), SUMMARY_COLUMNS, summarize(rows))
-
-
-def timing_report(config: ExperimentConfig) -> tuple[Path, Path]:
-    """Benchmark pipeline stages per size; serial execution for stable clocks.
-
-    Writes timing.csv (one row per replication) and timing_summary.csv
-    (median and stddev per stage per size); returns both paths.
-    """
-    config.validate()
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for size in config.sizes:
-        for rep in range(config.replications):
-            seed = config.seed_base + rep
-            overlay = build_overlay(size, seed, config.overlay_params)
-            _, _, timings, _ = run_smartfog_pipeline(
-                overlay, config.areas, config.k, config.bandwidth, seed, config.centrality_mode
-            )
-            rows.append({"n_devices": size, "seed": seed, **asdict(timings)})
-    summary_rows = []
-    for size in config.sizes:
-        cell = [r for r in rows if r["n_devices"] == size]
-        entry = {"n_devices": size, "replications": len(cell)}
-        for stage in TIMING_COLUMNS[2:]:
-            entry.update(_stats(stage.removesuffix("_ms"), "ms", [r[stage] for r in cell]))
-        summary_rows.append(entry)
-    return (
-        _write_csv(out_dir / "timing.csv", TIMING_COLUMNS, rows),
-        _write_csv(out_dir / "timing_summary.csv", list(summary_rows[0]), summary_rows),
-    )

@@ -33,12 +33,12 @@ from .errors import (
     _convert_fields,
     _convert_int,
     _convert_range,
-    _is_plain,
+    _is_int,
 )
 
 # The value objects below test exact classes and plain comparisons first and
 # call _convert only when those fail.  Every device and link runs these tests,
-# so floats are tested inline and math.inf is read from a global.
+# so exact classes are tested inline and math.inf is read from a global.
 _INF = math.inf
 
 
@@ -61,8 +61,8 @@ class FogDevice:
 
     def __post_init__(self):
         if not (
-            _is_plain(self.id, int)
-            and _is_plain(self.arch, Arch)
+            type(self.id) is int
+            and type(self.arch) is Arch
             and type(self.mips) is float
             and type(self.memory_gb) is float
             and type(self.storage_gb) is float
@@ -96,7 +96,7 @@ class Link:
 
     def __post_init__(self):
         if not (
-            _is_plain(self.a, int) and _is_plain(self.b, int) and type(self.latency_ms) is float
+            type(self.a) is int and type(self.b) is int and type(self.latency_ms) is float
         ):
             _convert(int, self.a, "link endpoint a")
             _convert(int, self.b, "link endpoint b")
@@ -161,13 +161,14 @@ class FogOverlay:
         return {d.id: d for d in self.devices}
 
     def device(self, device_id: int) -> FogDevice:
-        try:
-            return self._by_id[device_id]
-        except KeyError:
-            raise ContractError(f"no device with id {device_id}") from None
+        if device_id not in self:
+            _convert(int, device_id, "device_id", ContractError)
+            raise ContractError(f"device_id {device_id} names no device")
+        return self._by_id[device_id]
 
-    def __contains__(self, device_id: int) -> bool:
-        return device_id in self._by_id
+    def __contains__(self, device_id: object) -> bool:
+        """Whether ``device_id`` is an integer (not a bool) naming a device."""
+        return _is_int(device_id) and device_id in self._by_id
 
     @cached_property
     def adjacency(self) -> dict[int, tuple[tuple[int, float], ...]]:

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ContractError, _are_plain, _convert, _is_plain
+from .errors import ContractError, _are_plain, _convert
 
 
 class Sense(Enum):
@@ -38,7 +38,7 @@ class ObjectiveVector:
             )
         if len(self.values) < 2:
             raise ContractError("objective vectors need at least two objectives")
-        if not (_is_plain(self.senses, tuple) and _are_plain(self.senses, Sense)):
+        if not (type(self.senses) is tuple and _are_plain(self.senses, Sense)):
             senses = _convert(tuple[Sense, ...], self.senses, "senses", ContractError)
             object.__setattr__(self, "senses", senses)
         # Values are checked, not converted, so a hand-built vector keeps its numbers.

@@ -31,12 +31,7 @@ from smartfog.decision import (
     select_gateways,
 )
 from smartfog.errors import ChurnRejectedError
-from smartfog.harness import (
-    ExperimentConfig,
-    run_experiment,
-    run_smartfog_pipeline,
-    timing_report,
-)
+from smartfog.harness import ExperimentConfig, run_experiment, run_smartfog_pipeline
 from smartfog.overlay import (
     Arch,
     FogDevice,
@@ -254,10 +249,16 @@ def test_full_sweep_latency_and_load_trends(capsys, tmp_path):
 
 
 def test_pipeline_stage_timing_shape(capsys, tmp_path):
+    # One worker, so each clock reads a process doing nothing else.
     config = ExperimentConfig(
-        sizes=(20, 30, 40), replications=30, out_dir=str(tmp_path / "timing")
+        sizes=(20, 30, 40),
+        modes=(Mode.SMARTFOG,),
+        replications=30,
+        out_dir=str(tmp_path / "timing"),
+        jobs=1,
     )
-    _, summary_path = timing_report(config)
+    run_experiment(config)
+    summary_path = tmp_path / "timing" / "timing_summary.csv"
     with summary_path.open(newline="") as fh:
         medians = {int(row["n_devices"]): row for row in csv.DictReader(fh)}
     betw = [float(medians[size]["betweenness_median_ms"]) for size in (20, 30, 40)]

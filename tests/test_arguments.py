@@ -110,6 +110,7 @@ CASES = [
     ("device_features.device_ids", "device_ids", int, lambda v: device_features(OVERLAY, [v])),
     ("latency_to_cloud.device_id", "device_id", int, lambda v: latency_to_cloud(OVERLAY, v)),
     ("shortest_paths.source", "source", int, lambda v: shortest_paths(OVERLAY, v)),
+    ("FogOverlay.device.device_id", "device_id", int, lambda v: OVERLAY.device(v)),
     ("attach_sensors.n_sensors", "n_sensors", int,
      lambda v: attach_sensors(OVERLAY, v, random.Random(0))),
     ("attach_sensors.access_ms_range.lo", "access_ms_range", float,
@@ -157,7 +158,7 @@ NO_SCALARS = {
     "CentralityScores", "DeviceEvaluation", "FunctionalArea", "GatewayAssignment",
     "ParetoFronts", "Placement", "SensorAttachment", "SimilarityMatrix", "SimulationReport",
     # config objects: test_harness's JSON property feeds every field of all three
-    "ExperimentConfig", "OverlayParams", "WorkloadSpec", "run_experiment", "timing_report",
+    "ExperimentConfig", "OverlayParams", "WorkloadSpec", "run_experiment",
     # objects, arrays and overlays only
     "apply_churn", "areas_to_json", "dominates", "evaluate_devices", "jacobi_eigh",
     "non_dominated_sort", "pareto_front",

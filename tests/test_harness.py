@@ -24,7 +24,6 @@ from smartfog.harness import (
     run_experiment,
     run_smartfog_pipeline,
     summarize,
-    timing_report,
 )
 from smartfog.overlay import OverlayParams, build_overlay
 from smartfog.simulation import Mode, WorkloadSpec
@@ -375,18 +374,36 @@ class TestRunExperiment:
         assert cell["completed_total"] == 0
 
 
-class TestTimingReport:
+class TestTimingFiles:
     def test_files_and_medians(self, tmp_path):
         config = tiny_config(tmp_path, sizes=(6, 10), replications=3)
-        timing_path, summary_path = timing_report(config)
-        rows = read_csv(timing_path)
+        run_experiment(config)
+        rows = read_csv(tmp_path / "timing.csv")
         assert list(rows[0]) == list(TIMING_COLUMNS)
         assert len(rows) == 6
-        summary = read_csv(summary_path)
+        summary = read_csv(tmp_path / "timing_summary.csv")
         assert [r["n_devices"] for r in summary] == ["6", "10"]
         for cell in summary:
             for stage in ("betweenness", "sorting_decision", "clustering"):
                 assert float(cell[f"{stage}_median_ms"]) >= 0.0
+
+    def test_rows_in_size_seed_order_at_any_jobs(self, tmp_path):
+        pairs = []
+        for jobs in (1, 2):
+            out = tmp_path / f"jobs{jobs}"
+            run_experiment(tiny_config(out, sizes=(6, 8), replications=3, jobs=jobs))
+            pairs.append([(r["n_devices"], r["seed"]) for r in read_csv(out / "timing.csv")])
+        assert pairs[0] == pairs[1] == [
+            (str(size), str(seed)) for size in (6, 8) for seed in (50, 51, 52)
+        ]
+
+    def test_sweep_without_smartfog_leaves_no_stale_timings(self, tmp_path):
+        run_experiment(tiny_config(tmp_path))
+        assert len(read_csv(tmp_path / "timing.csv")) == 4
+        run_experiment(tiny_config(tmp_path, modes=(Mode.UNOPTIMIZED,)))
+        assert (tmp_path / "timing.csv").read_text().splitlines() == [",".join(TIMING_COLUMNS)]
+        summary = read_csv(tmp_path / "timing_summary.csv")
+        assert [(r["n_devices"], r["replications"]) for r in summary] == [("6", "0"), ("8", "0")]
 
 
 class TestCli:
@@ -418,7 +435,9 @@ class TestCli:
         summary = {r["mode"]: r for r in read_csv(out / "summary.csv")}
         smart, base = summary["smartfog"], summary["unoptimized"]
         load_s, load_b = smart["network_load_median_bytes"], base["network_load_median_bytes"]
-        _, line = capsys.readouterr().out.strip().splitlines()
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[2].split() == ["n", "betweenness", "sort+decide", "clustering"]
+        line = lines[1]  # the sweep digest's row; the stage digest follows it
         assert line.split() == [
             "6",
             f"{float(smart['spa_median_ms']):.0f}ms",
@@ -434,7 +453,7 @@ class TestCli:
         config.write_text(json.dumps({"workload": {"duration_s": 1.0, "warmup_s": 0.0}}))
         argv = ["simulate", "--config", str(config), "--sizes", "6", "--reps", "1"]
         assert main(argv + ["--jobs", "1", "--out", str(tmp_path / "out")]) == 0
-        _, line = capsys.readouterr().out.strip().splitlines()
+        line = capsys.readouterr().out.splitlines()[1]  # the sweep digest's row
         assert line.split()[3:] == ["0B", "0B", "n/a"]
 
     @staticmethod
@@ -445,9 +464,10 @@ class TestCli:
         )
         return path
 
-    def test_timing_subcommand(self, tmp_path, capsys):
+    def test_simulate_stage_digest(self, tmp_path, capsys):
         out = tmp_path / "t"
-        assert main(["timing", "--sizes", "6", "--reps", "2", "--out", str(out)]) == 0
+        argv = ["simulate", "--modes", "smartfog", "--sizes", "6", "--reps", "2", "--jobs", "1"]
+        assert main(argv + ["--out", str(out)]) == 0
         assert len(read_csv(out / "timing.csv")) == 2
         (summary,) = read_csv(out / "timing_summary.csv")
         _, line = capsys.readouterr().out.strip().splitlines()

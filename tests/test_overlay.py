@@ -3,6 +3,7 @@ import math
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -97,6 +98,14 @@ class TestBuildOverlay:
         ov = build_overlay(n, seed)
         assert ov.is_connected()
         assert len({d.id for d in ov.devices}) == n
+
+    @pytest.mark.parametrize("key", [True, 1.0, [1], "1"])
+    def test_lookups_take_only_ints(self, key):
+        ov = build_overlay(4, 1)
+        assert key not in ov
+        with pytest.raises(ContractError, match="device_id"):
+            ov.device(key)
+        assert np.int64(1) in ov and ov.device(np.int64(1)) is ov.device(1)
 
 
 class TestSerialization:
