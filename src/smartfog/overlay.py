@@ -67,7 +67,7 @@ class FogDevice:
             and type(self.memory_gb) is float
             and type(self.storage_gb) is float
         ):
-            _convert(int, self.id, "device id")
+            object.__setattr__(self, "id", _convert(int, self.id, "device id"))
             object.__setattr__(self, "arch", _convert(Arch, self.arch, f"device {self.id}: arch"))
             for name in ("mips", "memory_gb", "storage_gb"):
                 _convert(float, getattr(self, name), f"device {self.id}: {name}")
@@ -98,8 +98,8 @@ class Link:
         if not (
             type(self.a) is int and type(self.b) is int and type(self.latency_ms) is float
         ):
-            _convert(int, self.a, "link endpoint a")
-            _convert(int, self.b, "link endpoint b")
+            object.__setattr__(self, "a", _convert(int, self.a, "link endpoint a"))
+            object.__setattr__(self, "b", _convert(int, self.b, "link endpoint b"))
             _convert(float, self.latency_ms, f"link ({self.a}, {self.b}): latency_ms")
         if self.a == self.b:
             raise ConfigurationError(f"link ({self.a}, {self.b}) is a self-loop")
@@ -144,6 +144,8 @@ class FogOverlay:
             for dev_id, ms in cloud.items():
                 _convert(int, dev_id, "cloud_latency_ms key")
                 _convert(float, ms, f"device {dev_id}: cloud_latency_ms")
+            cloud = {int(dev_id): ms for dev_id, ms in cloud.items()}
+            object.__setattr__(self, "cloud_latency_ms", cloud)
         for dev_id, ms in cloud.items():
             if dev_id not in known:
                 raise ConfigurationError(f"cloud_latency_ms names unknown device {dev_id}")
@@ -349,6 +351,8 @@ class Join:
         # Ranges are checked by the links and the overlay that apply_churn builds.
         _convert(FogDevice, self.device, "device")
         _convert(tuple[tuple[int, float], ...], self.links, "links of (device id, latency_ms)")
+        # Only the ids become plain ints; a latency keeps its number type, as a Link does.
+        object.__setattr__(self, "links", tuple((int(t), ms) for t, ms in self.links))
         _convert(float | None, self.cloud_latency_ms, "cloud_latency_ms")
 
 
@@ -359,7 +363,7 @@ class Leave:
     device_id: int
 
     def __post_init__(self):
-        _convert(int, self.device_id, "device_id")
+        object.__setattr__(self, "device_id", _convert(int, self.device_id, "device_id"))
 
 
 ChurnEvent = Union[Join, Leave]

@@ -24,22 +24,33 @@ hop traversed, including the sensor access hop and the cloud hop.
 Routes are fixed per sensor and links have no capacity, so every tuple
 visits one FIFO server (a device or the cloud), and each server runs
 Lindley's recursion D = max(A, D_prev) + s over its arrivals on its own.
-Ties are broken exactly as one event heap keyed by (time, sequence number)
-would pop them, by each event's key (time, parent's key, push index).  All
-randomness comes from streams derived from one seed, with draws ordered so
-that emission times and work sizes are identical across modes for the same
-seed.
+The tuples live in flat arrays: one sort puts every server's arrivals in
+order, a loop over plain floats runs the recursion, and counts, load and
+delay samples are array expressions.  Ties are broken exactly as one event
+heap keyed by (time, sequence number) would pop them, by each event's key
+(time, parent's key, push index).  Arrivals sort by (A, t, emission index),
+which is their key order.  An arrival finds its server idle iff
+D_prev < A, or D_prev == A and the previous start is below t (:func:`_idle`);
+either way it starts at max(A, D_prev), so the rule decides only the shape
+of the keys.  Delay samples sort by C, and the nested keys are built only
+for samples tied on C.  All randomness comes from streams derived
+from one seed, with draws ordered so that emission times and work sizes are
+identical across modes for the same seed.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import random
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cmp_to_key
-from operator import itemgetter
+from itertools import groupby
 from typing import Sequence
+
+import numpy as np
 
 from .clustering import FunctionalArea
 from .decision import AreaType, GatewayAssignment
@@ -306,6 +317,136 @@ def _sensor_routes(
     return routes
 
 
+def _idle(done_ms: float, start_ms: float, arrive_ms: float, emit_ms: float) -> bool:
+    """The two-float form of ``previous done key < arrive key``.
+
+    The previous job started at ``start_ms`` and departs at ``done_ms``; the
+    arrival is at ``arrive_ms`` and was emitted at ``emit_ms``.  On
+    ``done_ms == arrive_ms`` the done key's parent (its arrive key or the done
+    key before it) starts at ``start_ms``; if that equals the emit time, its
+    non-empty second element sorts after the emit key's ``()``, so the server
+    is still busy.
+    """
+    return done_ms < arrive_ms or (done_ms == arrive_ms and start_ms < emit_ms)
+
+
+def _serve(
+    times: list[float],
+    works: list[float],
+    streams: list[float],
+    sizes: list[int],
+    n_servers: int,
+    duration_ms: float,
+    warmup_ms: float,
+) -> tuple[tuple[int, int], int, list[float], list[float]]:
+    """Lindley's recursion for every server over flat per-tuple arrays.
+
+    ``times`` and ``works`` hold each routed tuple's emit time and work in
+    emission order.  ``streams`` holds five numbers per routed stream, its
+    (leg ms, leg hops, kind index, server index, server MIPS), and ``sizes``
+    its tuple count, of ``n_servers``.  Returns the completed count per kind,
+    the link hops travelled and the SPA and PC delays in completion order.
+    """
+    n = len(times)
+    cols = np.empty((8, n))
+    cols[1] = np.fromiter(works, float, n)
+    cols[2] = np.fromiter(times, float, n)
+    cols[3:] = np.array(streams, dtype=float).reshape(-1, 5).T.repeat(sizes, axis=1)
+    arrive, service, emit, leg, _, _, server, mips = cols
+    np.add(emit, leg, out=arrive)
+    service /= mips
+    service *= 1000.0
+    # Every server's arrivals in heap order: (A, t, emission index).  A small
+    # integer key lets numpy sort the servers by radix.
+    order = np.lexsort((emit, arrive, server.astype(np.min_scalar_type(n_servers))))
+    cols = cols[:7, order]
+    arrive, service, emit, leg, hops, kind, server = cols
+    first = np.concatenate(((True,), server[1:] != server[:-1]))
+
+    # D = max(A, D_prev) + s: the start is A on an idle server and D_prev
+    # otherwise, equal when the two tie.  D never falls along a server's
+    # arrivals, so the tuples with D within the horizon are the ones the
+    # server reaches and finishes in time; later ones never depart.
+    # An array("d") hands out its items as Python floats more cheaply than
+    # a list from tolist() holds them.
+    dones: list[float] = []
+    done = -math.inf
+    for arrive_ms, service_ms, is_first in zip(
+        array("d", arrive.tobytes()), array("d", service.tobytes()), first.tolist()
+    ):
+        done = (arrive_ms if is_first or arrive_ms > done else done) + service_ms
+        dones.append(done)
+    done = np.fromiter(dones, float, n)
+    complete = done + leg
+    # Every routed tuple goes up its leg; a served one comes back down it.
+    load_hops = int(hops.sum() + hops[done <= duration_ms].sum())
+    # 0/1: a sampled SPA/PC delay, 2/3: completed before the warm-up ended,
+    # 4/5: not completed.
+    finished = complete <= duration_ms
+    group = (kind + np.where(finished, np.where(emit >= warmup_ms, 0.0, 2.0), 4.0)).astype(np.int8)
+    tally = np.bincount(group, minlength=6).tolist()
+
+    # Delays in completion order, by each complete key (C, done key, 0); only
+    # samples tied on C need their done keys.
+    ranked = np.lexsort((complete, group))[: tally[0] + tally[1]]
+    tied = complete[ranked]
+    if (tied[1:] == tied[:-1]).any():
+        ranked = _tie_order(ranked.tolist(), group, complete, done, cols, order)
+    delays = (complete - emit)[ranked].tolist()
+    completed = (tally[0] + tally[2], tally[1] + tally[3])
+    return completed, load_hops, delays[: tally[0]], delays[tally[0] :]
+
+
+def _tie_order(
+    ranked: list[int],
+    group: np.ndarray,
+    complete: np.ndarray,
+    done: np.ndarray,
+    cols: np.ndarray,
+    order: np.ndarray,
+) -> list[int]:
+    """``ranked`` with every run tied on (kind, C) put in done-key order.
+
+    A done key is (D, arrive key, 0) if the tuple found its server idle
+    (:func:`_idle`) and (D, previous done key, 1) if it waited; an arrive key
+    is (A, (t, (), emission index), 0).  Keys are built only for the tied
+    samples and the busy periods before them.
+    """
+    group, complete, done, order = group.tolist(), complete.tolist(), done.tolist(), order.tolist()
+    arrive, emit, server = cols[[0, 2, 6]].tolist()
+    keys: dict[int, tuple] = {}
+
+    def waited(q: int) -> bool:
+        # q - 1 is served whenever q is: each server serves a prefix.
+        if q == 0 or server[q - 1] != server[q]:
+            return False
+        p = q - 1
+        first = p == 0 or server[p - 1] != server[p]
+        start = arrive[p] if first else max(arrive[p], done[p - 1])
+        return not _idle(done[p], start, arrive[q], emit[q])
+
+    def done_key(q: int) -> tuple:
+        chain = []
+        while q not in keys and waited(q):
+            chain.append(q)
+            q -= 1
+        if q not in keys:
+            keys[q] = (done[q], (arrive[q], (emit[q], (), order[q]), 0), 0)
+        key = keys[q]
+        for r in reversed(chain):
+            key = keys[r] = (done[r], key, 1)
+        return key
+
+    by_key = cmp_to_key(_heap_order)
+    out: list[int] = []
+    for _, tie in groupby(ranked, key=lambda q: (group[q], complete[q])):
+        tie = list(tie)
+        if len(tie) > 1:
+            tie.sort(key=lambda q: by_key(done_key(q)))
+        out.extend(tie)
+    return out
+
+
 def run(
     overlay: FogOverlay,
     mode: Mode,
@@ -324,12 +465,16 @@ def run(
     A tuple without a route (:func:`_sensor_routes`) is dropped.  One emitted
     at t arrives at A = t + leg, departs at D = start + service and completes
     at C = D + leg; it starts at A on an idle server, else at the previous
-    departure.  Events after the horizon never happen: uplink load counts at
-    t, downlink load at D, the completion at C.  Heap keys: emit (t, (),
-    emission index), arrive (A, emit key, 0), done (D, arrive key, 0) or,
-    after waiting, (D, previous done key, 1), complete (C, done key, 0).  A
-    server is idle for an arrival iff its previous done key is below the
-    arrive key.  ``mode`` may be the enum's string value, e.g. ``"smartfog"``.
+    departure, so start = max(A, D_prev).  Events after the horizon never
+    happen: uplink load counts at t, downlink load at D, the completion at
+    C.  Heap keys: emit (t, (), emission index), arrive (A, emit key, 0),
+    done (D, arrive key, 0) or, after waiting, (D, previous done key, 1),
+    complete (C, done key, 0).  A server is idle for an arrival iff its
+    previous done key is below the arrive key, which :func:`_idle` decides
+    from two floats.  Emission runs in Python, with its draws in order; the
+    queues run in :func:`_serve` over flat arrays, which builds nested keys
+    only for delay samples tied on C (:func:`_tie_order`).  ``mode``
+    may be the enum's string value, e.g. ``"smartfog"``.
     """
     mode = _convert(Mode, mode, "mode", ContractError)
     workload.validate()
@@ -351,81 +496,67 @@ def run(
         rng=random.Random(seed ^ _PLACE_SALT),
     )
     routes = _sensor_routes(overlay, sensors, placement)
-    server_mips: dict[object, float] = {d.id: d.mips for d in overlay.devices}
-    server_mips[_CLOUD] = workload.cloud_mips
-
-    report = SimulationReport(mode=mode, n_devices=n_devices, seed=seed)
-    for counts in (report.emitted, report.completed, report.dropped):
-        counts.update({kind.value: 0 for kind in TupleKind})
+    # Each server's (index, MIPS): the devices, then the cloud.
+    servers: dict[object, tuple[int, float]] = {
+        d.id: (i, d.mips) for i, d in enumerate(overlay.devices)
+    }
+    servers[_CLOUD] = (len(servers), workload.cloud_mips)
 
     # Emission schedules: per sensor, SPA stream then PC stream, identical
     # across modes; uniform(a, b) spelled out as its own a + (b - a) * random().
+    # A routed tuple's emit time and work go onto two flat lists in emission
+    # order and its stream's row onto ``streams``; an unrouted stream draws
+    # into lists that are dropped.
     draw = random.Random(seed ^ _WORK_SALT).random
     duration_ms = workload.duration_s * 1000.0
-    warmup_ms = workload.warmup_s * 1000.0
-    bytes_per_tuple = workload.tuple_bytes
     lo, hi = 1 - workload.jitter, 1 + workload.jitter
-    load = 0
-    arrivals: dict[object, list] = {server: [] for server in server_mips}
-    samples: dict[str, list] = {TupleKind.SPA.value: [], TupleKind.PC.value: []}
-    index = 0
+    spread = hi - lo
+    kinds = (
+        (0, TupleKind.SPA, workload.spa_interval_s, workload.spa_mips_range),
+        (1, TupleKind.PC, workload.pc_interval_s, workload.pc_mips_range),
+    )
+    emitted, dropped = [0, 0], [0, 0]
+    times: list[float] = []
+    works: list[float] = []
+    streams: list[float] = []
+    sizes: list[int] = []
     for s in sensors.sensor_ids:
-        for kind, interval_s, (a, b) in (
-            (TupleKind.SPA, workload.spa_interval_s, workload.spa_mips_range),
-            (TupleKind.PC, workload.pc_interval_s, workload.pc_mips_range),
-        ):
+        for k, kind, interval_s, (a, b) in kinds:
             route = routes.get((s, kind))
-            if route is not None:
-                server, leg_ms, leg_hops = route
-                queue = arrivals[server]
-                stream = (leg_ms, leg_hops, kind.value)
-            width, first, t = b - a, index, 0.0
+            ts, ws = (times, works) if route is not None else ([], [])
+            first, width, t = len(ts), b - a, 0.0
             while True:
-                t += interval_s * (lo + (hi - lo) * draw()) * 1000.0
+                t += interval_s * (lo + spread * draw()) * 1000.0
                 if t > duration_ms:
                     break
-                work = a + width * draw()
-                if route is not None:
-                    queue.append((t + leg_ms, (t, (), index), 0, work, stream))
-                index += 1
-            report.emitted[kind.value] += index - first
+                ts.append(t)
+                ws.append(a + width * draw())
+            size = len(ts) - first
+            emitted[k] += size
             if route is None:
-                report.dropped[kind.value] += index - first
-            else:
-                load += bytes_per_tuple * leg_hops * (index - first)
+                dropped[k] += size
+            elif size:
+                server, leg_ms, leg_hops = route
+                streams += (leg_ms, leg_hops, k, *servers[server])
+                sizes.append(size)
 
-    # Lindley's recursion per server.  An arrival is its heap key (A, emit key,
-    # 0) and then its payload, which no comparison reaches: emit keys are unique.
-    for server, queue in arrivals.items():
-        queue.sort()
-        mips = server_mips[server]
-        done = (float("-inf"),)  # below every arrival
-        for arrival in queue:
-            arrive_ms, emit, _, work, (leg_ms, leg_hops, value) = arrival
-            if arrive_ms > duration_ms:
-                break
-            start_ms, parent, j = (arrive_ms, arrival, 0) if done < arrival else (done[0], done, 1)
-            done = (start_ms + work / mips * 1000.0, parent, j)
-            if done[0] > duration_ms:
-                break
-            load += bytes_per_tuple * leg_hops
-            complete_ms = done[0] + leg_ms
-            if complete_ms <= duration_ms:
-                report.completed[value] += 1
-                if emit[0] >= warmup_ms:
-                    samples[value].append((complete_ms, done, complete_ms - emit[0]))
-
-    # Delays in completion order.  A sample is its complete's key with the delay
-    # in place of the push index, which no comparison reaches either.
-    for kind, out in ((TupleKind.SPA, report.spa_delays_ms), (TupleKind.PC, report.pc_delays_ms)):
-        sampled = samples[kind.value]
-        try:
-            sampled.sort()
-        except RecursionError:
-            sampled.sort(key=cmp_to_key(_heap_order))
-        out.extend(map(itemgetter(2), sampled))
-    report.network_load_bytes = load
-
-    for k in report.emitted:
-        report.in_flight[k] = report.emitted[k] - report.completed[k] - report.dropped[k]
+    completed, load_hops, spa, pc = (
+        _serve(times, works, streams, sizes, len(servers), duration_ms, workload.warmup_s * 1000.0)
+        if streams
+        else ((0, 0), 0, [], [])
+    )
+    report = SimulationReport(
+        mode=mode,
+        n_devices=n_devices,
+        seed=seed,
+        spa_delays_ms=spa,
+        pc_delays_ms=pc,
+        network_load_bytes=workload.tuple_bytes * load_hops,
+    )
+    for k, kind in enumerate(TupleKind):
+        value = kind.value
+        report.emitted[value] = emitted[k]
+        report.completed[value] = completed[k]
+        report.dropped[value] = dropped[k]
+        report.in_flight[value] = emitted[k] - completed[k] - dropped[k]
     return report

@@ -312,6 +312,20 @@ class TestChurn:
         assert after.is_connected()
         assert after.cloud_latency_ms[7] == 70.0
 
+    def test_numpy_integer_ids_stored_as_int(self):
+        # The int rule admits numpy integers; each object stores the plain
+        # int, so the churned overlay still serializes.
+        one, nine = np.int64(1), np.int64(9)
+        dev = FogDevice(id=nine, mips=900.0, memory_gb=1.0, storage_gb=16.0, arch=Arch.X86)
+        join = Join(device=dev, links=((one, 3.0),))
+        after = apply_churn(build_overlay(4, 1), join)
+        doc = json.loads(after.to_json())
+        assert {"a": 1, "b": 9, "latency_ms": 3.0} in doc["links"]
+        link = Link(a=np.int64(0), b=3, latency_ms=2.0)
+        ov = FogOverlay(devices=(_device(),), links=(), cloud_latency_ms={np.int64(0): 60.0})
+        stored = (dev.id, join.links[0][0], link.a, Leave(device_id=nine).device_id)
+        assert all(type(value) is int for value in stored + tuple(ov.cloud_latency_ms))
+
     def test_join_duplicate_id(self):
         ov = chain_overlay(3)
         dup = FogDevice(id=1, mips=900.0, memory_gb=1.0, storage_gb=16.0, arch=Arch.X86)

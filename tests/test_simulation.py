@@ -20,6 +20,7 @@ from smartfog.simulation import (
     TupleKind,
     WorkloadSpec,
     _heap_order,
+    _idle,
     attach_sensors,
     place_edge_ward,
     run,
@@ -732,6 +733,34 @@ class TestEventHeapOracle:
             for b in keys:
                 if a is not b:
                     assert _heap_order(a, b) == (-1 if a < b else 1)
+
+    @given(
+        times=st.lists(st.integers(0, 2), min_size=3, max_size=40),
+        arrive=st.integers(0, 2),
+        emit=st.integers(0, 2),
+    )
+    def test_two_float_idle_rule_matches_tie_comparison(self, times, arrive, emit):
+        # The previous tuple's done key built like the loop's keys, each
+        # level's time drawn from {0, 1, 2}: an emit key at the root, its
+        # arrive key, the done key of an idle start, then one done key per
+        # tuple that waited.  The new arrival's emit key is another tuple's.
+        key = (float(times[0]), (), 0)
+        for level, t in enumerate(times[1:]):
+            key = (float(t), key, 0 if level < 2 else 1)
+        arrive_key = (float(arrive), (float(emit), (), 1), 0)
+        idle = _idle(key[0], key[1][0], arrive_key[0], arrive_key[1][0])
+        assert idle == (key < arrive_key)
+
+    def test_run_without_tuples_matches_oracle(self):
+        # Every first emission gap is at least 0.8 of the 30 s PC interval,
+        # so nothing is emitted in 10 s and no array is built.
+        workload = WorkloadSpec(duration_s=10.0, warmup_s=0.0)
+        ov, _, kwargs = pinned_case(20, 1000, "default", Mode.SMARTFOG)
+        for mode, mode_kwargs in ((Mode.SMARTFOG, kwargs), (Mode.UNOPTIMIZED, {})):
+            report = run(ov, mode, workload, 1000, **mode_kwargs)
+            oracle = event_loop_run(ov, mode, workload, 1000, **mode_kwargs)
+            assert report.total_emitted == 0
+            assert report.to_json() == oracle.to_json()
 
 
 class TestHorizon:
