@@ -171,7 +171,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--modes", type=_comma_list, help="comma-separated modes: smartfog,unoptimized"
     )
     sim.add_argument(
-        "--jobs", type=int, help="worker processes (default: cpu count; 1 for stable stage timings)"
+        "--jobs",
+        type=int,
+        help="worker processes, each at one BLAS thread (default: cpu count;"
+        " 1 for stable stage timings)",
     )
     sim.set_defaults(func=_cmd_simulate)
 

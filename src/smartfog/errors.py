@@ -63,9 +63,16 @@ def _coerce(hint, value):
             return int(value)
     elif hint is float:
         # The bound rejects NaN, infinities and ints too large to become a float.
-        if type(value) is float or isinstance(value, numbers.Real) and not isinstance(value, bool):
-            if abs(value) <= sys.float_info.max:
-                return float(value)
+        # Rationals (ints included) meet it exactly, other reals as the float
+        # they become: numpy.float32 would cast the bound itself and overflow.
+        if type(value) is float:
+            number = value
+        elif isinstance(value, numbers.Real) and not isinstance(value, bool):
+            number = value if isinstance(value, numbers.Rational) else float(value)
+        else:
+            raise _Mismatch
+        if abs(number) <= sys.float_info.max:
+            return float(number)
     elif isinstance(hint, enum.EnumMeta):
         try:
             return hint(value)

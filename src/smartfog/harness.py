@@ -12,6 +12,13 @@ The pipeline's stage timings ride along with each replicate's rows into
 timing.csv, so no second loop rebuilds an overlay to time it; clocks read in
 worker processes are noisier, so stable timings need ``jobs=1``.
 
+Every replicate runs at one OpenBLAS thread, at any ``jobs``, and the caller's
+count is restored afterwards.  Worker processes would otherwise each run
+OpenBLAS's helper threads beside them, and the spectral eigensolve's bytes
+could depend on the thread count, so results.csv would depend on ``jobs`` and
+on the host.  Workers inherit the count only under the ``fork`` start method,
+the default on Linux before Python 3.14.
+
 ``ExperimentConfig.from_dict`` only maps JSON keys to fields; ``validate()``
 checks and converts every value by its annotation, as for configs built in code.
 """
@@ -19,6 +26,7 @@ checks and converts every value by its annotation, as for configs built in code.
 from __future__ import annotations
 
 import csv
+import ctypes
 import json
 import logging
 import math
@@ -26,11 +34,14 @@ import os
 import statistics
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, is_dataclass
-from functools import partial
+from functools import cache, partial
 from itertools import product
 from pathlib import Path
 from typing import Sequence
+
+import numpy as np
 
 from .centrality import CentralityMode, CentralityScores, betweenness
 from .clustering import FunctionalArea, cluster_functional_areas
@@ -259,6 +270,57 @@ def _replicate(config: ExperimentConfig, size: int, rep: int) -> tuple[list[dict
     return rows, timing_rows
 
 
+#: OpenBLAS's thread-count functions as numpy's wheels and other builds name
+#: them, ``{}`` standing for ``get`` or ``set``.
+_BLAS_THREAD_FUNCTIONS = (
+    "scipy_openblas_{}_num_threads64_",
+    "scipy_openblas_{}_num_threads",
+    "openblas_{}_num_threads64_",
+    "openblas_{}_num_threads",
+)
+
+
+@cache
+def _blas_threads():
+    """OpenBLAS's ``(get, set)`` thread-count functions as numpy links them, or None.
+
+    dlsym on numpy's linalg extension searches the libraries it links too, so
+    no library path is needed; a BLAS other than OpenBLAS resolves no name.
+    """
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except (AttributeError, OSError):
+        return None
+    for name in _BLAS_THREAD_FUNCTIONS:
+        get = getattr(lib, name.format("get"), None)
+        put = getattr(lib, name.format("set"), None)
+        if get is not None and put is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block at one OpenBLAS thread, then restore the caller's count.
+
+    Processes forked inside the block inherit the count; without OpenBLAS
+    this does nothing.
+    """
+    threads = _blas_threads()
+    if threads is None:
+        yield
+        return
+    get, put = threads
+    count = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(count)
+
+
 def run_experiment(config: ExperimentConfig) -> tuple[Path, Path]:
     """Run the sweep, write its four CSV files, return the results and summary paths.
 
@@ -266,6 +328,11 @@ def run_experiment(config: ExperimentConfig) -> tuple[Path, Path]:
     Beside results.csv and summary.csv go timing.csv, one row per smartfog
     replicate in (size, seed) order, and timing_summary.csv, one row per size;
     a sweep without smartfog writes them with no replicates.
+
+    Replicates run at one OpenBLAS thread at any ``jobs``, so results.csv does
+    not depend on ``jobs`` or on the host's cores, and the caller's thread
+    count is restored on return or error.  The pool's workers inherit that
+    count only when they are forked (the ``fork`` start method).
     """
     config.validate()
     out_dir = Path(config.out_dir)
@@ -274,12 +341,13 @@ def run_experiment(config: ExperimentConfig) -> tuple[Path, Path]:
     jobs = min(config.jobs or os.cpu_count() or 1, len(sizes))
     log.info("running %d replicates with %d worker(s)", len(sizes), jobs)
     replicate = partial(_replicate, config)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunk = max(1, len(sizes) // (jobs * 4))
-            replicates = list(pool.map(replicate, sizes, reps, chunksize=chunk))
-    else:
-        replicates = list(map(replicate, sizes, reps))
+    with _one_blas_thread():
+        if jobs > 1:
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                chunk = max(1, len(sizes) // (jobs * 4))
+                replicates = list(pool.map(replicate, sizes, reps, chunksize=chunk))
+        else:
+            replicates = list(map(replicate, sizes, reps))
     results, timings = zip(*replicates)
     # Replicates come size-major; transpose each size's block to mode-major.
     per_size = config.replications

@@ -42,6 +42,15 @@ from .errors import (
 _INF = math.inf
 
 
+def _plain(number):
+    """A checked number as the value objects store it: a plain int kept, else a float.
+
+    An int keeps an overlay's ``to_json()`` bytes; numpy's floats become
+    floats, which JSON can write.
+    """
+    return number if type(number) is int else float(number)
+
+
 class Arch(str, Enum):
     """Instruction-set architecture of a fog device."""
 
@@ -70,7 +79,9 @@ class FogDevice:
             object.__setattr__(self, "id", _convert(int, self.id, "device id"))
             object.__setattr__(self, "arch", _convert(Arch, self.arch, f"device {self.id}: arch"))
             for name in ("mips", "memory_gb", "storage_gb"):
-                _convert(float, getattr(self, name), f"device {self.id}: {name}")
+                value = getattr(self, name)
+                _convert(float, value, f"device {self.id}: {name}")
+                object.__setattr__(self, name, _plain(value))
         # Comparisons with NaN are false, so these checks refuse NaN as well.
         if not 0 < self.mips < _INF:
             raise ConfigurationError(
@@ -101,6 +112,7 @@ class Link:
             object.__setattr__(self, "a", _convert(int, self.a, "link endpoint a"))
             object.__setattr__(self, "b", _convert(int, self.b, "link endpoint b"))
             _convert(float, self.latency_ms, f"link ({self.a}, {self.b}): latency_ms")
+            object.__setattr__(self, "latency_ms", _plain(self.latency_ms))
         if self.a == self.b:
             raise ConfigurationError(f"link ({self.a}, {self.b}) is a self-loop")
         if self.a > self.b:
@@ -144,7 +156,7 @@ class FogOverlay:
             for dev_id, ms in cloud.items():
                 _convert(int, dev_id, "cloud_latency_ms key")
                 _convert(float, ms, f"device {dev_id}: cloud_latency_ms")
-            cloud = {int(dev_id): ms for dev_id, ms in cloud.items()}
+            cloud = {int(dev_id): _plain(ms) for dev_id, ms in cloud.items()}
             object.__setattr__(self, "cloud_latency_ms", cloud)
         for dev_id, ms in cloud.items():
             if dev_id not in known:
@@ -351,9 +363,10 @@ class Join:
         # Ranges are checked by the links and the overlay that apply_churn builds.
         _convert(FogDevice, self.device, "device")
         _convert(tuple[tuple[int, float], ...], self.links, "links of (device id, latency_ms)")
-        # Only the ids become plain ints; a latency keeps its number type, as a Link does.
-        object.__setattr__(self, "links", tuple((int(t), ms) for t, ms in self.links))
+        object.__setattr__(self, "links", tuple((int(t), _plain(ms)) for t, ms in self.links))
         _convert(float | None, self.cloud_latency_ms, "cloud_latency_ms")
+        if self.cloud_latency_ms is not None:
+            object.__setattr__(self, "cloud_latency_ms", _plain(self.cloud_latency_ms))
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import os
 import re
 import shlex
 import statistics
@@ -70,6 +71,23 @@ JSON_VALUES = st.recursive(
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+#: OpenBLAS's (get, set) thread-count functions, or None where numpy links another BLAS.
+BLAS_THREADS = smartfog.harness._blas_threads()
+needs_openblas = pytest.mark.skipif(BLAS_THREADS is None, reason="no OpenBLAS thread setter")
+_REPLICATE = smartfog.harness._replicate
+
+
+def replicate_noting_blas_threads(config, size, rep):
+    """``harness._replicate``, writing its process's BLAS thread count beside the results."""
+    get, _ = BLAS_THREADS
+    (Path(config.out_dir) / f"blas-threads-{os.getpid()}").write_text(str(get()))
+    return _REPLICATE(config, size, rep)
+
+
+def replicate_raising(config, size, rep):
+    raise RuntimeError(f"replicate {size}/{rep} failed")
 
 
 class TestExperimentConfig:
@@ -279,9 +297,36 @@ class TestRunExperiment:
         assert strings[1].read_bytes() == members[1].read_bytes()
 
     def test_parallel_matches_serial(self, tmp_path):
-        serial = run_experiment(tiny_config(tmp_path / "serial", jobs=1))
-        parallel = run_experiment(tiny_config(tmp_path / "parallel", jobs=2))
-        assert serial[0].read_bytes() == parallel[0].read_bytes()
+        # n = 40 reaches the sizes at which the eigensolve starts BLAS threads.
+        for overrides in ({}, {"sizes": (40,), "replications": 3}):
+            out = tmp_path / str(overrides.get("sizes", "tiny"))
+            serial = run_experiment(tiny_config(out / "serial", jobs=1, **overrides))
+            parallel = run_experiment(tiny_config(out / "parallel", jobs=2, **overrides))
+            assert serial[0].read_bytes() == parallel[0].read_bytes()
+
+    @needs_openblas
+    def test_pool_workers_run_at_one_blas_thread(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(smartfog.harness, "_replicate", replicate_noting_blas_threads)
+        run_experiment(tiny_config(tmp_path, sizes=(40,), replications=4, jobs=2))
+        counts = {p.name: p.read_text() for p in tmp_path.glob("blas-threads-*")}
+        assert counts and f"blas-threads-{os.getpid()}" not in counts
+        assert set(counts.values()) == {"1"}
+
+    @needs_openblas
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_caller_blas_threads_restored(self, tmp_path, monkeypatch, jobs):
+        get, put = BLAS_THREADS
+        before = get()
+        put(2)
+        try:
+            run_experiment(tiny_config(tmp_path / "ok", jobs=jobs))
+            assert get() == 2
+            monkeypatch.setattr(smartfog.harness, "_replicate", replicate_raising)
+            with pytest.raises(RuntimeError, match="failed"):
+                run_experiment(tiny_config(tmp_path / "raising", jobs=jobs))
+            assert get() == 2
+        finally:
+            put(before)
 
     def test_one_overlay_and_path_table_per_replicate(self, tmp_path, monkeypatch):
         """Both modes of a replicate share one overlay, one pipeline run and one table."""

@@ -326,6 +326,29 @@ class TestChurn:
         stored = (dev.id, join.links[0][0], link.a, Leave(device_id=nine).device_id)
         assert all(type(value) is int for value in stored + tuple(ov.cloud_latency_ms))
 
+    def test_numpy_floats_stored_as_float(self):
+        # The number rule admits numpy floats; checking one must not cast the
+        # bound to float32 (an overflow warning, an error here), and each object
+        # stores the plain float, so the overlay serializes.
+        f32 = np.float32
+        dev = _device(mips=f32(1000.0), memory_gb=f32(2.0), storage_gb=f32(16.0))
+        ov = FogOverlay(devices=(dev,), links=(), cloud_latency_ms={0: f32(60.0)})
+        assert json.loads(ov.to_json())["cloud"] == [{"id": 0, "latency_ms": 60.0}]
+        link = Link(a=0, b=1, latency_ms=f32(2.5))
+        join = Join(device=_device(id=9), links=((0, f32(3.0)),), cloud_latency_ms=f32(70.0))
+        after = apply_churn(ov, join)
+        assert json.loads(after.to_json())["links"] == [{"a": 0, "b": 9, "latency_ms": 3.0}]
+        stored = (
+            dev.mips,
+            dev.memory_gb,
+            dev.storage_gb,
+            link.latency_ms,
+            join.links[0][1],
+            join.cloud_latency_ms,
+            *after.cloud_latency_ms.values(),
+        )
+        assert all(type(value) is float for value in stored)
+
     def test_join_duplicate_id(self):
         ov = chain_overlay(3)
         dup = FogDevice(id=1, mips=900.0, memory_gb=1.0, storage_gb=16.0, arch=Arch.X86)
