@@ -11,8 +11,9 @@ path counts, which makes ``L_s * delta_s(v)`` an integer and every division
 of the recurrence exact; the sources' integer numerators are summed over one
 common denominator and divided once at the end.  Python's int / int is
 correctly rounded, so each score is the double nearest its exact value,
-independent of summation order.  Both modes run that one recurrence,
-:func:`_brandes_sweep`, and differ only in the distances it reads.
+independent of summation order.  The per-source form of that recurrence,
+:func:`_brandes_sweep`, serves the weighted mode and the hop-count fallback
+below, which differ only in the edge lengths its searches read.
 
 The unweighted mode runs all sources at once on the dense 0/1 adjacency
 matrix A, one BFS level per step (Buluç & Gilbert's batched Brandes): with
@@ -26,14 +27,16 @@ rows adds at most n of them).  Such sums are exact in any order, so BLAS may
 block and thread them as it likes, and each division is an exact integer
 division.  A float sum that reaches 2**53 rounds to at least 2**53, so
 checking the final counts suffices.  Overlays past the bound (long chains of
-parallel routes) run the per-source sweep on BFS hop counts in Python ints
+parallel routes) run the per-source sweep on unit edge lengths in Python ints
 instead, which has no size limit.  Both give the same scores.
 
-The latency-weighted mode reads :attr:`FogOverlay.path_table`, the table the
-simulation routes on, so one Dijkstra per source serves both.  Path counts
-and predecessors follow from each row's settle order and exact float
-equality ``dist[v] + ms == dist[w]``; sums of link latencies are floats, but
-the counts and the recurrence stay integers.
+The latency-weighted mode runs the overlay's one Dijkstra once per source.
+As in Brandes (2001), the search counts shortest paths and records their
+predecessors as it settles, ties decided by exact float equality of path
+latencies; sums of link latencies are floats, but the counts and the
+recurrence stay integers.  The searches' rows are those of
+:attr:`FogOverlay.path_table`, the table the simulation routes on, and fill
+it when it is not cached yet, so one search per source serves both.
 """
 
 from __future__ import annotations
@@ -41,12 +44,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping
 
 import numpy as np
 
 from .errors import ContractError, TopologyError, _convert
-from .overlay import FogOverlay
+from .overlay import FogOverlay, _Adjacency, _search
 
 #: Integers below this are exact in float64 (53-bit significand).
 _EXACT_FLOAT = 2**53
@@ -81,9 +83,11 @@ def betweenness(
     if mode is CentralityMode.UNWEIGHTED:
         scores = _brandes_all_sources(overlay)
     else:
-        table = overlay.path_table
-        dists = ((s, {v: ms for v, (ms, _) in table[s].items()}) for s in sorted(table))
-        scores = _brandes_sweep(overlay.adjacency, dists)
+        # The searches yield path_table's rows; cache them unless it is cached.
+        rows = None if "path_table" in vars(overlay) else {}
+        scores = _brandes_sweep(overlay.adjacency, rows)
+        if rows is not None:
+            vars(overlay).setdefault("path_table", rows)
     return CentralityScores(scores=scores, mode=mode)
 
 
@@ -141,51 +145,29 @@ def _brandes_all_sources(overlay: FogOverlay) -> dict[int, float]:
 
 
 def _brandes_unweighted(overlay: FogOverlay) -> dict[int, float]:
-    # The exact path past the 2**53 bound: BFS hop counts, then the sweep.
+    # The exact path past the 2**53 bound: the per-source sweep on unit lengths.
     hops = {v: [(w, 1) for w, _ in nbrs] for v, nbrs in overlay.adjacency.items()}
-    return _brandes_sweep(hops, ((s, _bfs(hops, s)) for s in sorted(hops)))
+    return _brandes_sweep(hops)
 
 
-def _bfs(hops: dict[int, list[tuple[int, int]]], s: int) -> dict[int, int]:
-    """Hop counts from s, in BFS order."""
-    dist = {s: 0}
-    order = [s]
-    for v in order:
-        for w, _ in hops[v]:
-            if w not in dist:
-                dist[w] = dist[v] + 1
-                order.append(w)
-    return dist
+def _brandes_sweep(adjacency: _Adjacency, rows: dict | None = None) -> dict[int, float]:
+    """Exact betweenness from one shortest-path search per source.
 
-
-def _brandes_sweep(
-    adjacency: Mapping[int, Iterable[tuple[int, float]]], dists: Iterable[tuple[int, dict]]
-) -> dict[int, float]:
-    """Exact betweenness from every source's shortest-path distances.
-
-    ``dists`` yields ``(s, dist)`` for each source s, with ``dist`` in settle
-    order; ``adjacency`` holds the edge lengths that ``dist`` sums.
+    ``adjacency`` holds the edge lengths.  Each source's search counts its
+    shortest paths and records their predecessors as it settles; given
+    ``rows``, its ``id -> (latency, hops)`` row is stored there too.
     """
     ids = sorted(adjacency)
     # Running sum of every source's dependencies as integer numerators over
     # one common denominator ``den``.
     num = dict.fromkeys(ids, 0)
     den = 1
-    for s, dist in dists:
-        # Shortest-path DAG: v precedes w if it settled first and
-        # dist[v] + ms == dist[w]; the first part matters only when ms is
-        # absorbed (dist[v] + ms == dist[v]), and keeps the graph acyclic.
-        rank = {v: i for i, v in enumerate(dist)}
-        sigma = dict.fromkeys(dist, 0)
-        sigma[s] = 1
-        preds: dict[int, list[int]] = {v: [] for v in dist}
-        for v, dv in dist.items():
-            sv = sigma[v]
-            rv = rank[v]
-            for w, ms in adjacency[v]:
-                if dv + ms == dist[w] and rank[w] > rv:
-                    sigma[w] += sv
-                    preds[w].append(v)
+    for s in adjacency:
+        sigma = {s: 1}
+        preds: dict[int, list[int]] = {s: []}
+        row = _search(adjacency, s, sigma, preds)
+        if rows is not None:
+            rows[s] = row
         # Dependencies scaled by L = lcm(sigma): D[v] = L * delta(v) is an
         # integer and every division below is exact.  D / L is added into
         # num / den over their least common denominator.
@@ -196,8 +178,8 @@ def _brandes_sweep(
                 num[v] *= up
             den *= up
         down = den // scale
-        dep = dict.fromkeys(dist, 0)
-        for w in reversed(dist):
+        dep = dict.fromkeys(row, 0)
+        for w in reversed(row):
             share = (scale + dep[w]) // sigma[w]
             for v in preds[w]:
                 dep[v] += sigma[v] * share

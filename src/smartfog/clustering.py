@@ -8,12 +8,12 @@ embedded points.  Each gateway gets its own k-means run (seeded with
 ``seed XOR gateway_index``) and claims the cluster whose raw-feature centroid
 best matches its area type.
 
-A k-means run batches its restarts: every k-means++ seeding is drawn first
-from the run's one random stream, then Lloyd's iterations update all
-unconverged restarts together in one array.  Lloyd's iterations draw no
-random numbers, and each distance and centroid is summed in the same order
-as a restart run on its own, so the labels are bit for bit those of running
-the restarts one after another.
+All gateways' k-means runs share one batch of restarts: every k-means++
+seeding is drawn first, each run's from its own seeded stream, then Lloyd's
+iterations update all unconverged restarts together in one array.  Lloyd's
+iterations draw no random numbers, and each distance and centroid is summed
+in the same order as a restart run on its own, so the labels are bit for
+bit those of running the runs, and their restarts, one after another.
 
 The eigensolver is LAPACK's symmetric divide-and-conquer routine
 (``numpy.linalg.eigh``) plus a deterministic sign normalisation: each
@@ -210,22 +210,42 @@ def kmeans_cost(points: np.ndarray, labels: np.ndarray) -> float:
     return cost
 
 
-def _kmeanspp_seeding(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Distance-weighted (k-means++) initial centroids, shape ``(k, d)``."""
+def _kmeanspp_seedings(
+    points: np.ndarray, k: int, rng: np.random.Generator, runs: int
+) -> np.ndarray:
+    """``runs`` k-means++ seedings drawn one after another from ``rng``, shape ``(runs, k, d)``.
+
+    A seeding draws its first centroid with ``rng.integers(n)`` and each
+    further one as ``rng.choice(n, p=d2 / total)`` does, by inverse CDF over
+    the squared distances d2 to the nearest centroid so far; with every point
+    on a centroid (total 0) it draws ``rng.integers(n)`` instead.  Until a
+    total is 0 the draws do not depend on the points, so they are taken up
+    front and all runs' picks computed at once; then the generator is rewound
+    and the runs are drawn one at a time.
+    """
     n = points.shape[0]
-    centroids = np.empty((k, points.shape[1]))
-    first = int(rng.integers(n))
-    centroids[0] = points[first]
-    d2 = ((points - centroids[0]) ** 2).sum(axis=1)
+    state = rng.bit_generator.state
+    draws = [(rng.integers(n), rng.random(k - 1)) for _ in range(runs)]
+    idx = np.empty((runs, k), dtype=np.intp)
+    idx[:, 0] = [first for first, _ in draws]
+    uniform = np.array([u for _, u in draws]).reshape(runs, k - 1)
+    d2 = ((points - points[idx[:, :1]]) ** 2).sum(axis=-1)
     for j in range(1, k):
-        total = d2.sum()
-        if total > 0:
-            idx = int(rng.choice(n, p=d2 / total))
-        else:
-            idx = int(rng.integers(n))
-        centroids[j] = points[idx]
-        d2 = np.minimum(d2, ((points - centroids[j]) ** 2).sum(axis=1))
-    return centroids
+        total = d2.sum(axis=1)
+        if not (total > 0).all():
+            rng.bit_generator.state = state
+            if runs > 1:
+                return np.concatenate([_kmeanspp_seedings(points, k, rng, 1) for _ in range(runs)])
+            # Every later total is 0 too: the remaining picks are plain draws.
+            rng.integers(n), rng.random(j - 1)
+            idx[0, j:] = [rng.integers(n) for _ in range(j, k)]
+            break
+        # searchsorted(cdf, u, side="right") of each (sorted) row.
+        cdf = (d2 / total[:, None]).cumsum(axis=1)
+        cdf /= cdf[:, -1:]
+        idx[:, j] = (cdf <= uniform[:, j - 1 : j]).sum(axis=1)
+        d2 = np.minimum(d2, ((points - points[idx[:, j : j + 1]]) ** 2).sum(axis=-1))
+    return points[idx]
 
 
 def _reseed_empty_clusters(labels: np.ndarray, dists: np.ndarray, k: int) -> None:
@@ -276,16 +296,6 @@ def k_means(
 
     Deterministic for a given (points, k, seed): restarts consume a single
     seeded stream and ties keep the earliest restart.
-
-    The restarts run as one batch.  Lloyd's iterations draw no random
-    numbers, so all ``n_init`` k-means++ seedings are drawn first, in the
-    order a one-restart-at-a-time loop draws them.  Each iteration then
-    assigns every live restart from one ``(R, n, k)`` distance array,
-    computed element by element as a single restart computes it, and a
-    restart whose labels did not change is a fixed point and leaves the
-    batch.  Centroids add each cluster's rows in index order, as the
-    per-cluster mean does, so the labels equal those of the sequential
-    loop bit for bit.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[0] == 0:
@@ -293,17 +303,34 @@ def k_means(
     if not np.all(np.isfinite(points)):
         raise ContractError("points must be finite")
     n = points.shape[0]
+    # n * (bounding-box diagonal)**2 bounds every sum of squared distances.
+    with np.errstate(over="ignore"):
+        bound = n * float(((points.max(axis=0) - points.min(axis=0)) ** 2).sum())
+    if not math.isfinite(bound):
+        raise ContractError("points must lie close enough for squared distances to stay finite")
     k = _convert(int, k, "k", ContractError)
     if not 1 <= k <= n:
         raise ContractError(f"k must be an integer in [1, {n}], got {k!r}")
     seed = _convert_int(seed, "seed", 0, ContractError)
     n_init = _convert_int(n_init, "n_init", 1, ContractError)
-    rng = np.random.default_rng(seed)
-    centroids = np.stack([_kmeanspp_seeding(points, k, rng) for _ in range(n_init)])
+    return _k_means_batch(points, k, [seed], n_init)[0]
 
-    final = np.empty((n_init, n), dtype=np.intp)
-    live = np.arange(n_init)
-    labels = np.full((n_init, n), -1, dtype=np.intp)
+
+def _k_means_batch(points: np.ndarray, k: int, seeds: Sequence[int], n_init: int) -> list:
+    """:func:`k_means` of checked arguments for each of ``seeds``, as one batch.
+
+    Each iteration assigns every live restart from one ``(R, n, k)`` distance
+    array, computed element by element as a single restart computes it; a
+    restart whose labels did not change is a fixed point and leaves the batch.
+    Centroids add each cluster's rows in index order, as a cluster's mean does.
+    """
+    n = points.shape[0]
+    rngs = map(np.random.default_rng, seeds)
+    centroids = np.concatenate([_kmeanspp_seedings(points, k, rng, n_init) for rng in rngs])
+    runs = len(centroids)
+    final = np.empty((runs, n), dtype=np.intp)
+    live = np.arange(runs)
+    labels = np.full((runs, n), -1, dtype=np.intp)
     for _ in range(KMEANS_MAX_ITER):
         dists = ((points[None, :, None, :] - centroids[:, None, :, :]) ** 2).sum(axis=-1)
         new_labels = dists.argmin(axis=2)
@@ -320,17 +347,19 @@ def k_means(
         centroids = _cluster_means(points, labels, k)
     final[live] = labels
 
-    best = 0
-    best_cost = math.inf
+    # The cheapest restart of each seed wins; ties keep the earliest.
     costs: dict[bytes, float] = {}
-    for r, row in enumerate(final):
-        key = row.tobytes()
-        if key not in costs:
-            costs[key] = kmeans_cost(points, row)
-        if costs[key] < best_cost:
-            best_cost = costs[key]
-            best = r
-    return final[best]
+    best = []
+    for group in final.reshape(len(seeds), n_init, n):
+        winner, best_cost = group[0], math.inf
+        for row in group:
+            key = row.tobytes()
+            if key not in costs:
+                costs[key] = kmeans_cost(points, row)
+            if costs[key] < best_cost:
+                winner, best_cost = row, costs[key]
+        best.append(winner)
+    return best
 
 
 @dataclass(frozen=True)
@@ -373,9 +402,10 @@ def cluster_functional_areas(
     features = device_features(overlay, pool)
     sim = similarity_matrix(features, bandwidth)
     embedding = spectral_embed(sim, k)
+    seeds = [seed ^ gw_index for gw_index in range(len(assignment.gateways))]
+    runs = _k_means_batch(embedding, k, seeds, KMEANS_RESTARTS)
     areas = []
-    for gw_index, (gw, area_type) in enumerate(assignment.gateways):
-        labels = k_means(embedding, k, seed ^ gw_index)
+    for labels, (gw, area_type) in zip(runs, assignment.gateways):
         column = 0 if area_type is AreaType.COMPUTE_OPTIMIZED else 1
         best_label = -1
         best_score = -math.inf

@@ -4,10 +4,12 @@ The unit of work is one replicate: a size and replication r, whose seed
 ``seed_base + r`` drives overlay generation, the selection/clustering pipeline
 and the simulation.  Every configured mode of a replicate runs on one overlay
 object, so the modes share its workload and its cached path table, and the
-pipeline runs once.  Weighted centrality builds that table; after unweighted
-centrality the first simulation does.  Result rows are emitted in (size,
-mode, replication) order regardless of how the worker pool schedules
-replicates, and reruns with identical config produce byte-identical files.
+pipeline runs once.  Weighted centrality fills that table from its own
+searches; after unweighted centrality the first simulation builds it.
+Result rows are emitted in (size, mode, replication) order regardless of how
+the worker pool schedules replicates, and reruns with identical config
+produce byte-identical files, on any Python version: the CSV medians and
+sample stddevs are exact.
 The pipeline's stage timings ride along with each replicate's rows into
 timing.csv, so no second loop rebuilds an overlay to time it; clocks read in
 worker processes are noisier, so stable timings need ``jobs=1``.
@@ -31,7 +33,6 @@ import json
 import logging
 import math
 import os
-import statistics
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -219,14 +220,39 @@ def _stats(name: str, unit: str, values: Sequence[float], empty_stddev: float = 
     """``{name}_median_{unit}`` and ``{name}_stddev`` of ``values``.
 
     The stddev is the sample stddev, 0.0 for a single value; with no values
-    the median is NaN and the stddev ``empty_stddev``.
+    the median is NaN and the stddev ``empty_stddev``.  An even count's
+    median is the mean of the two middle values.
     """
     if not values:
         median, stddev = math.nan, empty_stddev
     else:
-        median = statistics.median(values)
-        stddev = statistics.stdev(values) if len(values) > 1 else 0.0
+        ordered = sorted(values)
+        mid = len(ordered) // 2
+        median = ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
+        stddev = _stdev(values) if len(values) > 1 else 0.0
     return {f"{name}_median_{unit}": median, f"{name}_stddev": stddev}
+
+
+def _stdev(values: Sequence[float]) -> float:
+    """Sample stddev of two or more finite numbers, the double nearest the exact root.
+
+    Over the largest denominator 2**e of the values, the variance is
+    ``(n*S2 - S1**2) / (n*(n-1) * 4**e)`` in ints, S1 and S2 summing the
+    numerators and their squares.  As in Python 3.11's ``statistics.stdev``
+    (https://bugs.python.org/msg407078), the root is taken to 2*53 + 3 bits
+    with round-to-odd, then rounded once.
+    """
+    ratios = [v.as_integer_ratio() for v in values]
+    scale = max(d for _, d in ratios)
+    nums = [n * (scale // d) for n, d in ratios]
+    count = len(nums)
+    top = count * sum(x * x for x in nums) - sum(nums) ** 2
+    bottom = count * (count - 1) * scale * scale
+    q = (top.bit_length() - bottom.bit_length() - 109) // 2
+    top, bottom = (top, bottom << 2 * q) if q >= 0 else (top << -2 * q, bottom)
+    root = math.isqrt(top // bottom)
+    root |= root * root * bottom != top
+    return float(root << q) if q >= 0 else root / (1 << -q)
 
 
 def _write_csv(path: Path, columns: Sequence[str], rows: Sequence[dict]) -> Path:

@@ -8,6 +8,8 @@ yields the same overlay, byte for byte after serialization.
 
 The cached ``path_table`` and ``cloud_exit`` come from the module's one
 Dijkstra, run from each device or once from every cloud-attached device.
+The same search counts shortest paths for weighted betweenness, whose
+per-device searches fill ``path_table`` when it is not cached yet.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import chain
-from typing import Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import (
     ChurnRejectedError,
@@ -195,27 +197,22 @@ class FogOverlay:
 
     @cached_property
     def path_table(self) -> dict[int, dict[int, tuple[float, int]]]:
-        """Every device's :func:`shortest_paths`, read by weighted betweenness and routing."""
-        return {dev.id: shortest_paths(self, dev.id) for dev in self.devices}
+        """Every device's :func:`shortest_paths`; weighted betweenness fills it with its own."""
+        return {dev.id: _search(self.adjacency, dev.id) for dev in self.devices}
 
     @cached_property
     def cloud_exit(self) -> dict[int, tuple[float, int]]:
         """Each device's ``(latency_ms, exit_device)`` to the cloud; ties to the lower exit."""
-        return {node: (dist, root) for dist, _, node, root in _settle(self, self.cloud_latency_ms)}
+        search = _settle(self.adjacency, self.cloud_latency_ms)
+        return {node: (dist, root) for dist, _, node, root in search}
 
     def is_connected(self) -> bool:
-        if not self.devices:
-            return False
-        start = self.devices[0].id
-        seen = {start}
-        stack = [start]
-        while stack:
-            node = stack.pop()
-            for nbr, _ in self.adjacency[node]:
-                if nbr not in seen:
-                    seen.add(nbr)
-                    stack.append(nbr)
-        return len(seen) == len(self.devices)
+        """Whether the links join every device; searched once per overlay."""
+        return self._connected
+
+    @cached_property
+    def _connected(self) -> bool:
+        return _reaches_all(self)
 
     def to_json(self) -> str:
         """Serialize deterministically; `from_json` round-trips exactly."""
@@ -436,28 +433,78 @@ def _apply_leave(overlay: FogOverlay, event: Leave) -> FogOverlay:
     return candidate
 
 
+def _reaches_all(overlay: FogOverlay) -> bool:
+    """Whether a depth-first search from the first device reaches every device."""
+    if not overlay.devices:
+        return False
+    start = overlay.devices[0].id
+    seen = {start}
+    stack = [start]
+    while stack:
+        node = stack.pop()
+        for nbr, _ in overlay.adjacency[node]:
+            if nbr not in seen:
+                seen.add(nbr)
+                stack.append(nbr)
+    return len(seen) == len(overlay.devices)
+
+
+#: Neighbour lists as ``id -> ((neighbour, length), ...)``.
+_Adjacency = Mapping[int, Iterable[tuple[int, float]]]
+
+
 def _settle(
-    overlay: FogOverlay, roots: Mapping[int, float]
+    adjacency: _Adjacency, roots: Mapping[int, float], sigma=None, preds=None
 ) -> Iterator[tuple[float, int, int, int]]:
     """Dijkstra from every root at once, yielding ``(latency_ms, hops, device, root)``.
 
     Each root starts at its own latency.  Heap keys are ``(latency, root,
     hops, id)``: latency ties settle the lower root's path first, then the
     fewer-hop one, then the lower id.  One root compares as ``(latency, hops, id)``.
+    A device is pushed only when that improves its tentative ``(latency, root, hops)``.
+
+    Given ``sigma = {root: 1}`` and ``preds = {root: []}`` for one root, it
+    counts shortest paths as Brandes (2001) does: a push at a device's
+    tentative latency adds the pusher's count and records it as predecessor,
+    and a lower latency starts both afresh.  Only settled devices push, so
+    predecessors stay acyclic even when ``dist + ms == dist``.
     """
-    adjacency = overlay.adjacency
-    settled: set[int] = set()
-    heap = [(ms, root, 0, root) for root, ms in roots.items()]
+    # Each device's least heap entry so far.
+    best = {root: (ms, root, 0, root) for root, ms in roots.items()}
+    heap = list(best.values())
     heapq.heapify(heap)
+    settled: set[int] = set()
     while heap:
         dist, root, hops, node = heapq.heappop(heap)
         if node in settled:
             continue
         settled.add(node)
         yield dist, hops, node, root
+        hops += 1
         for nbr, ms in adjacency[node]:
-            if nbr not in settled:
-                heapq.heappush(heap, (dist + ms, root, hops + 1, nbr))
+            if nbr in settled:
+                continue
+            latency = dist + ms
+            old = best.get(nbr)
+            if old is None or latency < old[0]:
+                if sigma is not None:
+                    sigma[nbr], preds[nbr] = sigma[node], [node]
+            elif latency == old[0]:
+                if sigma is not None:
+                    sigma[nbr] += sigma[node]
+                    preds[nbr].append(node)
+                if (latency, root, hops, nbr) >= old:
+                    continue
+            else:
+                continue
+            best[nbr] = entry = (latency, root, hops, nbr)
+            heapq.heappush(heap, entry)
+
+
+def _search(adjacency: _Adjacency, source: int, sigma=None, preds=None) -> dict:
+    """One source's search: its ``id -> (latency_ms, hops)`` row in settle order."""
+    search = _settle(adjacency, {source: 0.0}, sigma, preds)
+    return {node: (dist, hops) for dist, hops, node, _ in search}
 
 
 def shortest_paths(overlay: FogOverlay, source: int) -> dict[int, tuple[float, int]]:
@@ -470,7 +517,7 @@ def shortest_paths(overlay: FogOverlay, source: int) -> dict[int, tuple[float, i
     """
     if _convert(int, source, "source", ContractError) not in overlay:
         raise ContractError(f"source {source} names no device")
-    return {node: (dist, hops) for dist, hops, node, _ in _settle(overlay, {source: 0.0})}
+    return _search(overlay.adjacency, source)
 
 
 def latency_to_cloud(overlay: FogOverlay, device_id: int) -> float:

@@ -1,6 +1,7 @@
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, settings
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -18,3 +19,25 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("dev")
+
+
+@pytest.fixture
+def searched_sources(monkeypatch):
+    """The source of every per-source shortest-path search, in call order.
+
+    Both the path table and weighted betweenness run ``overlay._search``;
+    centrality binds its own reference, so both bindings are counted.
+    """
+    import smartfog.centrality
+    import smartfog.overlay
+
+    calls = []
+    original = smartfog.overlay._search
+
+    def counting(adjacency, source, *args):
+        calls.append(source)
+        return original(adjacency, source, *args)
+
+    for module in (smartfog.overlay, smartfog.centrality):
+        monkeypatch.setattr(module, "_search", counting)
+    return calls

@@ -5,9 +5,11 @@ implementation under test: betweenness by exhaustive shortest-path
 enumeration over Floyd-Warshall bounds, fronts by direct all-pairs peeling,
 k-means by exhaustive bipartition search and by running its restarts one at
 a time, eigenvalues by the Faddeev-LeVerrier characteristic polynomial,
-gateway selection by a literal replay of the ranking rules, the
-simulation by one global event heap.  None of them import the corresponding
-package module's internals, with two exceptions.
+gateway selection by a literal replay of the ranking rules, the simulation
+by one global event heap, weighted betweenness by re-deriving each source's
+shortest-path DAG from a finished path table, the sample stddev by
+:class:`Fraction` sums and midpoint bracketing.  None of them import the
+corresponding package module's internals, with two exceptions.
 :func:`laplacian_eigensystem` is not an oracle: it exposes the package's own
 Laplacian and eigensolver to the spectral tests, which check it against the
 oracles.  :func:`event_loop_run` reuses the package's unchanged
@@ -20,6 +22,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
+import struct
 from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -180,6 +183,64 @@ def fraction_brandes_unweighted(overlay: FogOverlay) -> dict[int, float]:
     return {v: float(acc[v] / 2) for v in ids}
 
 
+def table_dag_betweenness(overlay: FogOverlay, unit: bool = False):
+    """Brandes betweenness as the package ran it before its search counted paths.
+
+    Returns ``(scores, table)``.  A Dijkstra that pushes every unsettled
+    neighbour builds ``table``, each device's ``id -> (latency_ms, hops)`` row
+    in settle order, with sources in ``overlay.devices`` order like
+    ``FogOverlay.path_table``.  A second pass re-derives each source's
+    shortest-path DAG from its row: v precedes w if v settled first and
+    ``dist[v] + ms == dist[w]``.  The integer dependency recurrence then gives
+    scores that must equal the package's byte for byte.  ``unit`` runs it on
+    unit lengths, as the package's hop-count fallback past 2**53 does.
+    """
+    adjacency = {
+        v: [(w, 1.0 if unit else ms) for w, ms in nbrs] for v, nbrs in overlay.adjacency.items()
+    }
+    table = {}
+    for s in adjacency:
+        row = {}
+        heap = [(0.0, 0, s)]
+        while heap:
+            dist, hops, node = heapq.heappop(heap)
+            if node in row:
+                continue
+            row[node] = (dist, hops)
+            for nbr, ms in adjacency[node]:
+                if nbr not in row:
+                    heapq.heappush(heap, (dist + ms, hops + 1, nbr))
+        table[s] = row
+    ids = sorted(adjacency)
+    num = dict.fromkeys(ids, 0)
+    den = 1
+    for s, row in table.items():
+        dist = {v: ms for v, (ms, _) in row.items()}
+        rank = {v: i for i, v in enumerate(dist)}
+        sigma = dict.fromkeys(dist, 0)
+        sigma[s] = 1
+        preds: dict[int, list[int]] = {v: [] for v in dist}
+        for v, dv in dist.items():
+            for w, ms in adjacency[v]:
+                if dv + ms == dist[w] and rank[w] > rank[v]:
+                    sigma[w] += sigma[v]
+                    preds[w].append(v)
+        scale = math.lcm(*sigma.values())
+        up = scale // math.gcd(den, scale)
+        for v in ids:
+            num[v] *= up
+        den *= up
+        down = den // scale
+        dep = dict.fromkeys(dist, 0)
+        for w in reversed(dist):
+            share = (scale + dep[w]) // sigma[w]
+            for v in preds[w]:
+                dep[v] += sigma[v] * share
+            if w != s:
+                num[w] += dep[w] * down
+    return {v: num[v] / (2 * den) for v in ids}, table
+
+
 def oracle_pair_path_stats(overlay: FogOverlay, weighted: bool):
     """Per-pair (sigma, mean interior-vertex count) for the sum identity."""
     ids = sorted(overlay.device_ids)
@@ -221,6 +282,41 @@ def oracle_fronts(values: np.ndarray, senses_min_mask: np.ndarray) -> list[list[
         fronts.append([int(i) for i in front])
         remaining[front] = False
     return fronts
+
+
+# ---------------------------------------------------------------------------
+# Sample statistics
+
+
+def _odd_significand(x: float) -> bool:
+    return struct.unpack("<Q", struct.pack("<d", x))[0] & 1 == 1
+
+
+def fraction_stdev(values: Sequence[float]) -> float:
+    """Sample stddev: the double nearest the square root of the exact variance.
+
+    The variance is summed in :class:`Fraction`.  A first guess from an
+    integer square root then moves one double at a time until the exact root
+    lies between the midpoints to its two neighbours; a root exactly on a
+    midpoint goes to the even significand, as IEEE rounding does.
+    """
+    xs = [Fraction(v) for v in values]
+    mean = sum(xs) / len(xs)
+    var = sum((x - mean) ** 2 for x in xs) / (len(xs) - 1)
+    if var == 0:
+        return 0.0
+    shift = 2 * ((120 - var.numerator.bit_length() + var.denominator.bit_length()) // 2)
+    root = math.isqrt(math.floor(var * Fraction(2) ** shift))
+    r = float(root / Fraction(2) ** (shift // 2))
+    while True:
+        up, down = math.nextafter(r, math.inf), math.nextafter(r, 0.0)
+        hi, lo = (Fraction(r) + Fraction(up)) / 2, (Fraction(r) + Fraction(down)) / 2
+        if var > hi * hi or (var == hi * hi and _odd_significand(r)):
+            r = up
+        elif var < lo * lo or (var == lo * lo and _odd_significand(r)):
+            r = down
+        else:
+            return r
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +363,10 @@ def sequential_k_means(
     return best_labels
 
 
-def _lloyd_once(points: np.ndarray, k: int, rng: np.random.Generator, max_iter: int) -> np.ndarray:
+def kmeanspp_seeding(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """One k-means++ seeding, shape ``(k, d)``, drawn as ``clustering`` drew it
+    one restart at a time: a uniform first centroid, then ``rng.choice`` over
+    the squared distances, or a uniform pick once they are all 0."""
     n = points.shape[0]
     centroids = np.empty((k, points.shape[1]))
     first = int(rng.integers(n))
@@ -281,6 +380,12 @@ def _lloyd_once(points: np.ndarray, k: int, rng: np.random.Generator, max_iter: 
             idx = int(rng.integers(n))
         centroids[j] = points[idx]
         d2 = np.minimum(d2, ((points - centroids[j]) ** 2).sum(axis=1))
+    return centroids
+
+
+def _lloyd_once(points: np.ndarray, k: int, rng: np.random.Generator, max_iter: int) -> np.ndarray:
+    n = points.shape[0]
+    centroids = kmeanspp_seeding(points, k, rng)
 
     labels = np.full(n, -1, dtype=int)
     for _ in range(max_iter):

@@ -18,6 +18,7 @@ from oracles import (
     fraction_brandes_unweighted,
     oracle_betweenness,
     oracle_pair_path_stats,
+    table_dag_betweenness,
     two_component_overlay,
 )
 
@@ -239,6 +240,46 @@ class TestExactTies:
         weighted = betweenness(ov, CentralityMode.WEIGHTED_BY_LATENCY).scores
         unweighted = betweenness(ov, CentralityMode.UNWEIGHTED).scores
         assert weighted == unweighted
+
+
+def table_rows(table):
+    """A path table as nested item lists, so equality checks key order too."""
+    return [(s, list(row.items())) for s, row in table.items()]
+
+
+@st.composite
+def latency_overlays(draw):
+    """Connected overlays with integer latencies (exact ties everywhere),
+    random latencies, or 1e17 and 1.0 mixed, where ``1e17 + 1.0 == 1e17``
+    absorbs the short link and zero-length steps tie."""
+    n, edges = draw(connected_edge_lists())
+    kind = draw(st.sampled_from(["integer", "random", "absorbed"]))
+    lengths = {
+        "integer": st.sampled_from([1.0, 2.0, 3.0]),
+        "random": st.floats(0.5, 10.0),
+        "absorbed": st.sampled_from([1e17, 1.0]),
+    }[kind]
+    latencies = draw(st.lists(lengths, min_size=len(edges), max_size=len(edges)))
+    return overlay_from_edges(n, edges, latencies)
+
+
+class TestSearchCountsPaths:
+    """Path counts taken inside the search equal the table-then-DAG sweep
+    that re-derived them, score for score and row for row."""
+
+    @given(ov=latency_overlays())
+    def test_matches_table_dag_oracle(self, ov):
+        scores, table = table_dag_betweenness(ov)
+        assert betweenness(ov).scores == scores
+        # Weighted betweenness filled the cache with its own rows.
+        assert "path_table" in vars(ov)
+        assert table_rows(ov.path_table) == table_rows(table)
+        # With the table cached the searches run again, to the same scores.
+        assert betweenness(ov).scores == scores
+        fresh = FogOverlay(ov.devices, ov.links, ov.cloud_latency_ms)
+        assert table_rows(fresh.path_table) == table_rows(table)
+        # The hop-count sweep past 2**53 runs the same search on unit lengths.
+        assert centrality._brandes_unweighted(ov) == table_dag_betweenness(ov, unit=True)[0]
 
 
 class TestInvariances:

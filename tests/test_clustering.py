@@ -31,6 +31,7 @@ from oracles import (
     bipartition_best_cost,
     charpoly_eigvals,
     churned_overlay,
+    kmeanspp_seeding,
     laplacian_eigensystem,
     planted_overlay,
     sequential_k_means,
@@ -377,6 +378,8 @@ class TestKMeans:
             ({"points": [[0.0, 1.0], [math.nan, 0.0], [1.0, 1.0]]}, "points"),
             ({"points": [[0.0, 1.0], [math.inf, 0.0], [1.0, 1.0]]}, "points"),
             ({"points": [[0.0, 1.0], [0.0, -math.inf], [1.0, 1.0]]}, "points"),
+            # Squared distances overflow, so no k-means++ draw is defined.
+            ({"points": [[0.0, 1.0], [1e200, 0.0], [-1e200, 1.0]]}, "points"),
             ({"k": 2.5}, "k"),
             ({"k": True}, "k"),
             ({"k": "2"}, "k"),
@@ -385,7 +388,7 @@ class TestKMeans:
             ({"n_init": 2.5}, "n_init"),
             ({"n_init": True}, "n_init"),
         ],
-        ids=["nan", "inf", "-inf", "k-float", "k-bool", "k-str", "seed-float", "seed-bool",
+        ids=["nan", "inf", "-inf", "overflow", "k-float", "k-bool", "k-str", "seed-float", "seed-bool",
              "n_init-float", "n_init-bool"],
     )
     def test_bad_input_named(self, kwargs, field):
@@ -453,6 +456,27 @@ class TestKMeansMatchesSequentialRestarts:
         assert np.array_equal(
             k_means(points, k, seed, n_init), sequential_k_means(points, k, seed, n_init)
         )
+
+    @given(problem=kmeans_problems(), more=st.lists(st.integers(0, 2**32), max_size=3))
+    def test_multi_seed_batch_matches_sequential(self, problem, more):
+        """One batch over several seeds keeps each seed's best restart.
+
+        Each seed's seedings, drawn at once, are also those drawn one at a
+        time, and leave the generator where the one-at-a-time draws leave it.
+        Once every point sits on a centroid the labels no longer depend on
+        the draws, so only the seedings show that branch.
+        """
+        points, k, seed, n_init = problem
+        seeds = [seed, *more]
+        got = clustering._k_means_batch(points, k, seeds, n_init)
+        want = [sequential_k_means(points, k, s, n_init) for s in seeds]
+        assert len(got) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        batched, one_by_one = np.random.default_rng(seed), np.random.default_rng(seed)
+        seedings = clustering._kmeanspp_seedings(points, k, batched, n_init)
+        expected = [kmeanspp_seeding(points, k, one_by_one) for _ in range(n_init)]
+        assert np.array_equal(seedings, np.stack(expected))
+        assert batched.bit_generator.state == one_by_one.bit_generator.state
 
     @pytest.mark.parametrize(
         "n,seed,k,churn_events",

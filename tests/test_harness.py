@@ -5,15 +5,15 @@ import os
 import re
 import shlex
 import statistics
+import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import smartfog.harness
-import smartfog.overlay
 from smartfog.centrality import CentralityMode
 from smartfog.cli import build_parser, main
 from smartfog.decision import AreaType
@@ -22,12 +22,16 @@ from smartfog.harness import (
     RESULT_COLUMNS,
     TIMING_COLUMNS,
     ExperimentConfig,
+    _stats,
+    _stdev,
     run_experiment,
     run_smartfog_pipeline,
     summarize,
 )
 from smartfog.overlay import OverlayParams, build_overlay
 from smartfog.simulation import Mode, WorkloadSpec
+
+from oracles import fraction_stdev
 
 
 def tiny_config(out_dir, **overrides):
@@ -231,6 +235,38 @@ class TestExperimentConfig:
             ExperimentConfig.from_file(bad)
 
 
+FINITE = st.floats(-1e300, 1e300)
+
+
+class TestStats:
+    """The CSV median and sample stddev, exact and the same on every Python."""
+
+    @given(
+        values=st.one_of(
+            st.lists(FINITE, min_size=2, max_size=50),
+            st.tuples(FINITE, st.integers(2, 50)).map(lambda pair: [pair[0]] * pair[1]),
+            st.lists(st.integers(0, 10**15), min_size=2, max_size=50),
+        )
+    )
+    @example(values=[5e-324, 0.0])
+    @example(values=[1e300, -1e300, 0.0])
+    def test_matches_fraction_oracle(self, values):
+        row = _stats("x", "ms", values)
+        assert row["x_stddev"] == _stdev(values) == fraction_stdev(values)
+        assert row["x_median_ms"] == statistics.median(values)
+        if sys.version_info >= (3, 11):  # where statistics.stdev rounds once
+            assert row["x_stddev"] == statistics.stdev(values)
+
+    def test_pinned_list_where_python_3_10_rounds_twice(self):
+        # Python 3.10's statistics.stdev returns 5.091168824543144 here.
+        assert _stdev([78.5, 85.7]) == 5.091168824543145
+
+    def test_one_and_no_values(self):
+        assert _stats("x", "ms", [3.5]) == {"x_median_ms": 3.5, "x_stddev": 0.0}
+        row = _stats("x", "ms", [], math.nan)
+        assert math.isnan(row["x_median_ms"]) and math.isnan(row["x_stddev"])
+
+
 class TestPipeline:
     def test_stages_and_outputs(self):
         ov = build_overlay(15, seed=3)
@@ -328,8 +364,11 @@ class TestRunExperiment:
         finally:
             put(before)
 
-    def test_one_overlay_and_path_table_per_replicate(self, tmp_path, monkeypatch):
-        """Both modes of a replicate share one overlay, one pipeline run and one table."""
+    def test_one_overlay_and_path_table_per_replicate(
+        self, tmp_path, monkeypatch, searched_sources
+    ):
+        """Both modes of a replicate share one overlay, one pipeline run and one table:
+        one shortest-path search per device."""
         calls = Counter()
 
         def count_calls(module, name):
@@ -343,7 +382,6 @@ class TestRunExperiment:
 
         count_calls(smartfog.harness, "build_overlay")
         count_calls(smartfog.harness, "run_smartfog_pipeline")
-        count_calls(smartfog.overlay, "shortest_paths")
         config = tiny_config(tmp_path)
         assert config.jobs == 1 and len(config.modes) == 2
         run_experiment(config)
@@ -351,8 +389,8 @@ class TestRunExperiment:
         assert calls == {
             "build_overlay": len(config.sizes) * reps,
             "run_smartfog_pipeline": len(config.sizes) * reps,
-            "shortest_paths": sum(config.sizes) * reps,
         }
+        assert len(searched_sources) == sum(config.sizes) * reps
 
     def test_unoptimized_only_never_organizes(self, tmp_path, monkeypatch):
         # n = 3 has too few non-gateway devices to cluster, so organizing would fail

@@ -11,7 +11,6 @@ from collections import deque
 import numpy as np
 import pytest
 
-import smartfog.overlay
 from smartfog.centrality import CentralityMode
 from smartfog.clustering import device_features, similarity_matrix
 from smartfog.decision import AreaType
@@ -86,16 +85,8 @@ def test_unweighted_pipeline_and_simulation_at_n_1000():
 
 
 @pytest.mark.slow
-def test_weighted_pipeline_and_simulation_share_one_table_at_n_1000(monkeypatch):
+def test_weighted_pipeline_and_simulation_share_one_table_at_n_1000(searched_sources):
     n = 1000
-    calls = []
-    original = smartfog.overlay.shortest_paths
-
-    def counting(overlay, source):
-        calls.append(source)
-        return original(overlay, source)
-
-    monkeypatch.setattr(smartfog.overlay, "shortest_paths", counting)
     overlay = build_overlay(n, seed=n)
     assignment, areas, _, scores = run_smartfog_pipeline(
         overlay, (AreaType.COMPUTE_OPTIMIZED, AreaType.MEMORY_OPTIMIZED), 2, None, seed=n
@@ -110,7 +101,7 @@ def test_weighted_pipeline_and_simulation_share_one_table_at_n_1000(monkeypatch)
     )
     assert math.fsum(scores.scores.values()) == pytest.approx(interior, rel=1e-9)
     _simulate_both_modes(overlay, assignment, areas, seed=n)
-    assert sorted(calls) == sorted(overlay.device_ids)
+    assert sorted(searched_sources) == sorted(overlay.device_ids)
 
 
 def _simulate_both_modes(overlay, assignment, areas, seed):

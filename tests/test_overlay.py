@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import smartfog.overlay
+from smartfog.centrality import CentralityMode, betweenness
 from smartfog.errors import (
     ChurnRejectedError,
     ConfigurationError,
@@ -288,6 +290,22 @@ class TestChurn:
         assert 2 not in after
         # value semantics: the original is untouched
         assert 2 in ov and len(ov.devices) == 3
+
+    def test_connectivity_searched_once_per_overlay(self, monkeypatch):
+        """A Leave's check and the betweenness of its result share one search."""
+        runs = []
+        original = smartfog.overlay._reaches_all
+
+        def counting(overlay):
+            runs.append(overlay)
+            return original(overlay)
+
+        monkeypatch.setattr(smartfog.overlay, "_reaches_all", counting)
+        after = apply_churn(chain_overlay(4), Leave(device_id=3))
+        for mode in CentralityMode:
+            betweenness(after, mode)
+        assert after.is_connected()
+        assert runs == [after]
 
     def test_cut_vertex_rejected(self):
         ov = chain_overlay(3)

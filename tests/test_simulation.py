@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import smartfog.overlay
 from smartfog.centrality import CentralityMode
 from smartfog.clustering import FunctionalArea
 from smartfog.decision import AreaType, GatewayAssignment
@@ -538,16 +537,11 @@ class TestSmartfogEndToEnd:
         )
         assert set(hosts.values()) <= set(compute_area.members)
 
-    def test_one_path_table_per_overlay(self, monkeypatch):
-        """Weighted centrality, placement and the event loop of both modes share one table."""
-        calls = []
-        original = smartfog.overlay.shortest_paths
+    def test_one_path_table_per_overlay(self, searched_sources):
+        """Weighted centrality, placement and the event loop of both modes share one table.
 
-        def counting(overlay, source):
-            calls.append(source)
-            return original(overlay, source)
-
-        monkeypatch.setattr(smartfog.overlay, "shortest_paths", counting)
+        Centrality's one search per device fills the table, so no other search runs.
+        """
         ov = build_overlay(20, seed=1005)
         assignment, areas, _, _ = run_smartfog_pipeline(
             ov, (AreaType.COMPUTE_OPTIMIZED, AreaType.MEMORY_OPTIMIZED), 2, None, 1005
@@ -555,7 +549,7 @@ class TestSmartfogEndToEnd:
         workload = WorkloadSpec()
         run(ov, Mode.SMARTFOG, workload, 1005, assignment=assignment, areas=areas)
         run(ov, Mode.UNOPTIMIZED, workload, 1005)
-        assert sorted(calls) == sorted(ov.device_ids)
+        assert sorted(searched_sources) == sorted(ov.device_ids)
 
     def test_unweighted_organizing_caches_no_table(self):
         # Cloud-latency evaluation reads the n-entry cloud_exit table, so
