@@ -26,16 +26,12 @@ visits one FIFO server (a device or the cloud), and each server runs
 Lindley's recursion D = max(A, D_prev) + s over its arrivals on its own.
 The tuples live in flat arrays: one sort puts every server's arrivals in
 order, a loop over plain floats runs the recursion, and counts, load and
-delay samples are array expressions.  Ties are broken exactly as one event
-heap keyed by (time, sequence number) would pop them, by each event's key
-(time, parent's key, push index).  Arrivals sort by (A, t, emission index),
-which is their key order.  An arrival finds its server idle iff
-D_prev < A, or D_prev == A and the previous start is below t (:func:`_idle`);
-either way it starts at max(A, D_prev), so the rule decides only the shape
-of the keys.  Delay samples sort by C, and the nested keys are built only
-for samples tied on C.  All randomness comes from streams derived
-from one seed, with draws ordered so that emission times and work sizes are
-identical across modes for the same seed.
+delay samples are array expressions.  A server takes its arrivals in order
+of (A, t, emission index), a tuple's emission index being its place in the
+emission schedule; :class:`SimulationReport` states the order of the delay
+samples.  All randomness comes from streams derived from one seed, with
+draws ordered so that emission times and work sizes are identical across
+modes for the same seed.
 """
 
 from __future__ import annotations
@@ -46,8 +42,6 @@ import random
 from array import array
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cmp_to_key
-from itertools import groupby
 from typing import Sequence
 
 import numpy as np
@@ -224,7 +218,13 @@ def place_edge_ward(
 
 @dataclass
 class SimulationReport:
-    """Counts, delay samples and byte-hop load for one run."""
+    """Counts, delay samples and byte-hop load for one run.
+
+    A kind's delay samples are the loop delays C - t of its tuples emitted
+    from the warm-up on and completed within the horizon, in order of
+    completion time C; samples tied on C are in emission order (per sensor,
+    SPA stream then PC stream).
+    """
 
     mode: Mode
     n_devices: int
@@ -277,13 +277,6 @@ _CLOUD = "cloud"
 _Route = tuple[object, float, int]
 
 
-def _heap_order(a: tuple, b: tuple) -> int:
-    """Nested-tuple order of two distinct heap keys, by a loop that deep ties cannot overflow."""
-    while a[0] == b[0] and a[1] is not b[1] and a[1] and b[1]:
-        a, b = a[1], b[1]
-    return -1 if a < b else 1
-
-
 def _sensor_routes(
     overlay: FogOverlay, sensors: SensorAttachment, placement: Placement
 ) -> dict[tuple[int, TupleKind], _Route]:
@@ -317,19 +310,6 @@ def _sensor_routes(
     return routes
 
 
-def _idle(done_ms: float, start_ms: float, arrive_ms: float, emit_ms: float) -> bool:
-    """The two-float form of ``previous done key < arrive key``.
-
-    The previous job started at ``start_ms`` and departs at ``done_ms``; the
-    arrival is at ``arrive_ms`` and was emitted at ``emit_ms``.  On
-    ``done_ms == arrive_ms`` the done key's parent (its arrive key or the done
-    key before it) starts at ``start_ms``; if that equals the emit time, its
-    non-empty second element sorts after the emit key's ``()``, so the server
-    is still busy.
-    """
-    return done_ms < arrive_ms or (done_ms == arrive_ms and start_ms < emit_ms)
-
-
 def _serve(
     times: list[float],
     works: list[float],
@@ -345,7 +325,7 @@ def _serve(
     emission order.  ``streams`` holds five numbers per routed stream, its
     (leg ms, leg hops, kind index, server index, server MIPS), and ``sizes``
     its tuple count, of ``n_servers``.  Returns the completed count per kind,
-    the link hops travelled and the SPA and PC delays in completion order.
+    the link hops travelled and the SPA and PC delays in report order.
     """
     n = len(times)
     cols = np.empty((8, n))
@@ -356,11 +336,10 @@ def _serve(
     np.add(emit, leg, out=arrive)
     service /= mips
     service *= 1000.0
-    # Every server's arrivals in heap order: (A, t, emission index).  A small
+    # Every server's arrivals in FIFO order: (A, t, emission index).  A small
     # integer key lets numpy sort the servers by radix.
     order = np.lexsort((emit, arrive, server.astype(np.min_scalar_type(n_servers))))
-    cols = cols[:7, order]
-    arrive, service, emit, leg, hops, kind, server = cols
+    arrive, service, emit, leg, hops, kind, server = cols[:7, order]
     first = np.concatenate(((True,), server[1:] != server[:-1]))
 
     # D = max(A, D_prev) + s: the start is A on an idle server and D_prev
@@ -386,65 +365,14 @@ def _serve(
     group = (kind + np.where(finished, np.where(emit >= warmup_ms, 0.0, 2.0), 4.0)).astype(np.int8)
     tally = np.bincount(group, minlength=6).tolist()
 
-    # Delays in completion order, by each complete key (C, done key, 0); only
-    # samples tied on C need their done keys.
-    ranked = np.lexsort((complete, group))[: tally[0] + tally[1]]
-    tied = complete[ranked]
-    if (tied[1:] == tied[:-1]).any():
-        ranked = _tie_order(ranked.tolist(), group, complete, done, cols, order)
-    delays = (complete - emit)[ranked].tolist()
+    # Delays in order of C within each kind, ties in emission order: back in
+    # emission order, the stable sort leaves tied samples there.
+    complete_e, delay_e, group_e = np.empty(n), np.empty(n), np.empty(n, np.int8)
+    complete_e[order], delay_e[order], group_e[order] = complete, complete - emit, group
+    ranked = np.lexsort((complete_e, group_e))[: tally[0] + tally[1]]
+    delays = delay_e[ranked].tolist()
     completed = (tally[0] + tally[2], tally[1] + tally[3])
     return completed, load_hops, delays[: tally[0]], delays[tally[0] :]
-
-
-def _tie_order(
-    ranked: list[int],
-    group: np.ndarray,
-    complete: np.ndarray,
-    done: np.ndarray,
-    cols: np.ndarray,
-    order: np.ndarray,
-) -> list[int]:
-    """``ranked`` with every run tied on (kind, C) put in done-key order.
-
-    A done key is (D, arrive key, 0) if the tuple found its server idle
-    (:func:`_idle`) and (D, previous done key, 1) if it waited; an arrive key
-    is (A, (t, (), emission index), 0).  Keys are built only for the tied
-    samples and the busy periods before them.
-    """
-    group, complete, done, order = group.tolist(), complete.tolist(), done.tolist(), order.tolist()
-    arrive, emit, server = cols[[0, 2, 6]].tolist()
-    keys: dict[int, tuple] = {}
-
-    def waited(q: int) -> bool:
-        # q - 1 is served whenever q is: each server serves a prefix.
-        if q == 0 or server[q - 1] != server[q]:
-            return False
-        p = q - 1
-        first = p == 0 or server[p - 1] != server[p]
-        start = arrive[p] if first else max(arrive[p], done[p - 1])
-        return not _idle(done[p], start, arrive[q], emit[q])
-
-    def done_key(q: int) -> tuple:
-        chain = []
-        while q not in keys and waited(q):
-            chain.append(q)
-            q -= 1
-        if q not in keys:
-            keys[q] = (done[q], (arrive[q], (emit[q], (), order[q]), 0), 0)
-        key = keys[q]
-        for r in reversed(chain):
-            key = keys[r] = (done[r], key, 1)
-        return key
-
-    by_key = cmp_to_key(_heap_order)
-    out: list[int] = []
-    for _, tie in groupby(ranked, key=lambda q: (group[q], complete[q])):
-        tie = list(tie)
-        if len(tie) > 1:
-            tie.sort(key=lambda q: by_key(done_key(q)))
-        out.extend(tie)
-    return out
 
 
 def run(
@@ -467,14 +395,11 @@ def run(
     at C = D + leg; it starts at A on an idle server, else at the previous
     departure, so start = max(A, D_prev).  Events after the horizon never
     happen: uplink load counts at t, downlink load at D, the completion at
-    C.  Heap keys: emit (t, (), emission index), arrive (A, emit key, 0),
-    done (D, arrive key, 0) or, after waiting, (D, previous done key, 1),
-    complete (C, done key, 0).  A server is idle for an arrival iff its
-    previous done key is below the arrive key, which :func:`_idle` decides
-    from two floats.  Emission runs in Python, with its draws in order; the
-    queues run in :func:`_serve` over flat arrays, which builds nested keys
-    only for delay samples tied on C (:func:`_tie_order`).  ``mode``
-    may be the enum's string value, e.g. ``"smartfog"``.
+    C.  A server takes arrivals tied on A in order of t, then of emission
+    index; delay samples tied on C are reported in emission order.  Emission
+    runs in Python, with its draws in order; the queues run in
+    :func:`_serve` over flat arrays.  ``mode`` may be the enum's string
+    value, e.g. ``"smartfog"``.
     """
     mode = _convert(Mode, mode, "mode", ContractError)
     workload.validate()

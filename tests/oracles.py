@@ -6,7 +6,8 @@ enumeration over Floyd-Warshall bounds, fronts by direct all-pairs peeling,
 k-means by exhaustive bipartition search and by running its restarts one at
 a time, eigenvalues by the Faddeev-LeVerrier characteristic polynomial,
 gateway selection by a literal replay of the ranking rules, the simulation
-by one global event heap, weighted betweenness by re-deriving each source's
+by one global event heap whose delay samples are sorted by (C, emission
+index) once at the end, weighted betweenness by re-deriving each source's
 shortest-path DAG from a finished path table, the sample stddev by
 :class:`Fraction` sums and midpoint bracketing.  None of them import the
 corresponding package module's internals, with two exceptions.
@@ -14,7 +15,7 @@ corresponding package module's internals, with two exceptions.
 Laplacian and eigensolver to the spectral tests, which check it against the
 oracles.  :func:`event_loop_run` reuses the package's unchanged
 ``attach_sensors``, ``place_edge_ward`` and ``_sensor_routes``, so it
-checks only the queueing and the order of events.
+checks only the queueing and the order of events and delay samples.
 """
 
 from __future__ import annotations
@@ -531,6 +532,7 @@ def brute_force_latency_to_cloud(overlay: FogOverlay, device_id: int) -> float:
 @dataclass
 class _TupleState:
     kind: TupleKind
+    index: int
     emit_ms: float
     work_mips: float
     route: _Route | None
@@ -549,9 +551,11 @@ def event_loop_run(
     Every event is a heap entry keyed by (time, sequence number): ``emit``
     drops an unroutable tuple or sends it up its leg, ``arrive`` queues or
     serves it, ``done`` sends it back down the leg and serves the next queued
-    tuple, and ``complete`` samples its loop delay.  The loop stops at the
-    first event past the horizon.  Attachment, placement and routes come
-    from the package, so this checks the queueing and the event order.
+    tuple, and ``complete`` records its (C, emission index, loop delay).  The
+    loop stops at the first event past the horizon; the samples are then
+    sorted once, so ties on C are reported in emission order.  Attachment,
+    placement and routes come from the package, so this checks the queueing
+    and the order of events and samples.
     """
     mode = _convert(Mode, mode, "mode", ContractError)
     workload.validate()
@@ -591,6 +595,7 @@ def event_loop_run(
     # Emission schedules: per sensor, SPA stream then PC stream, identical
     # across modes.
     work_rng = random.Random(seed ^ _WORK_SALT)
+    emission = count()
     duration_ms = workload.duration_s * 1000.0
     warmup_ms = workload.warmup_s * 1000.0
     for s in sensors.sensor_ids:
@@ -605,7 +610,8 @@ def event_loop_run(
                 if t > duration_ms:
                     break
                 work = work_rng.uniform(*mips_range)
-                push(t, "emit", _TupleState(kind, t, work, routes.get((s, kind))))
+                state = _TupleState(kind, next(emission), t, work, routes.get((s, kind)))
+                push(t, "emit", state)
                 report.emitted[kind.value] += 1
 
     queue: dict[object, deque] = {server: deque() for server in server_mips}
@@ -616,7 +622,7 @@ def event_loop_run(
         service_ms = state.work_mips / server_mips[state.route[0]] * 1000.0
         push(now + service_ms, "done", state)
 
-    completed_delays = {TupleKind.SPA: report.spa_delays_ms, TupleKind.PC: report.pc_delays_ms}
+    samples: dict[TupleKind, list[tuple[float, int, float]]] = {kind: [] for kind in TupleKind}
 
     while heap:
         now, _, event, state = heapq.heappop(heap)
@@ -651,8 +657,10 @@ def event_loop_run(
         elif event == "complete":
             report.completed[state.kind.value] += 1
             if state.emit_ms >= warmup_ms:
-                completed_delays[state.kind].append(now - state.emit_ms)
+                samples[state.kind].append((now, state.index, now - state.emit_ms))
 
+    report.spa_delays_ms = [delay for _, _, delay in sorted(samples[TupleKind.SPA])]
+    report.pc_delays_ms = [delay for _, _, delay in sorted(samples[TupleKind.PC])]
     for k in report.emitted:
         report.in_flight[k] = report.emitted[k] - report.completed[k] - report.dropped[k]
     return report

@@ -352,9 +352,11 @@ def test_every_operation_serializes_byte_identically(capsys, tmp_path):
 def test_simulation_matches_event_heap_oracle(capsys):
     """The per-server simulation against the global event-heap loop it
     replaced, over a fixed grid of sizes, seeds, workloads and overlays, both
-    modes.  Overlays as built have random-float times; the rewritten ones have
-    whole-millisecond times at link scales of 1 ms and 1 s, which together
-    with the tie and saturated workloads make simultaneous events common.
+    modes.  The oracle sorts its delay samples by (C, emission index), so the
+    cases whose samples tie on C check the model's tie rule.  Overlays as built
+    have random-float times; the rewritten ones have whole-millisecond times
+    at link scales of 1 ms and 1 s, which together with the tie and saturated
+    workloads make simultaneous events common.
     """
     saturated = WorkloadSpec(
         duration_s=120.0,
