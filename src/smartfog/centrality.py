@@ -16,19 +16,22 @@ independent of summation order.  The per-source form of that recurrence,
 below, which differ only in the edge lengths its searches read.
 
 The unweighted mode runs all sources at once on the dense 0/1 adjacency
-matrix A, one BFS level per step (Buluç & Gilbert's batched Brandes): with
-row s of ``sigma`` holding source s's path counts, the next level's counts
-are ``(sigma on the frontier) @ A``, and the backward sweep computes
-``share = (L_s + dep) / sigma`` on level d + 1 and ``dep = sigma * (share @
-A)`` on level d.  The matrices are float64, and every entry and partial sum
-is an integer below 2**53 as long as ``max sigma < 2**53`` and ``max L_s * n
-* n < 2**53`` (a dependency is at most ``L_s * n``, and a product or a sum of
-rows adds at most n of them).  Such sums are exact in any order, so BLAS may
-block and thread them as it likes, and each division is an exact integer
-division.  A float sum that reaches 2**53 rounds to at least 2**53, so
-checking the final counts suffices.  Overlays past the bound (long chains of
-parallel routes) run the per-source sweep on unit edge lengths in Python ints
-instead, which has no size limit.  Both give the same scores.
+matrix A, one BFS level per step (Buluç & Gilbert's batched Brandes): row s
+of ``front`` holds source s's path counts on the current level, so ``front @
+A``, zeroed where already seen, holds the next level's; the backward sweep
+computes ``share = (L_s + dep) / sigma`` on level d + 1 and ``dep = sigma *
+(share @ A)`` on level d.  These float64 matrices hold integers, and every
+entry and partial sum is below 2**53 while ``max sigma < 2**53`` and ``max
+L_s * n * n < 2**53`` (a dependency is at most ``L_s * n``, and a product or
+a sum of rows adds at most n of them).  Such sums are exact in any order, so
+BLAS may block and thread them as it likes, and each division is exact.  A
+float sum that reaches 2**53 rounds to at least 2**53, so checking the final
+counts suffices.  L_s is numpy's int64 lcm of row s; one that wrapped is no
+common multiple of the row (a positive int64 one is at least the true lcm),
+which is checked.  The numerators are one int64 product ``(den // L) @ dep``
+over den, the lcm of the L_s, exact while ``den * n * n < 2**63``.  Past a
+bound (long chains of parallel routes, or sources with coprime L_s), the
+per-source sweep runs on unit lengths in Python ints, with no size limit.
 
 The latency-weighted mode runs the overlay's one Dijkstra once per source.
 As in Brandes (2001), the search counts shortest paths and records their
@@ -53,8 +56,9 @@ import numpy as np
 from .errors import ContractError, TopologyError, _convert
 from .overlay import FogOverlay, _Adjacency, _search
 
-#: Integers below this are exact in float64 (53-bit significand).
+#: Integers below these are exact in float64 (53-bit significand) and int64.
 _EXACT_FLOAT = 2**53
+_EXACT_INT64 = 2**63
 
 
 class CentralityMode(Enum):
@@ -104,49 +108,50 @@ def _brandes_all_sources(overlay: FogOverlay) -> dict[int, float]:
     for link in overlay.links:
         adj[index[link.a], index[link.b]] = adj[index[link.b], index[link.a]] = 1.0
     # Forward pass, one BFS level of every source per product: row s of
-    # ``sigma`` holds source s's path counts, ``levels[d]`` marks the devices
-    # at distance d.
+    # ``sigma`` holds source s's path counts, ``front`` those on the current
+    # level, ``levels[d]`` marks the devices at distance d.  Values are finite,
+    # so products with 0/1 masks are exact (and cheaper than masked stores).
     sigma = np.eye(n)
-    frontier = np.eye(n, dtype=bool)
-    seen = frontier.copy()
-    levels = [frontier]
+    front = sigma.copy()
+    unseen = ~np.eye(n, dtype=bool)
+    levels = [~unseen]
     while True:
-        reach = np.where(frontier, sigma, 0.0) @ adj
-        frontier = (reach > 0) & ~seen
+        front = front @ adj
+        front *= unseen
+        frontier = front > 0
         if not frontier.any():
             break
-        seen |= frontier
-        sigma = np.where(frontier, reach, sigma)
+        unseen ^= frontier
+        sigma += front
         levels.append(frontier)
     # A sum that reaches 2**53 rounds to at least 2**53, so one check of the
     # final counts shows whether every count is exact.
     if sigma.max() >= _EXACT_FLOAT:
         return _brandes_unweighted(overlay)
-    scales = [math.lcm(*row) for row in sigma.astype(np.int64).tolist()]
-    if max(scales) * n * n >= _EXACT_FLOAT:
+    # An int64 lcm that wrapped is no common multiple of its row.
+    counts = sigma.astype(np.int64)
+    scales = np.lcm.reduce(counts, axis=1)
+    if not ((scales > 0).all() and (scales[:, None] % counts == 0).all()):
+        return _brandes_unweighted(overlay)
+    den = math.lcm(*set(scales.tolist()))
+    if int(scales.max()) * n * n >= _EXACT_FLOAT or den * n * n >= _EXACT_INT64:
         return _brandes_unweighted(overlay)
     # Backward pass, deepest level first: dep[s, v] = L_s * delta_s(v), the
     # recurrence of _brandes_unweighted, with every value an integer < 2**53.
-    scale = np.array(scales, dtype=float)[:, None]
+    # dep is 0 on level d until its step, so adding it there stores it.
+    scale = scales.astype(float)[:, None]
     dep = np.zeros((n, n))
     for lower, upper in zip(levels[-2::-1], levels[:0:-1]):
-        share = np.where(upper, (scale + dep) / sigma, 0.0)
-        dep = np.where(lower, sigma * (share @ adj), dep)
+        share = (scale + dep) / sigma
+        share *= upper
+        dep += sigma * (share @ adj) * lower
     np.fill_diagonal(dep, 0.0)
-    # Sum dep[s] / L_s exactly: rows that share L_s sum exactly in floats,
-    # the group sums are added as ints over the lcm of the distinct L values.
-    distinct, group = np.unique(scales, return_inverse=True)
-    distinct = distinct.tolist()
-    den = math.lcm(*distinct)
-    num = [0] * n
-    for g, group_scale in enumerate(distinct):
-        up = den // group_scale
-        total = dep[group == g].sum(axis=0).tolist()
-        num = [acc + int(x) * up for acc, x in zip(num, total)]
+    # sum_s dep[s] / L_s over the common denominator den, exact in int64.
+    num = (den // scales) @ dep.astype(np.int64)
     # Each unordered pair was counted from both endpoints.  int / int is
     # correctly rounded, so each score is the double nearest the exact value.
     den *= 2
-    return {v: x / den for v, x in zip(ids, num)}
+    return {v: x / den for v, x in zip(ids, num.tolist())}
 
 
 def _brandes_unweighted(overlay: FogOverlay) -> dict[int, float]:

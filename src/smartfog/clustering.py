@@ -14,6 +14,8 @@ iterations update all unconverged restarts together in one array.  Lloyd's
 iterations draw no random numbers, and each distance and centroid is summed
 in the same order as a restart run on its own, so the labels are bit for
 bit those of running the runs, and their restarts, one after another.
+Squared distances, there and in the similarity matrix, are added column by
+column in whole-array passes, in the order numpy's row sums take.
 
 The eigensolver is LAPACK's symmetric divide-and-conquer routine
 (``numpy.linalg.eigh``) plus a deterministic sign normalisation: each
@@ -77,13 +79,27 @@ def device_features(
     return FeatureMatrix(device_ids=tuple(device_ids), values=values, raw=raw)
 
 
+def _sum_squares(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``((a - b) ** 2).sum(axis=-1)`` bit for bit, added column by column.
+
+    numpy adds fewer than 8 terms of a last axis left to right, as this loop
+    does, one output element at a time; 8 or more it sums pairwise.
+    """
+    d = a.shape[-1]
+    if not 0 < d < 8:
+        return ((a - b) ** 2).sum(axis=-1)
+    total = (a[..., 0] - b[..., 0]) ** 2
+    for j in range(1, d):
+        total += (a[..., j] - b[..., j]) ** 2
+    return total
+
+
 def _squared_distances(features: FeatureMatrix) -> np.ndarray:
     """Pairwise squared Euclidean distances of the standardized features."""
     x = features.values
     if not np.all(np.isfinite(x)):
         raise ContractError("features must have finite values")
-    diff = x[:, None, :] - x[None, :, :]
-    return (diff**2).sum(axis=-1)
+    return _sum_squares(x[:, None, :], x[None, :, :])
 
 
 def _median_distance(d2: np.ndarray) -> float:
@@ -153,7 +169,7 @@ def jacobi_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ContractError(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ContractError("jacobi_eigh requires finite matrix entries")
-    if not np.allclose(a, a.T, atol=1e-12, rtol=0.0):
+    if not (np.abs(a - a.T) <= 1e-12).all():
         raise ContractError("jacobi_eigh requires a symmetric matrix")
     try:
         eigvals, eigvecs = np.linalg.eigh(a)
@@ -229,7 +245,7 @@ def _kmeanspp_seedings(
     idx = np.empty((runs, k), dtype=np.intp)
     idx[:, 0] = [first for first, _ in draws]
     uniform = np.array([u for _, u in draws]).reshape(runs, k - 1)
-    d2 = ((points - points[idx[:, :1]]) ** 2).sum(axis=-1)
+    d2 = _sum_squares(points, points[idx[:, :1]])
     for j in range(1, k):
         total = d2.sum(axis=1)
         if not (total > 0).all():
@@ -244,14 +260,14 @@ def _kmeanspp_seedings(
         cdf = (d2 / total[:, None]).cumsum(axis=1)
         cdf /= cdf[:, -1:]
         idx[:, j] = (cdf <= uniform[:, j - 1 : j]).sum(axis=1)
-        d2 = np.minimum(d2, ((points - points[idx[:, j : j + 1]]) ** 2).sum(axis=-1))
+        d2 = np.minimum(d2, _sum_squares(points, points[idx[:, j : j + 1]]))
     return points[idx]
 
 
 def _reseed_empty_clusters(labels: np.ndarray, dists: np.ndarray, k: int) -> None:
     """Give each empty cluster the point farthest from its centroid, in place.
 
-    Never steals from a singleton cluster (that would just move the hole)
+    ``dists`` has shape ``(k, n)``.  Never steals from a singleton cluster (that would just move the hole)
     nor a point already moved in this pass.
     """
     n = labels.shape[0]
@@ -259,7 +275,7 @@ def _reseed_empty_clusters(labels: np.ndarray, dists: np.ndarray, k: int) -> Non
     for j in range(k):
         if not np.any(labels == j):
             counts = np.bincount(labels, minlength=k)
-            own = dists[np.arange(n), labels].copy()
+            own = dists[labels, np.arange(n)]
             own[counts[labels] <= 1] = -1.0
             if stolen:
                 own[list(stolen)] = -1.0
@@ -298,7 +314,7 @@ def k_means(
     seeded stream and ties keep the earliest restart.
     """
     points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or points.shape[0] == 0:
+    if points.ndim != 2 or 0 in points.shape:
         raise ContractError(f"points must be a non-empty 2-d array, got shape {points.shape}")
     if not np.all(np.isfinite(points)):
         raise ContractError("points must be finite")
@@ -319,9 +335,10 @@ def k_means(
 def _k_means_batch(points: np.ndarray, k: int, seeds: Sequence[int], n_init: int) -> list:
     """:func:`k_means` of checked arguments for each of ``seeds``, as one batch.
 
-    Each iteration assigns every live restart from one ``(R, n, k)`` distance
-    array, computed element by element as a single restart computes it; a
-    restart whose labels did not change is a fixed point and leaves the batch.
+    Each iteration assigns every live restart from one ``(k, R, n)`` distance
+    array, computed element by element as a single restart computes it, to
+    its first nearest centroid, as ``argmin`` does; a restart whose labels
+    did not change is a fixed point and leaves the batch.
     Centroids add each cluster's rows in index order, as a cluster's mean does.
     """
     n = points.shape[0]
@@ -332,12 +349,15 @@ def _k_means_batch(points: np.ndarray, k: int, seeds: Sequence[int], n_init: int
     live = np.arange(runs)
     labels = np.full((runs, n), -1, dtype=np.intp)
     for _ in range(KMEANS_MAX_ITER):
-        dists = ((points[None, :, None, :] - centroids[:, None, :, :]) ** 2).sum(axis=-1)
-        new_labels = dists.argmin(axis=2)
+        dists = _sum_squares(points, centroids.transpose(1, 0, 2)[:, :, None, :])
+        new_labels, nearest = np.zeros(dists.shape[1:], dtype=np.intp), dists[0]
+        for j in range(1, k):
+            new_labels[dists[j] < nearest] = j
+            nearest = np.minimum(nearest, dists[j])
         groups = new_labels + k * np.arange(len(live))[:, None]
         sizes = np.bincount(groups.ravel(), minlength=len(live) * k).reshape(-1, k)
         for r in np.flatnonzero((sizes == 0).any(axis=1)):
-            _reseed_empty_clusters(new_labels[r], dists[r], k)
+            _reseed_empty_clusters(new_labels[r], dists[:, r], k)
         changed = (new_labels != labels).any(axis=1)
         final[live[~changed]] = labels[~changed]
         live = live[changed]

@@ -3,6 +3,7 @@ structural invariances, and the interior-count sum identity."""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,6 +35,62 @@ def overlay_from_edges(n, edges, latencies=None):
         for (a, b), w in zip(edges, latencies)
     )
     return FogOverlay(devices=devices, links=links, cloud_latency_ms={0: 60.0})
+
+
+def hop_path_counts(ov, source):
+    """Number of shortest hop-count paths from ``source`` to every device."""
+    dist, sigma, frontier = {source: 0}, {source: 1}, [source]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for w, _ in ov.adjacency[v]:
+                if w not in dist:
+                    dist[w] = dist[v] + 1
+                    sigma[w] = 0
+                    nxt.append(w)
+                if dist[w] == dist[v] + 1:
+                    sigma[w] += sigma[v]
+        frontier = nxt
+    return sigma
+
+
+def bundle_star_overlay(chains):
+    """Chains of parallel two-hop routes hanging off hub 0, one list of
+    route counts per chain, like ``bundle_chain_overlay``'s one chain."""
+    edges, next_id = [], 1
+    for widths in chains:
+        hub = 0
+        for width in widths:
+            mids = range(next_id, next_id + width)
+            nxt = next_id + width
+            edges += [(hub, m) for m in mids] + [(m, nxt) for m in mids]
+            hub, next_id = nxt, nxt + 1
+    return overlay_from_edges(next_id, edges)
+
+
+def shortcut_pairs_overlay(counts):
+    """Pairs (s, t) joined to hub 0 and by ``c - 1`` two-hop routes, so that
+    s and t, and no other two devices, have c shortest paths."""
+    edges, next_id = [], 1
+    for count in counts:
+        s, t = next_id, next_id + 1
+        mids = range(next_id + 2, next_id + count + 1)
+        edges += [(0, s), (0, t)] + [(s, m) for m in mids] + [(m, t) for m in mids]
+        next_id += count + 1
+    return overlay_from_edges(next_id, edges)
+
+
+def count_fallbacks(monkeypatch):
+    """The overlays ``_brandes_unweighted`` is called with, in call order."""
+    calls = []
+    loop = centrality._brandes_unweighted
+
+    def counting_loop(overlay):
+        calls.append(overlay)
+        return loop(overlay)
+
+    monkeypatch.setattr(centrality, "_brandes_unweighted", counting_loop)
+    return calls
 
 
 class TestFrozenGraphs:
@@ -134,30 +191,43 @@ class TestExactAtScale:
     )
     def test_path_counts_beyond_int64(self, widths, monkeypatch):
         ov = bundle_chain_overlay(widths)
-        # BFS path counts from one end: the far end has prod(widths) >= 2**64
-        # shortest paths, past int64 and a double's 53-bit mantissa.
-        dist, sigma, frontier = {0: 0}, {0: 1}, [0]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for w, _ in ov.adjacency[v]:
-                    if w not in dist:
-                        dist[w] = dist[v] + 1
-                        sigma[w] = 0
-                        nxt.append(w)
-                    if dist[w] == dist[v] + 1:
-                        sigma[w] += sigma[v]
-            frontier = nxt
+        # The far end has prod(widths) >= 2**64 shortest paths from the
+        # first, past int64 and a double's 53-bit mantissa.
+        sigma = hop_path_counts(ov, 0)
         assert sigma[max(ov.device_ids)] == math.prod(widths) >= 2**64
         # Counts past 2**53 send the overlay to the per-source int loop.
-        calls = []
-        loop = centrality._brandes_unweighted
+        calls = count_fallbacks(monkeypatch)
+        got = betweenness(ov, CentralityMode.UNWEIGHTED).scores
+        assert calls == [ov]
+        assert got == fraction_brandes_unweighted(ov)
 
-        def counting_loop(overlay):
-            calls.append(overlay)
-            return loop(overlay)
+    def test_int64_lcm_wrap_falls_back(self, monkeypatch):
+        # Every count is below 2**53, but the hub's counts 2**26, 3**16 and
+        # 5**6 have an lcm past 2**63, so numpy's int64 lcm of its row wraps.
+        ov = bundle_star_overlay([[2] * 26, [3] * 16, [5] * 6])
+        ids = sorted(ov.device_ids)
+        counts = [hop_path_counts(ov, s) for s in ids]
+        assert max(max(row.values()) for row in counts) < 2**53
+        assert math.lcm(*counts[0].values()) >= 2**63
+        # The wrapped int64 lcm is not a common multiple of the hub's counts,
+        # which is the check that sends the overlay to the fallback.
+        hub = np.array([counts[0][v] for v in ids], dtype=np.int64)
+        assert (np.lcm.reduce(hub) % hub != 0).any()
+        calls = count_fallbacks(monkeypatch)
+        got = betweenness(ov, CentralityMode.UNWEIGHTED).scores
+        assert calls == [ov]
+        assert got == fraction_brandes_unweighted(ov)
 
-        monkeypatch.setattr(centrality, "_brandes_unweighted", counting_loop)
+    def test_int64_final_sum_bound_falls_back(self, monkeypatch):
+        # Each source's L_s is small (L_s * n**2 < 2**53), but the pairs'
+        # coprime path counts give a common denominator with den * n**2 >=
+        # 2**63, so the int64 sum of the sources' numerators could wrap.
+        ov = shortcut_pairs_overlay([3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41])
+        n = len(ov.devices)
+        scales = [math.lcm(*hop_path_counts(ov, s).values()) for s in sorted(ov.device_ids)]
+        assert max(scales) * n * n < 2**53
+        assert math.lcm(*scales) * n * n >= 2**63
+        calls = count_fallbacks(monkeypatch)
         got = betweenness(ov, CentralityMode.UNWEIGHTED).scores
         assert calls == [ov]
         assert got == fraction_brandes_unweighted(ov)
@@ -191,7 +261,8 @@ class TestAllSourcesPath:
     """The all-sources matrix path against the Fraction oracle, and overlays
     that must stay inside its 2**53 bound."""
 
-    @settings(max_examples=150)
+    # 150 examples, or the profile's count where that is more (CI's thorough run).
+    @settings(max_examples=max(150, settings.default.max_examples))
     @given(graph=connected_edge_lists())
     def test_matches_fraction_oracle(self, graph):
         ov = overlay_from_edges(*graph)
@@ -203,10 +274,11 @@ class TestAllSourcesPath:
         [
             lambda: build_overlay(100, 1),
             lambda: build_overlay(160, 2),
+            lambda: build_overlay(500, 3),
             lambda: churned_overlay(100, 1, 40),
             lambda: churned_overlay(100, 2, 41),
         ],
-        ids=["n100", "n160", "churn-1-40", "churn-2-41"],
+        ids=["n100", "n160", "n500", "churn-1-40", "churn-2-41"],
     )
     def test_overlays_stay_on_matrix_path(self, make, monkeypatch):
         def loop(overlay):

@@ -173,6 +173,16 @@ class TestJacobi:
         with pytest.raises(ContractError, match="finite"):
             jacobi_eigh(m)
 
+    def test_symmetry_tolerance_boundary(self):
+        # |a - a.T| up to 1e-12 counts as symmetric; one ulp more does not.
+        m = np.eye(3)
+        m[0, 2] = 1e-12
+        vals, _ = jacobi_eigh(m)
+        assert vals.shape == (3,)
+        m[0, 2] = np.nextafter(1e-12, 1)
+        with pytest.raises(ContractError, match="symmetric"):
+            jacobi_eigh(m)
+
     def test_lapack_failure_becomes_numerical_error(self, monkeypatch):
         def failing_eigh(a):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -363,6 +373,8 @@ class TestKMeans:
         with pytest.raises(ContractError):
             k_means(np.empty((0, 2)), 1, seed=0)
         with pytest.raises(ContractError):
+            k_means(np.empty((3, 0)), 1, seed=0)
+        with pytest.raises(ContractError):
             k_means(np.ones((3, 2)), 4, seed=0)
         with pytest.raises(ContractError):
             k_means(np.ones(5), 2, seed=0)
@@ -428,10 +440,12 @@ def kmeans_problems(draw):
     """Point sets on a 0.1 grid, so duplicate points and exact distance ties occur.
 
     The n points repeat m distinct rows; with few distinct rows several
-    clusters start empty at once and are re-seeded in one pass.
+    clusters start empty at once and are re-seeded in one pass.  Up to 10
+    columns, so distances are summed on both sides of the 8 columns from
+    which numpy sums pairwise instead of left to right.
     """
     n = draw(st.integers(1, 60))
-    d = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 10))
     m = draw(st.integers(1, n))
     cells = draw(st.lists(st.integers(-20, 20), min_size=m * d, max_size=m * d))
     rows = draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import random
@@ -252,6 +253,19 @@ class TestSingleDeviceLoop:
         assert smart.network_load_bytes == base.network_load_bytes
 
 
+# The closed form of TestQueueing.test_completion_ties_reported_in_emission_order.
+CLOSED_TIES_SPEC = WorkloadSpec(
+    duration_s=6.0,
+    warmup_s=0.0,
+    n_sensors=3,
+    spa_interval_s=1.0,
+    pc_interval_s=400.0,
+    jitter=0.0,
+    spa_mips_range=(1000.0, 1000.0),
+    access_ms=(1000.0, 1000.0),
+)
+
+
 class TestQueueing:
     def test_back_to_back_tuples_wait_in_fifo(self):
         # two sensors on one device emitting at the same nominal time: the
@@ -283,16 +297,7 @@ class TestQueueing:
         # at 6 s; device 1 never queues, so sensor 2's t = 1 job also
         # completes at 6 s, on the horizon.  The two C = 6 s samples are
         # reported in emission order, sensor 0's before sensor 2's.
-        workload = WorkloadSpec(
-            duration_s=6.0,
-            warmup_s=0.0,
-            n_sensors=3,
-            spa_interval_s=1.0,
-            pc_interval_s=400.0,
-            jitter=0.0,
-            spa_mips_range=(1000.0, 1000.0),
-            access_ms=(1000.0, 1000.0),
-        )
+        workload = CLOSED_TIES_SPEC
         ov = chain(2, latency=1000.0)
         report = run(ov, Mode.UNOPTIMIZED, workload, seed=0)
         assert report.spa_delays_ms == [3000.0, 4000.0, 4000.0, 5000.0]
@@ -605,7 +610,9 @@ TIES_SPEC = WorkloadSpec(
 )
 
 # sha256 of SimulationReport.to_json(), recorded with the event loop that had
-# separate device and cloud handlers and routed each tuple at emission.
+# separate device and cloud handlers and routed each tuple at emission.  The
+# "closed" case, the only one with delay samples tied on completion time, was
+# recorded with the per-server queues and pins the order of those ties.
 PINNED_REPORTS = [
     (20, 1000, "default", Mode.SMARTFOG, "fc3c3109868b1f767efcff2f09b2ae7f213ae8d0022ac2ad2ba2f0b61bf39216"),
     (20, 1000, "default", Mode.UNOPTIMIZED, "282f0746937b436c5afa7948b2d3875505c577a3dea9106ebde72950443fea27"),
@@ -616,6 +623,7 @@ PINNED_REPORTS = [
     (12, 4000, "ties", Mode.SMARTFOG, "c380294d2dbd86686ca5b4a0fceee90f2f9a17e2e19917296e79e7ed62f89c89"),
     (12, 4000, "ties", Mode.UNOPTIMIZED, "8578d8063db33a679595b479574628e1a860faf79ad21b31fe48528eaf526bbb"),
     (None, 1, "drops", Mode.UNOPTIMIZED, "d53020bc34d4cf9e0422b5df8e9d184085a219d25c99c89a580c39b3f99bfd54"),
+    (2, 0, "closed", Mode.UNOPTIMIZED, "d324fdae7787b0a7128da7b735709bf2572045fd47eec47f714392b86494fd4d"),
 ]
 
 
@@ -626,6 +634,11 @@ def pinned_case(n, seed, spec, mode):
         workload = WorkloadSpec(
             duration_s=120.0, n_sensors=6, spa_interval_s=20.0, pc_interval_s=30.0
         )
+    elif spec == "closed":
+        # The closed form with a PC stream as well, so samples of both kinds
+        # and two SPA samples tied on completion time share one report.
+        ov = chain(n, latency=1000.0)
+        workload = dataclasses.replace(CLOSED_TIES_SPEC, pc_interval_s=1.0)
     else:
         ov = build_overlay(n, seed)
         workload = {"default": WorkloadSpec(), "dense": DENSE_SPEC, "ties": TIES_SPEC}[spec]
@@ -647,6 +660,9 @@ def test_pinned_simulation_reports(n, seed, spec, mode, digest):
     if spec == "ties":
         delays = report.spa_delays_ms + report.pc_delays_ms
         assert len(set(delays)) < len(delays)
+    if spec == "closed":
+        assert report.spa_delays_ms == [3000.0, 4000.0, 4000.0, 5000.0]
+        assert len(report.pc_delays_ms) == 5
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
 
 
