@@ -23,7 +23,6 @@ from .decision import (
     DeviceEvaluation,
     GatewayAssignment,
     evaluate_devices,
-    partition_front,
     select_gateways,
 )
 from .errors import (
@@ -114,7 +113,6 @@ __all__ = [
     "latency_to_cloud",
     "non_dominated_sort",
     "pareto_front",
-    "partition_front",
     "place_edge_ward",
     "run_experiment",
     "run_simulation",

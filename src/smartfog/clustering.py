@@ -34,7 +34,7 @@ import numpy as np
 from .decision import AreaType, GatewayAssignment
 from .errors import CapacityError, ConfigurationError, ContractError, NumericalError
 from .errors import _convert, _convert_int
-from .overlay import FogOverlay
+from .overlay import FogDevice, FogOverlay
 
 #: k-means restart count and Lloyd iteration cap.
 KMEANS_RESTARTS = 10
@@ -60,15 +60,16 @@ def device_features(
 ) -> FeatureMatrix:
     """Standardized feature rows for ``device_ids`` (default: all devices)."""
     if device_ids is None:
-        device_ids = sorted(overlay.device_ids)
-    else:
-        device_ids = [_convert(int, d, "device_ids", ContractError) for d in device_ids]
-        if not device_ids or not all(d in overlay for d in device_ids):
-            raise ContractError(f"device_ids must name one or more devices, got {device_ids}")
-    raw = np.array(
-        [[overlay.device(d).mips, overlay.device(d).memory_gb] for d in device_ids],
-        dtype=float,
-    )
+        return _features(sorted(overlay.devices, key=lambda d: d.id))
+    device_ids = [_convert(int, d, "device_ids", ContractError) for d in device_ids]
+    if not device_ids or not all(d in overlay for d in device_ids):
+        raise ContractError(f"device_ids must name one or more devices, got {device_ids}")
+    return _features([overlay.device(d) for d in device_ids])
+
+
+def _features(devices: Sequence[FogDevice]) -> FeatureMatrix:
+    """:func:`device_features` of ``devices``, in their order."""
+    raw = np.array([[d.mips, d.memory_gb] for d in devices], dtype=float)
     values = raw - raw.mean(axis=0)
     std = raw.std(axis=0)
     for col in range(raw.shape[1]):
@@ -76,7 +77,7 @@ def device_features(
             values[:, col] /= std[col]
         else:
             values[:, col] = 0.0
-    return FeatureMatrix(device_ids=tuple(device_ids), values=values, raw=raw)
+    return FeatureMatrix(device_ids=tuple(d.id for d in devices), values=values, raw=raw)
 
 
 def _sum_squares(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -414,12 +415,12 @@ def cluster_functional_areas(
     for gw in gateway_ids:
         if gw not in overlay:
             raise ContractError(f"assignment references unknown device {gw}")
-    pool = [d.id for d in sorted(overlay.devices, key=lambda d: d.id) if d.id not in gateway_ids]
+    pool = [d for d in sorted(overlay.devices, key=lambda d: d.id) if d.id not in gateway_ids]
     if len(pool) < k:
         raise CapacityError(
             f"need at least k={k} non-gateway devices to cluster, have {len(pool)}"
         )
-    features = device_features(overlay, pool)
+    features = _features(pool)
     sim = similarity_matrix(features, bandwidth)
     embedding = spectral_embed(sim, k)
     seeds = [seed ^ gw_index for gw_index in range(len(assignment.gateways))]
@@ -434,7 +435,7 @@ def cluster_functional_areas(
             if score > best_score:
                 best_score = score
                 best_label = label
-        members = frozenset(pool[i] for i in range(len(pool)) if labels[i] == best_label)
+        members = frozenset(pool[i].id for i in range(len(pool)) if labels[i] == best_label)
         areas.append(
             FunctionalArea(
                 owner_gateway=gw,

@@ -6,18 +6,24 @@ carried alongside as a plain attribute - it is not an objective, but it is
 the ranking criterion for memory-optimized areas.  Selection claims the
 requested areas in order: each takes, among the devices not yet taken, the
 best one of the shallowest front under that area's priority.
+
+Selection sorts and ranks one objective table, a row per device in id order;
+:func:`evaluate_devices` returns the same rows as value objects.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
+import numpy as np
+
 from .centrality import CentralityScores
-from .errors import CapacityError, ContractError, _convert
-from .overlay import FogOverlay, latency_to_cloud
-from .pareto import ObjectiveVector, Sense, non_dominated_sort
+from .errors import CapacityError, ContractError, TopologyError, _are_plain, _convert
+from .overlay import FogOverlay
+from .pareto import ObjectiveVector, Sense, _fronts
 
 #: Objective senses shared by every evaluation: betweenness, MIPS, cloud latency.
 OBJECTIVE_SENSES = (Sense.MAXIMIZE, Sense.MAXIMIZE, Sense.MINIMIZE)
@@ -63,47 +69,39 @@ class GatewayAssignment:
         return [{"gateway": dev, "area_type": area.value} for dev, area in self.gateways]
 
 
-def evaluate_devices(
-    overlay: FogOverlay, centrality: CentralityScores
-) -> list[DeviceEvaluation]:
-    """Objective vectors for every device, in ascending device-id order."""
-    evals = []
-    for dev in sorted(overlay.devices, key=lambda d: d.id):
-        if dev.id not in centrality.scores:
+def _objectives(overlay: FogOverlay, centrality: CentralityScores):
+    """Ids ascending, their (betweenness, MIPS, cloud latency) rows, and their memory."""
+    devices = sorted(overlay.devices, key=lambda d: d.id)
+    scores, exits = centrality.scores, overlay.cloud_exit
+    for dev in devices:
+        if dev.id not in scores:
             raise ContractError(f"centrality scores missing device {dev.id}")
-        vec = ObjectiveVector(
-            values=(centrality.scores[dev.id], dev.mips, latency_to_cloud(overlay, dev.id)),
-            senses=OBJECTIVE_SENSES,
-        )
-        evals.append(DeviceEvaluation(device_id=dev.id, objectives=vec, memory_gb=dev.memory_gb))
-    return evals
+        if dev.id not in exits:
+            raise TopologyError(f"device {dev.id} cannot reach any cloud-attached device")
+    ids = [dev.id for dev in devices]
+    betweenness = [scores[dev_id] for dev_id in ids]
+    if not (_are_plain(betweenness, float) and all(map(math.isfinite, betweenness))):
+        for dev_id, score in zip(ids, betweenness):
+            _convert(float, score, f"centrality scores[{dev_id}]", ContractError)
+    rows = [(b, dev.mips, exits[dev.id][0], dev.memory_gb) for b, dev in zip(betweenness, devices)]
+    table = np.array(rows, dtype=float)
+    return ids, table[:, :3], table[:, 3]
 
 
-def _priority_key(ev: DeviceEvaluation, area: AreaType):
-    # Primary criterion depends on the area; ties fall through to lower cloud
-    # latency, then higher betweenness, then device id for a total order.
-    primary = ev.mips if area is AreaType.COMPUTE_OPTIMIZED else ev.memory_gb
-    return (-primary, ev.cloud_latency_ms, -ev.betweenness, ev.device_id)
-
-
-def partition_front(
-    front: Sequence[DeviceEvaluation], area: AreaType
-) -> list[DeviceEvaluation]:
-    """Order candidates for one area, best first; ``area`` may be the enum's value."""
-    area = _convert(AreaType, area, "area", ContractError)
-    return sorted(front, key=lambda ev: _priority_key(ev, area))
+def evaluate_devices(overlay: FogOverlay, centrality: CentralityScores) -> list[DeviceEvaluation]:
+    """Objective vectors for every device, in ascending device-id order."""
+    ids, objectives, memory = _objectives(overlay, centrality)
+    return [
+        DeviceEvaluation(dev_id, ObjectiveVector(tuple(row), OBJECTIVE_SENSES), memory_gb)
+        for dev_id, row, memory_gb in zip(ids, objectives.tolist(), memory.tolist())
+    ]
 
 
 def select_gateways(
-    overlay: FogOverlay,
-    areas: Sequence[AreaType],
-    centrality: CentralityScores,
-    evaluations: Sequence[DeviceEvaluation] | None = None,
+    overlay: FogOverlay, areas: Sequence[AreaType], centrality: CentralityScores
 ) -> GatewayAssignment:
     """Pick one distinct gateway per requested area (areas claimed in order).
 
-    ``evaluations`` may be passed in when already computed (e.g. for stage
-    timing); otherwise they are derived from the overlay and centrality.
     ``areas`` may hold the enum's string values, such as ``"compute"``.
     """
     if not areas:
@@ -113,17 +111,17 @@ def select_gateways(
         raise CapacityError(
             f"cannot select {len(areas)} gateways from {len(overlay.devices)} devices"
         )
-    evals = list(evaluations) if evaluations is not None else evaluate_devices(overlay, centrality)
-    by_id = {ev.device_id: ev for ev in evals}
-    if len(evals) != len(overlay.devices) or by_id.keys() != set(overlay.device_ids):
-        raise ContractError("evaluations must cover every device exactly once")
-    fronts = non_dominated_sort([ev.objectives for ev in evals])
-    # Front entries are indices into evals; rank maps each untaken device to
-    # its front.
-    rank = {evals[i].device_id: r for r, front in enumerate(fronts.fronts) for i in front}
+    ids, objectives, memory = _objectives(overlay, centrality)
+    rank = np.empty(len(ids), dtype=np.int64)  # each device's front, from the minimized rows
+    for r, front in enumerate(_fronts(objectives * (-1.0, -1.0, 1.0))):
+        rank[list(front)] = r
+    betweenness, mips, latency = objectives.T
     chosen: list[tuple[int, AreaType]] = []
     for area in areas:
-        best = min(rank, key=lambda d: (rank[d], _priority_key(by_id[d], area)))
-        del rank[best]
-        chosen.append((best, area))
+        primary = mips if area is AreaType.COMPUTE_OPTIMIZED else memory
+        # Shallowest front, then higher primary, lower cloud latency, higher
+        # betweenness; the stable sort leaves full ties in row (= id) order.
+        best = np.lexsort((-betweenness, latency, -primary, rank))[0]
+        rank[best] = len(ids)  # taken: behind every front
+        chosen.append((ids[best], area))
     return GatewayAssignment(gateways=tuple(chosen))

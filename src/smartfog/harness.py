@@ -46,7 +46,7 @@ import numpy as np
 
 from .centrality import CentralityMode, CentralityScores, betweenness
 from .clustering import FunctionalArea, cluster_functional_areas
-from .decision import AreaType, GatewayAssignment, evaluate_devices, select_gateways
+from .decision import AreaType, GatewayAssignment, select_gateways
 from .errors import ConfigurationError, _convert_fields, _convert_int, _field_hints
 from .overlay import FogOverlay, OverlayParams, build_overlay
 from .simulation import Mode, WorkloadSpec, run
@@ -191,18 +191,18 @@ def run_smartfog_pipeline(
     seed: int,
     centrality_mode: CentralityMode = CentralityMode.WEIGHTED_BY_LATENCY,
 ) -> tuple[GatewayAssignment, list[FunctionalArea], StageTimings, CentralityScores]:
-    """Centrality -> evaluation -> selection -> clustering, each stage timed.
+    """Centrality -> selection -> clustering, each stage timed.
 
-    Objective evaluation (per-device cloud latencies) is preparation and is
-    deliberately excluded from the sorting/decision stage time.  In weighted
-    mode ``betweenness_ms`` includes building ``overlay.path_table``.
+    ``sorting_decision_ms`` holds reading the objective table, the sort and
+    the picks; the cloud-latency search (``overlay.cloud_exit``) is left out.
+    In weighted mode ``betweenness_ms`` includes building ``overlay.path_table``.
     """
     t0 = time.perf_counter()
     scores = betweenness(overlay, centrality_mode)
     t1 = time.perf_counter()
-    evaluations = evaluate_devices(overlay, scores)
+    overlay.cloud_exit  # cached here, so the selection below only reads it
     t2 = time.perf_counter()
-    assignment = select_gateways(overlay, areas, scores, evaluations=evaluations)
+    assignment = select_gateways(overlay, areas, scores)
     t3 = time.perf_counter()
     functional_areas = cluster_functional_areas(
         overlay, assignment, k=k, bandwidth=bandwidth, seed=seed

@@ -61,16 +61,30 @@ def dominates(a: ObjectiveVector, b: ObjectiveVector) -> bool:
     return all(x <= y for x, y in zip(av, bv)) and any(x < y for x, y in zip(av, bv))
 
 
-def _dominance_matrix(points: Sequence[ObjectiveVector]) -> np.ndarray:
-    """``dom[i, j]`` is True iff ``points[i]`` dominates ``points[j]``; senses must match."""
-    m = np.array([p.minimized() for p in points], dtype=float)
-    n = len(points)
+def _dominance_matrix(m: np.ndarray) -> np.ndarray:
+    """``dom[i, j]`` is True iff row ``i`` of the minimized (n, d) ``m`` dominates row ``j``."""
+    n = len(m)
     all_le = np.ones((n, n), dtype=bool)
     any_lt = np.zeros((n, n), dtype=bool)
     for col in m.T:
         all_le &= col[:, None] <= col[None, :]
         any_lt |= col[:, None] < col[None, :]
     return all_le & any_lt
+
+
+def _fronts(m: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """Fronts of the rows of a minimized (n, d) array; see :func:`non_dominated_sort`."""
+    dom = _dominance_matrix(m)
+    count = dom.sum(axis=0)
+    fronts = []
+    front = np.flatnonzero(count == 0)
+    while front.size:
+        fronts.append(tuple(front.tolist()))
+        # -1 marks emitted points; nothing not yet emitted dominates them, so it stays.
+        count[front] = -1
+        count -= dom[front].sum(axis=0)
+        front = np.flatnonzero(count == 0)
+    return tuple(fronts)
 
 
 @dataclass(frozen=True)
@@ -99,21 +113,9 @@ def non_dominated_sort(points: Sequence[ObjectiveVector]) -> ParetoFronts:
     """
     if not points:
         raise ContractError("non_dominated_sort requires at least one point")
-    senses = points[0].senses
-    for p in points:
-        if p.senses != senses:
-            raise ContractError("all points must share the same objective senses")
-    dom = _dominance_matrix(points)
-    count = dom.sum(axis=0)
-    fronts = []
-    front = np.flatnonzero(count == 0)
-    while front.size:
-        fronts.append(tuple(front.tolist()))
-        # -1 marks emitted points; nothing not yet emitted dominates them, so it stays.
-        count[front] = -1
-        count -= dom[front].sum(axis=0)
-        front = np.flatnonzero(count == 0)
-    return ParetoFronts(fronts=tuple(fronts))
+    if any(p.senses != points[0].senses for p in points):
+        raise ContractError("all points must share the same objective senses")
+    return ParetoFronts(fronts=_fronts(np.array([p.minimized() for p in points], dtype=float)))
 
 
 def pareto_front(points: Sequence[ObjectiveVector]) -> tuple[int, ...]:

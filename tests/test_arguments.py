@@ -34,10 +34,8 @@ from smartfog import (
     build_overlay,
     cluster_functional_areas,
     device_features,
-    evaluate_devices,
     k_means,
     latency_to_cloud,
-    partition_front,
     place_edge_ward,
     run_simulation,
     run_smartfog_pipeline,
@@ -84,8 +82,6 @@ CASES = [
     ("build_overlay.seed", "seed", int, lambda v: build_overlay(6, v)),
     ("betweenness.mode", "mode", CentralityMode, lambda v: betweenness(OVERLAY, v)),
     ("select_gateways.areas", "areas", AreaType, lambda v: select_gateways(OVERLAY, [v], SCORES)),
-    ("partition_front.area", "area", AreaType,
-     lambda v: partition_front(evaluate_devices(OVERLAY, SCORES)[:3], v)),
     ("cluster_functional_areas.k", "k", int,
      lambda v: cluster_functional_areas(OVERLAY, ASSIGNMENT, k=v)),
     ("cluster_functional_areas.bandwidth", "bandwidth", float,

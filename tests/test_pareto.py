@@ -164,7 +164,8 @@ class TestNonDominatedSort:
         )
         assert [list(f) for f in got] == [sorted(f) for f in expected]
         # the sort's matrix is the scalar definition, entry by entry
-        assert _dominance_matrix(vs).tolist() == [[dominates(a, b) for b in vs] for a in vs]
+        minimized = np.array([v.minimized() for v in vs])
+        assert _dominance_matrix(minimized).tolist() == [[dominates(a, b) for b in vs] for a in vs]
 
     @given(vs=vectors(2, MIN2))
     def test_partition_covers_all_points(self, vs):
