@@ -37,12 +37,12 @@ The latency-weighted mode runs the overlay's one Dijkstra once per source.
 As in Brandes (2001), the search counts shortest paths and records their
 predecessors as it settles, ties decided by exact float equality of path
 latencies; sums of link latencies are floats, but the counts and the
-recurrence stay integers.  The searches' rows are those of
-:attr:`FogOverlay.path_table`, the table the simulation routes on, and fill
-it when it is not cached yet, so one search per source serves both.  When
-the table is already cached, the searches still run, so a second weighted
-call on one overlay costs as much as the first: seconds at n = 1000.  No
-caller in the package makes a second call.
+recurrence stay integers.  The searches' rows are offered to the overlay as
+:attr:`FogOverlay.path_table`, the table the simulation routes on, so one
+search per source serves both.  A table already cached is kept, and the
+searches still run, so a second weighted call on one overlay costs as much
+as the first: seconds at n = 1000.  No caller in the package makes a second
+call.
 """
 
 from __future__ import annotations
@@ -83,8 +83,9 @@ def betweenness(
     """Betweenness of every device; raises TopologyError if disconnected.
 
     ``mode`` may be the enum's string value, such as ``"unweighted"``.  The
-    weighted mode searches from every source even when
-    :attr:`FogOverlay.path_table` is cached, so a second call costs the same.
+    weighted mode hands its per-source search rows to the overlay, which
+    keeps them as :attr:`FogOverlay.path_table` unless a table is cached; it
+    searches from every source either way, so a second call costs the same.
     """
     mode = _convert(CentralityMode, mode, "mode", ContractError)
     if not overlay.is_connected():
@@ -92,16 +93,14 @@ def betweenness(
     if mode is CentralityMode.UNWEIGHTED:
         scores = _brandes_all_sources(overlay)
     else:
-        # The searches yield path_table's rows; cache them unless it is cached.
-        rows = None if "path_table" in vars(overlay) else {}
+        rows = {}
         scores = _brandes_sweep(overlay.adjacency, rows)
-        if rows is not None:
-            vars(overlay).setdefault("path_table", rows)
+        overlay._offer_path_table(rows)
     return CentralityScores(scores=scores, mode=mode)
 
 
 def _brandes_all_sources(overlay: FogOverlay) -> dict[int, float]:
-    ids = sorted(overlay.device_ids)
+    ids = overlay.device_ids
     n = len(ids)
     index = {v: i for i, v in enumerate(ids)}
     adj = np.zeros((n, n))
@@ -167,10 +166,9 @@ def _brandes_sweep(adjacency: _Adjacency, rows: dict | None = None) -> dict[int,
     shortest paths and records their predecessors as it settles; given
     ``rows``, its ``id -> (latency, hops)`` row is stored there too.
     """
-    ids = sorted(adjacency)
     # Running sum of every source's dependencies as integer numerators over
     # one common denominator ``den``.
-    num = dict.fromkeys(ids, 0)
+    num = dict.fromkeys(adjacency, 0)
     den = 1
     for s in adjacency:
         sigma = {s: 1}
@@ -184,7 +182,7 @@ def _brandes_sweep(adjacency: _Adjacency, rows: dict | None = None) -> dict[int,
         scale = math.lcm(*sigma.values())
         up = scale // math.gcd(den, scale)
         if up != 1:
-            for v in ids:
+            for v in num:
                 num[v] *= up
             den *= up
         down = den // scale
@@ -198,4 +196,4 @@ def _brandes_sweep(adjacency: _Adjacency, rows: dict | None = None) -> dict[int,
     # Each unordered pair was counted from both endpoints.  int / int is
     # correctly rounded, so each score is the double nearest the exact value.
     den *= 2
-    return {v: num[v] / den for v in ids}
+    return {v: x / den for v, x in num.items()}

@@ -60,7 +60,7 @@ def device_features(
 ) -> FeatureMatrix:
     """Standardized feature rows for ``device_ids`` (default: all devices)."""
     if device_ids is None:
-        return _features(sorted(overlay.devices, key=lambda d: d.id))
+        return _features(overlay.devices)
     device_ids = [_convert(int, d, "device_ids", ContractError) for d in device_ids]
     if not device_ids or not all(d in overlay for d in device_ids):
         raise ContractError(f"device_ids must name one or more devices, got {device_ids}")
@@ -415,7 +415,7 @@ def cluster_functional_areas(
     for gw in gateway_ids:
         if gw not in overlay:
             raise ContractError(f"assignment references unknown device {gw}")
-    pool = [d for d in sorted(overlay.devices, key=lambda d: d.id) if d.id not in gateway_ids]
+    pool = [d for d in overlay.devices if d.id not in gateway_ids]
     if len(pool) < k:
         raise CapacityError(
             f"need at least k={k} non-gateway devices to cluster, have {len(pool)}"

@@ -71,20 +71,23 @@ class GatewayAssignment:
 
 def _objectives(overlay: FogOverlay, centrality: CentralityScores):
     """Ids ascending, their (betweenness, MIPS, cloud latency) rows, and their memory."""
-    devices = sorted(overlay.devices, key=lambda d: d.id)
+    ids, devices = overlay.device_ids, overlay.devices
     scores, exits = centrality.scores, overlay.cloud_exit
-    for dev in devices:
-        if dev.id not in scores:
-            raise ContractError(f"centrality scores missing device {dev.id}")
-        if dev.id not in exits:
-            raise TopologyError(f"device {dev.id} cannot reach any cloud-attached device")
-    ids = [dev.id for dev in devices]
+    for dev_id in ids:
+        if dev_id not in scores:
+            raise ContractError(f"centrality scores missing device {dev_id}")
+        if dev_id not in exits:
+            raise TopologyError(f"device {dev_id} cannot reach any cloud-attached device")
     betweenness = [scores[dev_id] for dev_id in ids]
     if not (_are_plain(betweenness, float) and all(map(math.isfinite, betweenness))):
         for dev_id, score in zip(ids, betweenness):
             _convert(float, score, f"centrality scores[{dev_id}]", ContractError)
     rows = [(b, dev.mips, exits[dev.id][0], dev.memory_gb) for b, dev in zip(betweenness, devices)]
     table = np.array(rows, dtype=float)
+    latency = table[:, 2]
+    if latency.max() == math.inf:  # finite latencies can sum past the largest double
+        dev_id = ids[latency.argmax()]
+        raise TopologyError(f"device {dev_id}: cloud latency must be finite, got inf")
     return ids, table[:, :3], table[:, 3]
 
 

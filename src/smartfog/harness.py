@@ -169,10 +169,6 @@ class ExperimentConfig:
         config.validate()
         return config
 
-    @classmethod
-    def from_file(cls, path: str | Path) -> "ExperimentConfig":
-        return cls.from_dict(read_config_file(path))
-
 
 @dataclass(frozen=True)
 class StageTimings:
@@ -195,7 +191,7 @@ def run_smartfog_pipeline(
 
     ``sorting_decision_ms`` holds reading the objective table, the sort and
     the picks; the cloud-latency search (``overlay.cloud_exit``) is left out.
-    In weighted mode ``betweenness_ms`` includes building ``overlay.path_table``.
+    In weighted mode ``betweenness_ms`` includes the searches that fill ``overlay.path_table``.
     """
     t0 = time.perf_counter()
     scores = betweenness(overlay, centrality_mode)
@@ -384,8 +380,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[Path, Path]:
         for row in mode_rows
     ]
     results_path = _write_csv(out_dir / "results.csv", RESULT_COLUMNS, rows)
-    summary_path = out_dir / "summary.csv"
-    write_summary(rows, summary_path)
+    summary_path = _write_csv(out_dir / "summary.csv", SUMMARY_COLUMNS, summarize(rows))
     timing_rows = [row for replicate_rows in timings for row in replicate_rows]
     _write_csv(out_dir / "timing.csv", TIMING_COLUMNS, timing_rows)
     timing_summary = []
@@ -415,7 +410,3 @@ def summarize(rows: Sequence[dict]) -> list[dict]:
         entry["dropped_total"] = sum(r["dropped"] for r in cell_rows)
         out.append(entry)
     return out
-
-
-def write_summary(rows: Sequence[dict], path: Path) -> None:
-    _write_csv(Path(path), SUMMARY_COLUMNS, summarize(rows))

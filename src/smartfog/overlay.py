@@ -8,8 +8,8 @@ yields the same overlay, byte for byte after serialization.
 
 The cached ``path_table`` and ``cloud_exit`` come from the module's one
 Dijkstra, run from each device or once from every cloud-attached device.
-The same search counts shortest paths for weighted betweenness, whose
-per-device searches fill ``path_table`` when it is not cached yet.
+The same search counts shortest paths for weighted betweenness, whose rows
+only :meth:`FogOverlay._offer_path_table` writes into ``path_table``.
 """
 
 from __future__ import annotations
@@ -133,6 +133,11 @@ class FogOverlay:
     ``cloud_latency_ms`` maps cloud-attached device ids to their direct
     device-to-cloud latency.  At least one device must be cloud-attached.
     Churn never mutates an overlay; :func:`apply_churn` returns a new one.
+
+    Devices are stored by ascending id, links by ascending ``(a, b)`` and
+    ``cloud_latency_ms`` as a dict with ascending keys, so overlays with the
+    same devices, links and cloud map are equal whatever order they were
+    given in.  ``path_table`` keeps the first weighted betweenness's searches.
     """
 
     devices: tuple[FogDevice, ...]
@@ -140,6 +145,8 @@ class FogOverlay:
     cloud_latency_ms: Mapping[int, float]
 
     def __post_init__(self):
+        object.__setattr__(self, "devices", tuple(sorted(self.devices, key=lambda d: d.id)))
+        object.__setattr__(self, "links", tuple(sorted(self.links, key=lambda l: (l.a, l.b))))
         ids = [d.id for d in self.devices]
         known = set(ids)
         if len(known) != len(ids):
@@ -159,7 +166,8 @@ class FogOverlay:
                 _convert(int, dev_id, "cloud_latency_ms key")
                 _convert(float, ms, f"device {dev_id}: cloud_latency_ms")
             cloud = {int(dev_id): _plain(ms) for dev_id, ms in cloud.items()}
-            object.__setattr__(self, "cloud_latency_ms", cloud)
+        cloud = dict(sorted(cloud.items()))
+        object.__setattr__(self, "cloud_latency_ms", cloud)
         for dev_id, ms in cloud.items():
             if dev_id not in known:
                 raise ConfigurationError(f"cloud_latency_ms names unknown device {dev_id}")
@@ -188,17 +196,21 @@ class FogOverlay:
 
     @cached_property
     def adjacency(self) -> dict[int, tuple[tuple[int, float], ...]]:
-        """Neighbour lists as ``id -> ((neighbour, latency_ms), ...)``."""
+        """Neighbour lists as ``id -> ((neighbour, latency_ms), ...)``, built ascending."""
         adj: dict[int, list[tuple[int, float]]] = {d.id: [] for d in self.devices}
         for link in self.links:
             adj[link.a].append((link.b, link.latency_ms))
             adj[link.b].append((link.a, link.latency_ms))
-        return {k: tuple(sorted(v)) for k, v in adj.items()}
+        return {k: tuple(v) for k, v in adj.items()}
 
     @cached_property
     def path_table(self) -> dict[int, dict[int, tuple[float, int]]]:
-        """Every device's :func:`shortest_paths`; weighted betweenness fills it with its own."""
+        """Every device's :func:`shortest_paths`, unless weighted betweenness offered its own."""
         return {dev.id: _search(self.adjacency, dev.id) for dev in self.devices}
+
+    def _offer_path_table(self, rows: dict[int, dict[int, tuple[float, int]]]) -> None:
+        """Cache ``rows``, every device's search row, as ``path_table`` unless one is cached."""
+        vars(self).setdefault("path_table", rows)
 
     @cached_property
     def cloud_exit(self) -> dict[int, tuple[float, int]]:
@@ -225,15 +237,11 @@ class FogOverlay:
                     "storage_gb": d.storage_gb,
                     "arch": d.arch.value,
                 }
-                for d in sorted(self.devices, key=lambda d: d.id)
+                for d in self.devices
             ],
-            "links": [
-                {"a": l.a, "b": l.b, "latency_ms": l.latency_ms}
-                for l in sorted(self.links, key=lambda l: (l.a, l.b))
-            ],
+            "links": [{"a": l.a, "b": l.b, "latency_ms": l.latency_ms} for l in self.links],
             "cloud": [
-                {"id": dev_id, "latency_ms": ms}
-                for dev_id, ms in sorted(self.cloud_latency_ms.items())
+                {"id": dev_id, "latency_ms": ms} for dev_id, ms in self.cloud_latency_ms.items()
             ],
         }
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
@@ -435,8 +443,6 @@ def _apply_leave(overlay: FogOverlay, event: Leave) -> FogOverlay:
 
 def _reaches_all(overlay: FogOverlay) -> bool:
     """Whether a depth-first search from the first device reaches every device."""
-    if not overlay.devices:
-        return False
     start = overlay.devices[0].id
     seen = {start}
     stack = [start]
@@ -526,7 +532,8 @@ def latency_to_cloud(overlay: FogOverlay, device_id: int) -> float:
     Minimum over cloud-attached devices ``g`` of (shortest-path latency to
     ``g``) + (``g``'s cloud latency); a device that is itself cloud-attached
     may still be better served through a neighbour.  Every device reads it
-    from the one search behind :attr:`FogOverlay.cloud_exit`.
+    from the one search behind :attr:`FogOverlay.cloud_exit`, the float as
+    summed: inf if finite latencies sum past the largest double.
     """
     if _convert(int, device_id, "device_id", ContractError) not in overlay:
         raise ContractError(f"device_id {device_id} names no device")

@@ -148,11 +148,10 @@ def attach_sensors(
     """Pin ``n_sensors`` sensor/actuator pairs to uniformly random devices."""
     n_sensors = _convert_int(n_sensors, "n_sensors", 1, ContractError)
     access_ms_range = _convert_range(access_ms_range, "access_ms_range")
-    ids = sorted(overlay.device_ids)
     access_point = {}
     access_ms = {}
     for s in range(n_sensors):
-        access_point[s] = rng.choice(ids)
+        access_point[s] = rng.choice(overlay.device_ids)
         access_ms[s] = rng.uniform(*access_ms_range)
     return SensorAttachment(access_point=access_point, access_ms=access_ms)
 
@@ -177,7 +176,6 @@ def place_edge_ward(
     mode = _convert(Mode, mode, "mode", ContractError)
     if not sensors.access_point:
         raise ContractError("placement requires at least one sensor")
-    ids = sorted(overlay.device_ids)
     paths = all_pairs_paths(overlay)
 
     if mode is Mode.SMARTFOG:
@@ -196,7 +194,7 @@ def place_edge_ward(
             edge_modules[s] = min(reachable, key=lambda m: (paths[ap][m][0], m))
         gateway_ids = set(assignment.device_ids)
         cloud_route = {}
-        for d in ids:
+        for d in overlay.device_ids:
             if d in gateway_ids:
                 cloud_route[d] = d
                 continue
@@ -210,9 +208,9 @@ def place_edge_ward(
 
     if rng is None:
         raise ContractError("unoptimized placement requires an rng")
-    cloud_ids = sorted(overlay.cloud_latency_ms)
-    edge_modules = {s: rng.choice(ids) for s in sensors.sensor_ids}
-    cloud_route = {d: rng.choice(cloud_ids) for d in ids}
+    cloud_ids = list(overlay.cloud_latency_ms)
+    edge_modules = {s: rng.choice(overlay.device_ids) for s in sensors.sensor_ids}
+    cloud_route = {d: rng.choice(cloud_ids) for d in overlay.device_ids}
     return Placement(edge_modules=edge_modules, cloud_route=cloud_route)
 
 

@@ -113,6 +113,22 @@ class TestEvaluateDevices:
         with pytest.raises(TopologyError, match="device 2"):
             select_gateways(ov, [AreaType.COMPUTE_OPTIMIZED], scores)
 
+    def test_overflowed_cloud_latency_refused(self):
+        # Devices 1 and 2 reach the cloud only past 1.5e308 + 1.5e308, which
+        # sums to inf; device 0's own latency is finite.
+        ov = FogOverlay(
+            devices=chain_overlay([(1000.0, 2.0)] * 3).devices,
+            links=(Link(a=0, b=1, latency_ms=1.5e308), Link(a=1, b=2, latency_ms=1.0)),
+            cloud_latency_ms={0: 1.5e308},
+        )
+        assert latency_to_cloud(ov, 0) == 1.5e308
+        assert latency_to_cloud(ov, 1) == latency_to_cloud(ov, 2) == math.inf
+        scores = scores_for(ov)
+        with pytest.raises(TopologyError, match="device 1"):
+            evaluate_devices(ov, scores)
+        with pytest.raises(TopologyError, match="device 1"):
+            select_gateways(ov, [AreaType.COMPUTE_OPTIMIZED], scores)
+
 
 class TestPriorityWithinFront:
     """The area's priority orders candidates that share a front."""

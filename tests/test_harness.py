@@ -24,6 +24,7 @@ from smartfog.harness import (
     ExperimentConfig,
     _stats,
     _stdev,
+    read_config_file,
     run_experiment,
     run_smartfog_pipeline,
     summarize,
@@ -221,18 +222,22 @@ class TestExperimentConfig:
                 ExperimentConfig(bandwidth=bandwidth).validate()
 
     def test_from_file(self, tmp_path):
+        # The CLI's path from a config file: read_config_file, then from_dict.
+        def from_file(path):
+            return ExperimentConfig.from_dict(read_config_file(path))
+
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"replications": 5}))
-        assert ExperimentConfig.from_file(path).replications == 5
+        assert from_file(path).replications == 5
         with pytest.raises(ConfigurationError):
-            ExperimentConfig.from_file(tmp_path / "missing.json")
+            from_file(tmp_path / "missing.json")
         bad = tmp_path / "bad.json"
         bad.write_text("[1, 2]")
         with pytest.raises(ConfigurationError):
-            ExperimentConfig.from_file(bad)
+            from_file(bad)
         bad.write_bytes(b"\xff\xfe{}")
         with pytest.raises(ConfigurationError, match="cannot read config"):
-            ExperimentConfig.from_file(bad)
+            from_file(bad)
 
 
 FINITE = st.floats(-1e300, 1e300)

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 import smartfog.overlay
 from smartfog.centrality import CentralityMode, betweenness
+from smartfog.clustering import areas_to_json
+from smartfog.decision import AreaType
 from smartfog.errors import (
     ChurnRejectedError,
     ConfigurationError,
@@ -17,6 +19,7 @@ from smartfog.errors import (
     ContractError,
     TopologyError,
 )
+from smartfog.harness import run_smartfog_pipeline
 from smartfog.overlay import (
     Arch,
     FogDevice,
@@ -30,6 +33,7 @@ from smartfog.overlay import (
     latency_to_cloud,
     shortest_paths,
 )
+from smartfog.simulation import Mode, WorkloadSpec, run
 
 from oracles import (
     brute_force_latency_to_cloud,
@@ -411,6 +415,81 @@ class TestChurn:
                 continue
             assert ov.is_connected()
             assert len(ov.cloud_latency_ms) >= 1
+
+
+def permuted(overlay, rng):
+    """``overlay`` rebuilt from its devices, links and cloud map, each shuffled."""
+    parts = [list(overlay.devices), list(overlay.links), list(overlay.cloud_latency_ms.items())]
+    for part in parts:
+        rng.shuffle(part)
+    devices, links, cloud = parts
+    return FogOverlay(devices=tuple(devices), links=tuple(links), cloud_latency_ms=dict(cloud))
+
+
+@st.composite
+def overlays_with_low_joins(draw):
+    """Generated or churned overlays, some after a Join whose id is below an existing one.
+
+    The joining id fills a gap that a Leave left, or lies below every id.
+    """
+    n = draw(st.integers(4, 14), label="n")
+    seed = draw(st.integers(0, 10_000), label="seed")
+    overlay = churned_overlay(n, seed, draw(st.sampled_from([0, 3, 6]), label="events"))
+    if draw(st.booleans(), label="low join"):
+        ids = overlay.device_ids
+        free = sorted(set(range(max(ids))) - set(ids)) or [min(ids) - 1]
+        targets = draw(st.lists(st.sampled_from(ids), min_size=1, max_size=3, unique=True))
+        device = FogDevice(
+            id=draw(st.sampled_from(free), label="join id"),
+            mips=draw(st.floats(800.0, 1200.0)),
+            memory_gb=draw(st.sampled_from([1.0, 2.0, 4.0])),
+            storage_gb=16.0,
+            arch=Arch.X86,
+        )
+        links = tuple((t, draw(st.floats(1.0, 10.0))) for t in targets)
+        cloud = draw(st.one_of(st.none(), st.floats(50.0, 100.0)), label="join cloud")
+        overlay = apply_churn(overlay, Join(device=device, links=links, cloud_latency_ms=cloud))
+    return overlay
+
+
+class TestCanonicalOrder:
+    """An overlay stores one order, so the order it was given in is invisible."""
+
+    @given(overlay=overlays_with_low_joins(), rng=st.randoms(use_true_random=False))
+    def test_permuted_inputs_build_the_same_overlay(self, overlay, rng):
+        shuffled = permuted(overlay, rng)
+        assert shuffled == overlay
+        assert shuffled.device_ids == overlay.device_ids == tuple(sorted(overlay.device_ids))
+        assert shuffled.to_json() == overlay.to_json()
+        areas = (AreaType.COMPUTE_OPTIMIZED, AreaType.MEMORY_OPTIMIZED)
+        workload = WorkloadSpec(duration_s=120.0, pc_interval_s=20.0)
+        for mode in CentralityMode:
+            outputs = []
+            for ov in (overlay, shuffled):
+                gateways, functional, _, scores = run_smartfog_pipeline(ov, areas, 2, None, 3, mode)
+                reports = [
+                    run(ov, sim, workload, 3, assignment=gateways, areas=functional).to_json()
+                    for sim in Mode
+                ]
+                scores = list(scores.scores.items())
+                outputs.append((scores, gateways, areas_to_json(functional), reports))
+            assert outputs[0] == outputs[1]
+
+    def test_adjacency_rows_ascending(self):
+        devices = tuple(_device(id=i) for i in (4, 0, 3, 1, 2))
+        ends = ((3, 4), (1, 2), (0, 4), (2, 3), (0, 1), (1, 3))
+        links = tuple(Link(a=a, b=b, latency_ms=float(a + b)) for a, b in ends)
+        ov = FogOverlay(devices=devices, links=links, cloud_latency_ms={3: 60.0, 0: 70.0})
+        assert list(ov.adjacency) == [0, 1, 2, 3, 4]
+        assert ov.adjacency == {
+            0: ((1, 1.0), (4, 4.0)),
+            1: ((0, 1.0), (2, 3.0), (3, 4.0)),
+            2: ((1, 3.0), (3, 5.0)),
+            3: ((1, 4.0), (2, 5.0), (4, 7.0)),
+            4: ((0, 4.0), (3, 7.0)),
+        }
+        assert [(l.a, l.b) for l in ov.links] == sorted(ends)
+        assert list(ov.cloud_latency_ms) == [0, 3]
 
 
 def full_search_latency_to_cloud(overlay, device_id):
