@@ -144,6 +144,6 @@ def _field_hints(cls) -> dict:
 
 
 def _convert_fields(config) -> None:
-    """Convert every field of dataclass ``config`` to its annotated type, in place."""
+    """Convert every field of frozen dataclass ``config`` to its annotated type, in place."""
     for name, hint in _field_hints(type(config)).items():
-        setattr(config, name, _convert(hint, getattr(config, name), name))
+        object.__setattr__(config, name, _convert(hint, getattr(config, name), name))

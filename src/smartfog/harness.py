@@ -21,8 +21,8 @@ could depend on the thread count, so results.csv would depend on ``jobs`` and
 on the host.  Workers inherit the count only under the ``fork`` start method,
 the default on Linux before Python 3.14.
 
-``ExperimentConfig.from_dict`` only maps JSON keys to fields; ``validate()``
-checks and converts every value by its annotation, as for configs built in code.
+The frozen config objects check and convert every value by its annotation when
+built, in code or by ``ExperimentConfig.from_dict``, which only maps JSON keys.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ import logging
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, is_dataclass
 from functools import cache, partial
@@ -47,7 +46,8 @@ import numpy as np
 from .centrality import CentralityMode, CentralityScores, betweenness
 from .clustering import FunctionalArea, cluster_functional_areas
 from .decision import AreaType, GatewayAssignment, select_gateways
-from .errors import ConfigurationError, _convert_fields, _convert_int, _field_hints
+from .errors import ConfigurationError, ContractError, _convert, _convert_fields, _convert_int
+from .errors import _field_hints
 from .overlay import FogOverlay, OverlayParams, build_overlay
 from .simulation import Mode, WorkloadSpec, run
 
@@ -97,7 +97,7 @@ def _build(cls, doc, section: str | None = None):
     """``cls`` built from a JSON object, with nested objects built the same way.
 
     Missing fields keep their defaults and unknown keys raise a
-    ConfigurationError naming the field; ``validate()`` checks the values.
+    ConfigurationError naming the field; ``cls`` checks the values.
     """
     label = section or "config"
     if not isinstance(doc, dict):
@@ -110,7 +110,10 @@ def _build(cls, doc, section: str | None = None):
             raise ConfigurationError(f"unknown {label} field: {key}")
         name = by_key[key]
         values[name] = _build(hints[name], value, key) if is_dataclass(hints[name]) else value
-    return cls(**values)
+    try:
+        return cls(**values)
+    except ConfigurationError as exc:
+        raise exc if section is None else ConfigurationError(f"{section}.{exc}") from None
 
 
 def read_config_file(path: str | Path) -> dict:
@@ -124,9 +127,9 @@ def read_config_file(path: str | Path) -> dict:
     return doc
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """Full description of a sweep; JSON-loadable with flag overrides."""
+    """Full description of a sweep, checked at construction; JSON-loadable with flag overrides."""
 
     sizes: tuple[int, ...] = (20, 30, 40)
     modes: tuple[Mode, ...] = (Mode.SMARTFOG, Mode.UNOPTIMIZED)
@@ -141,7 +144,7 @@ class ExperimentConfig:
     out_dir: str = "results"
     jobs: int | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self):
         _convert_fields(self)
         for name in ("sizes", "modes", "areas"):
             values = [getattr(v, "value", v) for v in getattr(self, name)]
@@ -157,17 +160,10 @@ class ExperimentConfig:
             _convert_int(self.jobs, "jobs", 1)
         if self.bandwidth is not None and self.bandwidth <= 0:
             raise ConfigurationError(f"bandwidth must be > 0, got {self.bandwidth}")
-        for name in ("workload", "overlay_params"):
-            try:
-                getattr(self, name).validate()
-            except ConfigurationError as exc:
-                raise ConfigurationError(f"{_JSON_KEYS.get(name, name)}.{exc}") from None
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        config = _build(cls, doc)
-        config.validate()
-        return config
+        return _build(cls, doc)
 
 
 @dataclass(frozen=True)
@@ -356,7 +352,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[Path, Path]:
     count is restored on return or error.  The pool's workers inherit that
     count only when they are forked (the ``fork`` start method).
     """
-    config.validate()
+    config = _convert(ExperimentConfig, config, "config", ContractError)
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     sizes, reps = zip(*product(config.sizes, range(config.replications)))
@@ -365,6 +361,9 @@ def run_experiment(config: ExperimentConfig) -> tuple[Path, Path]:
     replicate = partial(_replicate, config)
     with _one_blas_thread():
         if jobs > 1:
+            # Imported here: the pool pulls in multiprocessing, which no other path needs.
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 chunk = max(1, len(sizes) // (jobs * 4))
                 replicates = list(pool.map(replicate, sizes, reps, chunksize=chunk))

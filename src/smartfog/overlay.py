@@ -145,6 +145,16 @@ class FogOverlay:
     cloud_latency_ms: Mapping[int, float]
 
     def __post_init__(self):
+        # Exact classes pass in one C-speed pass; anything else is refused by name.
+        for name, hint in (("devices", FogDevice), ("links", Link)):
+            parts = getattr(self, name)
+            if not (type(parts) in (tuple, list) and _are_plain(parts, hint)):
+                _convert(tuple[hint, ...], parts, name)
+        if not isinstance(self.cloud_latency_ms, Mapping):
+            raise ConfigurationError(
+                f"cloud_latency_ms must be a mapping of device id to latency_ms,"
+                f" got {self.cloud_latency_ms!r}"
+            )
         object.__setattr__(self, "devices", tuple(sorted(self.devices, key=lambda d: d.id)))
         object.__setattr__(self, "links", tuple(sorted(self.links, key=lambda l: (l.a, l.b))))
         ids = [d.id for d in self.devices]
@@ -264,9 +274,9 @@ class FogOverlay:
         return cls(devices=devices, links=links, cloud_latency_ms=cloud)
 
 
-@dataclass
+@dataclass(frozen=True)
 class OverlayParams:
-    """Generator knobs; defaults mirror the reference evaluation setup."""
+    """Generator knobs, checked at construction; defaults mirror the reference evaluation setup."""
 
     mips_range: tuple[float, float] = (800.0, 1200.0)
     memory_choices_gb: tuple[float, ...] = (1.0, 2.0, 3.0, 4.0)
@@ -275,7 +285,7 @@ class OverlayParams:
     link_latency_ms: tuple[float, float] = (1.0, 10.0)
     cloud_latency_ms: tuple[float, float] = (50.0, 100.0)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         _convert_fields(self)
         for name in ("mips_range", "link_latency_ms", "cloud_latency_ms"):
             _convert_range(getattr(self, name), name)
@@ -285,6 +295,9 @@ class OverlayParams:
             raise ConfigurationError(f"storage_gb invalid: {self.storage_gb}")
         if self.mean_degree < 1:
             raise ConfigurationError(f"mean_degree must be >= 1, got {self.mean_degree}")
+
+
+_DEFAULT_PARAMS = OverlayParams()
 
 
 def _random_tree_edges(n: int, rng: random.Random) -> list[tuple[int, int]]:
@@ -319,8 +332,7 @@ def build_overlay(n_devices: int, seed: int, params: OverlayParams | None = None
     """
     n_devices = _convert_int(n_devices, "n_devices", 2)
     seed = _convert_int(seed, "seed", 0)
-    params = params or OverlayParams()
-    params.validate()
+    params = _convert(OverlayParams | None, params, "params", ContractError) or _DEFAULT_PARAMS
     rng = random.Random(seed)
 
     devices = []

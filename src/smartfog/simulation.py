@@ -67,9 +67,9 @@ class TupleKind(str, Enum):
     PC = "pc"
 
 
-@dataclass
+@dataclass(frozen=True)
 class WorkloadSpec:
-    """Workload and resource model knobs.
+    """Workload and resource model knobs, checked and converted at construction.
 
     Intervals are per sensor; each emission gap is jittered uniformly within
     +-``jitter`` of the nominal interval.  SPA work is drawn uniformly from
@@ -93,7 +93,7 @@ class WorkloadSpec:
     access_ms: tuple[float, float] = (1.0, 5.0)
     cloud_mips: float = 44800.0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         _convert_fields(self)
         for name in ("duration_s", "spa_interval_s", "pc_interval_s", "cloud_mips"):
             value = getattr(self, name)
@@ -176,6 +176,9 @@ def place_edge_ward(
     mode = _convert(Mode, mode, "mode", ContractError)
     if not sensors.access_point:
         raise ContractError("placement requires at least one sensor")
+    for s, ap in sensors.access_point.items():
+        if ap not in overlay:
+            raise ContractError(f"sensor {s}: access_point {ap!r} names no device")
     paths = all_pairs_paths(overlay)
 
     if mode is Mode.SMARTFOG:
@@ -400,7 +403,7 @@ def run(
     value, e.g. ``"smartfog"``.
     """
     mode = _convert(Mode, mode, "mode", ContractError)
-    workload.validate()
+    workload = _convert(WorkloadSpec, workload, "workload", ContractError)
     seed = _convert_int(seed, "seed", 0, ContractError)
     n_devices = len(overlay.devices)
     n_sensors = (

@@ -558,7 +558,6 @@ def event_loop_run(
     and the order of events and samples.
     """
     mode = _convert(Mode, mode, "mode", ContractError)
-    workload.validate()
     if _convert(int, seed, "seed", ContractError) < 0:
         raise ContractError(f"seed must be an integer >= 0, got {seed!r}")
     seed = int(seed)  # random.Random refuses numpy integers

@@ -1,10 +1,12 @@
 import csv
+import dataclasses
 import json
 import math
 import os
 import re
 import shlex
 import statistics
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -17,7 +19,7 @@ import smartfog.harness
 from smartfog.centrality import CentralityMode
 from smartfog.cli import build_parser, main
 from smartfog.decision import AreaType
-from smartfog.errors import ConfigurationError
+from smartfog.errors import ConfigurationError, SmartFogError
 from smartfog.harness import (
     RESULT_COLUMNS,
     TIMING_COLUMNS,
@@ -30,13 +32,13 @@ from smartfog.harness import (
     summarize,
 )
 from smartfog.overlay import OverlayParams, build_overlay
-from smartfog.simulation import Mode, WorkloadSpec
+from smartfog.simulation import Mode, WorkloadSpec, run
 
 from oracles import fraction_stdev
 
 
 def tiny_config(out_dir, **overrides):
-    config = ExperimentConfig(
+    fields = dict(
         sizes=(6, 8),
         replications=2,
         seed_base=50,
@@ -46,9 +48,7 @@ def tiny_config(out_dir, **overrides):
             duration_s=40.0, warmup_s=2.0, spa_interval_s=8.0, pc_interval_s=10.0
         ),
     )
-    for key, value in overrides.items():
-        setattr(config, key, value)
-    return config
+    return ExperimentConfig(**{**fields, **overrides})
 
 
 #: Every config, workload and overlay key, so generated documents hit real fields.
@@ -97,7 +97,7 @@ def replicate_raising(config, size, rep):
 
 class TestExperimentConfig:
     def test_defaults_validate(self):
-        ExperimentConfig().validate()
+        ExperimentConfig()
 
     def test_from_dict_overrides(self):
         config = ExperimentConfig.from_dict(
@@ -168,7 +168,7 @@ class TestExperimentConfig:
             config = ExperimentConfig.from_dict(doc)
         except ConfigurationError:
             return
-        config.validate()
+        assert dataclasses.replace(config) == config  # the stored values are canonical
 
     @settings(max_examples=500)
     @given(
@@ -189,18 +189,20 @@ class TestExperimentConfig:
     def test_bad_field_built_in_code_is_rejected_by_name(self, target, value):
         """Objects built in code meet the check that config files meet."""
         cls, name = target
-        config = cls(**{name: value})
         try:
-            config.validate()
+            config = cls(**{name: value})
         except ConfigurationError as exc:
             assert str(exc).startswith(f"{name} "), exc
             return
-        config.validate()  # the stored values are canonical, so they pass again
+        assert dataclasses.replace(config) == config  # the stored values are canonical
 
     def test_validate_stores_converted_values(self):
-        config = ExperimentConfig(sizes=[6], modes=["unoptimized"], bandwidth=2)
-        config.overlay_params.mips_range = [800, 1200]
-        config.validate()
+        config = ExperimentConfig(
+            sizes=[6],
+            modes=["unoptimized"],
+            bandwidth=2,
+            overlay_params=OverlayParams(mips_range=[800, 1200]),
+        )
         assert config.sizes == (6,)
         assert config.modes == (Mode.UNOPTIMIZED,) and type(config.modes[0]) is Mode
         assert type(config.bandwidth) is float
@@ -209,17 +211,55 @@ class TestExperimentConfig:
 
     def test_validation_errors(self):
         with pytest.raises(ConfigurationError):
-            ExperimentConfig(sizes=()).validate()
+            ExperimentConfig(sizes=())
         with pytest.raises(ConfigurationError):
-            ExperimentConfig(replications=0).validate()
+            ExperimentConfig(replications=0)
         with pytest.raises(ConfigurationError):
-            ExperimentConfig(k=0).validate()
+            ExperimentConfig(k=0)
         with pytest.raises(ConfigurationError):
-            ExperimentConfig(jobs=0).validate()
-        # configs built in code skip from_dict's finiteness check
+            ExperimentConfig(jobs=0)
+        # configs built in code meet the finiteness check that config files meet
         for bandwidth in (math.nan, math.inf):
             with pytest.raises(ConfigurationError, match="^bandwidth "):
-                ExperimentConfig(bandwidth=bandwidth).validate()
+                ExperimentConfig(bandwidth=bandwidth)
+
+    @pytest.mark.parametrize(
+        "cls,name",
+        [
+            (cls, name)
+            for cls in (ExperimentConfig, WorkloadSpec, OverlayParams)
+            for name in cls.__dataclass_fields__
+        ],
+    )
+    def test_fields_cannot_be_assigned(self, cls, name):
+        config = cls()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(config, name, getattr(config, name))
+
+    def test_replace_checks_again(self):
+        with pytest.raises(ConfigurationError, match="^jitter "):
+            dataclasses.replace(WorkloadSpec(), jitter=5.0)
+        with pytest.raises(ConfigurationError, match="^sizes "):
+            dataclasses.replace(ExperimentConfig(), sizes=[])
+
+    def test_nested_object_built_in_code_names_its_own_field(self):
+        with pytest.raises(ConfigurationError, match="^mean_degree "):
+            ExperimentConfig(overlay_params=OverlayParams(mean_degree=0.5))
+
+    @pytest.mark.parametrize(
+        "name,call",
+        [
+            (
+                "workload",
+                lambda: run(build_overlay(6, 1), "unoptimized", {"duration_s": 5.0}, 0),
+            ),
+            ("params", lambda: build_overlay(6, 1, {"mean_degree": 2.0})),
+            ("config", lambda: run_experiment({"sizes": [6]})),
+        ],
+    )
+    def test_config_of_wrong_type_refused_by_name(self, name, call):
+        with pytest.raises(SmartFogError, match=f"^{name} must be an instance of "):
+            call()
 
     def test_from_file(self, tmp_path):
         # The CLI's path from a config file: read_config_file, then from_dict.
@@ -655,3 +695,21 @@ def test_readme_commands_parse():
             parser.parse_args(argv)
         except SystemExit:
             pytest.fail(f"README command does not parse: smartfog {shlex.join(argv)}")
+
+
+def test_import_loads_no_process_pool():
+    """``import smartfog`` leaves multiprocessing unloaded; only sweeps at ``jobs > 1`` use it."""
+    src = Path(smartfog.harness.__file__).resolve().parents[1]
+    code = (
+        "import sys, smartfog; print(sorted(m for m in sys.modules"
+        " if m.split('.')[0] == 'multiprocessing' or m == 'concurrent.futures.process'))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert result.stdout.strip() == "[]"

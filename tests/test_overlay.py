@@ -286,6 +286,25 @@ def test_non_finite_values_rejected_by_name(make, field):
         make()
 
 
+@pytest.mark.parametrize(
+    "part,value",
+    [
+        ("devices", ({"id": 0},)),
+        ("devices", None),
+        ("links", ((0, 1, 2.0),)),
+        ("cloud_latency_ms", [(0, 1.0)]),
+    ],
+    ids=["device-dict", "devices-none", "link-tuple", "cloud-pairs"],
+)
+def test_malformed_parts_rejected_by_name(part, value):
+    ov = chain_overlay(3)
+    parts = {"devices": ov.devices, "links": ov.links, "cloud_latency_ms": ov.cloud_latency_ms}
+    with pytest.raises(ConfigurationError, match=f"^{part} "):
+        FogOverlay(**{**parts, part: value})
+    # Lists are accepted and stored as tuples.
+    assert FogOverlay(list(ov.devices), list(ov.links), ov.cloud_latency_ms) == ov
+
+
 class TestChurn:
     def test_leaf_leave_ok(self):
         ov = chain_overlay(3)

@@ -43,7 +43,7 @@ def chain(n, latency=2.0, cloud=None):
 
 class TestWorkloadSpec:
     def test_defaults_valid(self):
-        WorkloadSpec().validate()
+        WorkloadSpec()
 
     @pytest.mark.parametrize(
         "field,value",
@@ -76,10 +76,8 @@ class TestWorkloadSpec:
         ],
     )
     def test_rejects_bad_field(self, field, value):
-        workload = WorkloadSpec()
-        setattr(workload, field, value)
         with pytest.raises(ConfigurationError, match=field):
-            workload.validate()
+            WorkloadSpec(**{field: value})
 
 
 SHORT_SPEC = dict(duration_s=10.0, warmup_s=0.0)
@@ -95,8 +93,8 @@ SHORT_SPEC = dict(duration_s=10.0, warmup_s=0.0)
         ("seed", lambda: run(chain(3), Mode.UNOPTIMIZED, WorkloadSpec(**SHORT_SPEC), 1.5)),
         ("seed", lambda: run(chain(3), Mode.UNOPTIMIZED, WorkloadSpec(**SHORT_SPEC), -1)),
         ("n_sensors", lambda: run(chain(3), Mode.UNOPTIMIZED, WorkloadSpec(n_sensors=2.5), 1)),
-        ("n_sensors", lambda: WorkloadSpec(n_sensors=True).validate()),
-        ("tuple_bytes", lambda: WorkloadSpec(tuple_bytes=1.5).validate()),
+        ("n_sensors", lambda: WorkloadSpec(n_sensors=True)),
+        ("tuple_bytes", lambda: WorkloadSpec(tuple_bytes=1.5)),
     ],
     ids=[
         "overlay-size-float",
@@ -207,6 +205,14 @@ class TestPlacement:
         empty = SensorAttachment(access_point={}, access_ms={})
         with pytest.raises(ContractError):
             place_edge_ward(ov, empty, Mode.UNOPTIMIZED, rng=random.Random(0))
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_unknown_access_point_rejected_by_name(self, mode):
+        ov = build_overlay(6, 1)
+        assignment, areas, _, _ = run_smartfog_pipeline(ov, ("compute",), 1, None, 1)
+        sensors = SensorAttachment(access_point={0: 99}, access_ms={0: 1.0})
+        with pytest.raises(ContractError, match="access_point"):
+            place_edge_ward(ov, sensors, mode, assignment, areas, random.Random(0))
 
 
 class TestSingleDeviceLoop:
