@@ -18,13 +18,7 @@ from .clustering import (
     similarity_matrix,
     spectral_embed,
 )
-from .decision import (
-    AreaType,
-    DeviceEvaluation,
-    GatewayAssignment,
-    evaluate_devices,
-    select_gateways,
-)
+from .decision import AreaType, GatewayAssignment, evaluate_devices, select_gateways
 from .errors import (
     CapacityError,
     ChurnRejectedError,
@@ -50,7 +44,7 @@ from .overlay import (
     latency_to_cloud,
     shortest_paths,
 )
-from .pareto import ObjectiveVector, ParetoFronts, Sense, dominates, non_dominated_sort, pareto_front
+from .pareto import Sense, non_dominated_sort
 from .simulation import (
     Mode,
     Placement,
@@ -76,7 +70,6 @@ __all__ = [
     "ConfigurationError",
     "ConflictError",
     "ContractError",
-    "DeviceEvaluation",
     "ExperimentConfig",
     "FogDevice",
     "FogOverlay",
@@ -87,9 +80,7 @@ __all__ = [
     "Link",
     "Mode",
     "NumericalError",
-    "ObjectiveVector",
     "OverlayParams",
-    "ParetoFronts",
     "Placement",
     "Sense",
     "SensorAttachment",
@@ -106,13 +97,11 @@ __all__ = [
     "build_overlay",
     "cluster_functional_areas",
     "device_features",
-    "dominates",
     "evaluate_devices",
     "jacobi_eigh",
     "k_means",
     "latency_to_cloud",
     "non_dominated_sort",
-    "pareto_front",
     "place_edge_ward",
     "run_experiment",
     "run_simulation",

@@ -104,19 +104,12 @@ def _squared_distances(features: FeatureMatrix) -> np.ndarray:
 
 
 def _median_distance(d2: np.ndarray) -> float:
+    """Median pairwise distance; 1.0 when there are no pairs or all points coincide."""
     n = d2.shape[0]
     if n < 2:
         return 1.0
     med = float(np.median(np.sqrt(d2[np.triu_indices(n, k=1)])))
     return med if med > 0 else 1.0
-
-
-def median_bandwidth(features: FeatureMatrix) -> float:
-    """Median pairwise distance heuristic for the Gaussian bandwidth.
-
-    Falls back to 1.0 when there are no pairs or all points coincide.
-    """
-    return _median_distance(_squared_distances(features))
 
 
 @dataclass(frozen=True)
@@ -133,8 +126,9 @@ def similarity_matrix(
     """Pairwise Gaussian similarity of the standardized features.
 
     ``bandwidth`` (G) defaults to the median pairwise distance, taken from
-    the same squared distances the Gaussian uses.  The result is exactly
-    symmetric with unit diagonal and entries in [0, 1].
+    the same squared distances the Gaussian uses, or 1.0 when there are no
+    pairs or all points coincide.  The result is exactly symmetric with unit
+    diagonal and entries in [0, 1].
     """
     d2 = _squared_distances(features)
     if bandwidth is None:
@@ -161,9 +155,8 @@ def jacobi_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     non-square, non-finite or non-symmetric input and NumericalError if
     LAPACK reports that it did not converge.
 
-    The name dates from an earlier cyclic Jacobi solver.  It is kept so that
-    callers, and tooling that looks the eigensolve up by name to time it,
-    keep working.
+    The name dates from an earlier cyclic Jacobi solver.  It is kept because
+    the benchmark's span tracer (``perfbench/spans.py``) wraps it by name.
     """
     a = np.array(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:

@@ -1,14 +1,13 @@
 """Gateway selection: rank devices on the Pareto fronts, claim one per area.
 
-Each device is evaluated on three objectives: betweenness centrality
-(maximize), MIPS (maximize) and latency to the cloud (minimize).  Memory is
-carried alongside as a plain attribute - it is not an objective, but it is
-the ranking criterion for memory-optimized areas.  Selection claims the
-requested areas in order: each takes, among the devices not yet taken, the
-best one of the shallowest front under that area's priority.
-
-Selection sorts and ranks one objective table, a row per device in id order;
-:func:`evaluate_devices` returns the same rows as value objects.
+The decision runs on one objective table, a row per device in id order:
+betweenness centrality (maximized), MIPS (maximized) and latency to the
+cloud (minimized), from :func:`evaluate_devices`.  Memory is carried
+alongside as a plain column - it is not an objective, but it is the ranking
+criterion for memory-optimized areas.  :func:`select_gateways` sorts the
+table into fronts with :func:`~smartfog.pareto.non_dominated_sort`, then
+claims the requested areas in order: each takes, among the devices not yet
+taken, the best one of the shallowest front under that area's priority.
 """
 
 from __future__ import annotations
@@ -23,36 +22,15 @@ import numpy as np
 from .centrality import CentralityScores
 from .errors import CapacityError, ContractError, TopologyError, _are_plain, _convert
 from .overlay import FogOverlay
-from .pareto import ObjectiveVector, Sense, _fronts
+from .pareto import Sense, non_dominated_sort
 
-#: Objective senses shared by every evaluation: betweenness, MIPS, cloud latency.
-OBJECTIVE_SENSES = (Sense.MAXIMIZE, Sense.MAXIMIZE, Sense.MINIMIZE)
+#: The sense of each objective column: betweenness, MIPS, cloud latency.
+_SENSES = (Sense.MAXIMIZE, Sense.MAXIMIZE, Sense.MINIMIZE)
 
 
 class AreaType(str, Enum):
     COMPUTE_OPTIMIZED = "compute"
     MEMORY_OPTIMIZED = "memory"
-
-
-@dataclass(frozen=True)
-class DeviceEvaluation:
-    """A device's decision objectives plus its carried memory attribute."""
-
-    device_id: int
-    objectives: ObjectiveVector
-    memory_gb: float
-
-    @property
-    def betweenness(self) -> float:
-        return self.objectives.values[0]
-
-    @property
-    def mips(self) -> float:
-        return self.objectives.values[1]
-
-    @property
-    def cloud_latency_ms(self) -> float:
-        return self.objectives.values[2]
 
 
 @dataclass(frozen=True)
@@ -69,8 +47,16 @@ class GatewayAssignment:
         return [{"gateway": dev, "area_type": area.value} for dev, area in self.gateways]
 
 
-def _objectives(overlay: FogOverlay, centrality: CentralityScores):
-    """Ids ascending, their (betweenness, MIPS, cloud latency) rows, and their memory."""
+def evaluate_devices(
+    overlay: FogOverlay, centrality: CentralityScores
+) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+    """The objective table: ids ascending, their (n, 3) rows and their memory column.
+
+    Row ``i`` holds device ``ids[i]``'s betweenness, MIPS and cloud
+    latency, under the senses in ``_SENSES``, and ``memory[i]`` its memory.
+    Raises ContractError for a missing or non-finite score and TopologyError
+    for a device with no finite latency to the cloud.
+    """
     ids, devices = overlay.device_ids, overlay.devices
     scores, exits = centrality.scores, overlay.cloud_exit
     for dev_id in ids:
@@ -91,15 +77,6 @@ def _objectives(overlay: FogOverlay, centrality: CentralityScores):
     return ids, table[:, :3], table[:, 3]
 
 
-def evaluate_devices(overlay: FogOverlay, centrality: CentralityScores) -> list[DeviceEvaluation]:
-    """Objective vectors for every device, in ascending device-id order."""
-    ids, objectives, memory = _objectives(overlay, centrality)
-    return [
-        DeviceEvaluation(dev_id, ObjectiveVector(tuple(row), OBJECTIVE_SENSES), memory_gb)
-        for dev_id, row, memory_gb in zip(ids, objectives.tolist(), memory.tolist())
-    ]
-
-
 def select_gateways(
     overlay: FogOverlay, areas: Sequence[AreaType], centrality: CentralityScores
 ) -> GatewayAssignment:
@@ -114,9 +91,9 @@ def select_gateways(
         raise CapacityError(
             f"cannot select {len(areas)} gateways from {len(overlay.devices)} devices"
         )
-    ids, objectives, memory = _objectives(overlay, centrality)
-    rank = np.empty(len(ids), dtype=np.int64)  # each device's front, from the minimized rows
-    for r, front in enumerate(_fronts(objectives * (-1.0, -1.0, 1.0))):
+    ids, objectives, memory = evaluate_devices(overlay, centrality)
+    rank = np.empty(len(ids), dtype=np.int64)  # each device's front
+    for r, front in enumerate(non_dominated_sort(objectives, _SENSES)):
         rank[list(front)] = r
     betweenness, mips, latency = objectives.T
     chosen: list[tuple[int, AreaType]] = []

@@ -24,12 +24,7 @@ from smartfog.clustering import (
     similarity_matrix,
     spectral_embed,
 )
-from smartfog.decision import (
-    OBJECTIVE_SENSES,
-    AreaType,
-    evaluate_devices,
-    select_gateways,
-)
+from smartfog.decision import AreaType, select_gateways
 from smartfog.errors import ChurnRejectedError
 from smartfog.harness import ExperimentConfig, run_experiment, run_smartfog_pipeline
 from smartfog.overlay import (
@@ -42,7 +37,7 @@ from smartfog.overlay import (
     apply_churn,
     build_overlay,
 )
-from smartfog.pareto import ObjectiveVector, Sense, non_dominated_sort
+from smartfog.pareto import Sense, non_dominated_sort
 from smartfog.simulation import Mode, WorkloadSpec, run
 
 from oracles import (
@@ -56,6 +51,9 @@ from oracles import (
     tied_overlay,
 )
 from test_simulation import TIES_SPEC
+
+#: the gateway decision's senses: betweenness and MIPS maximized, cloud latency minimized
+DECISION_SENSES = (Sense.MAXIMIZE, Sense.MAXIMIZE, Sense.MINIMIZE)
 
 
 def verdict(capsys, ok, line):
@@ -90,7 +88,7 @@ def test_betweenness_matches_exhaustive_oracle(capsys):
 def test_front_partition_matches_peeling_oracle(capsys):
     rng = np.random.default_rng(31)
     sense_patterns = [
-        (Sense.MAXIMIZE, Sense.MAXIMIZE, Sense.MINIMIZE),
+        DECISION_SENSES,
         (Sense.MINIMIZE, Sense.MAXIMIZE, Sense.MINIMIZE),
         (Sense.MAXIMIZE, Sense.MINIMIZE, Sense.MINIMIZE),
     ]
@@ -103,8 +101,7 @@ def test_front_partition_matches_peeling_oracle(capsys):
             values = rng.uniform(-10, 10, size=(n, 3))
         else:  # heavy ties and duplicate rows
             values = rng.integers(0, 5, size=(n, 3)).astype(float)
-        points = [ObjectiveVector(values=tuple(v), senses=senses) for v in values]
-        got = [list(front) for front in non_dominated_sort(points).fronts]
+        got = [list(front) for front in non_dominated_sort(values, senses)]
         expected = [
             sorted(front)
             for front in oracle_fronts(
@@ -288,13 +285,10 @@ def test_every_operation_serializes_byte_identically(capsys, tmp_path):
             f"betweenness-{mode.value}",
             lambda m=mode: json.dumps(betweenness(overlay, m).scores, sort_keys=True),
         )
-    points = [
-        ObjectiveVector(values=(float(i % 5), float(i % 3), float(i % 7)), senses=OBJECTIVE_SENSES)
-        for i in range(40)
-    ]
+    table = np.array([(i % 5, i % 3, i % 7) for i in range(40)], dtype=float)
     check(
         "fronts",
-        lambda: json.dumps([list(f) for f in non_dominated_sort(points).fronts]),
+        lambda: json.dumps([list(f) for f in non_dominated_sort(table, DECISION_SENSES)]),
     )
     scores = betweenness(overlay)
     area_profiles = (AreaType.COMPUTE_OPTIMIZED, AreaType.MEMORY_OPTIMIZED)
@@ -420,19 +414,9 @@ def test_generative_invariant_suites(capsys):
                 for _ in range(n)
             ]
             maps = [rng.choice(transforms) for _ in range(3)]
-            base_points = [
-                ObjectiveVector(values=v, senses=OBJECTIVE_SENSES) for v in values
-            ]
-            mapped_points = [
-                ObjectiveVector(
-                    values=tuple(m(x) for m, x in zip(maps, v)),
-                    senses=OBJECTIVE_SENSES,
-                )
-                for v in values
-            ]
-            assert (
-                non_dominated_sort(base_points).fronts
-                == non_dominated_sort(mapped_points).fronts
+            mapped = [tuple(m(x) for m, x in zip(maps, v)) for v in values]
+            assert non_dominated_sort(values, DECISION_SENSES) == non_dominated_sort(
+                mapped, DECISION_SENSES
             ), f"transform invariance broke at case {case}"
 
     def scaling_suite():

@@ -25,7 +25,6 @@ from smartfog import (
     Leave,
     Link,
     Mode,
-    ObjectiveVector,
     Sense,
     SmartFogError,
     WorkloadSpec,
@@ -36,6 +35,7 @@ from smartfog import (
     device_features,
     k_means,
     latency_to_cloud,
+    non_dominated_sort,
     place_edge_ward,
     run_simulation,
     run_smartfog_pipeline,
@@ -139,9 +139,10 @@ CASES = [
     ("FogOverlay.from_json.arch", "arch", Arch, lambda v: from_json_with("devices", "arch", v)),
     ("FogOverlay.from_json.latency_ms", "latency_ms", float,
      lambda v: from_json_with("links", "latency_ms", v)),
-    ("ObjectiveVector.values", "values", float,
-     lambda v: ObjectiveVector((v, 1.0), (Sense.MAXIMIZE, Sense.MINIMIZE))),
-    ("ObjectiveVector.senses", "senses", Sense, lambda v: ObjectiveVector((1.0, 2.0), (v, "min"))),
+    ("non_dominated_sort.values", "values", float,
+     lambda v: non_dominated_sort([(v, 1.0), (2.0, 3.0)], (Sense.MAXIMIZE, Sense.MINIMIZE))),
+    ("non_dominated_sort.senses", "senses", Sense,
+     lambda v: non_dominated_sort([(1.0, 2.0)], (v, "min"))),
 ]
 
 # Public names with no scalar argument of their own, each with the reason.
@@ -151,13 +152,12 @@ NO_SCALARS = {
     "CapacityError", "ChurnRejectedError", "ConfigurationError", "ConflictError",
     "ContractError", "NumericalError", "SmartFogError", "TopologyError",
     # result records, built by the package from checked inputs
-    "CentralityScores", "DeviceEvaluation", "FunctionalArea", "GatewayAssignment",
-    "ParetoFronts", "Placement", "SensorAttachment", "SimilarityMatrix", "SimulationReport",
+    "CentralityScores", "FunctionalArea", "GatewayAssignment", "Placement",
+    "SensorAttachment", "SimilarityMatrix", "SimulationReport",
     # config objects: test_harness's JSON property feeds every field of all three
     "ExperimentConfig", "OverlayParams", "WorkloadSpec", "run_experiment",
     # objects, arrays and overlays only
-    "apply_churn", "areas_to_json", "dominates", "evaluate_devices", "jacobi_eigh",
-    "non_dominated_sort", "pareto_front",
+    "apply_churn", "areas_to_json", "evaluate_devices", "jacobi_eigh",
 }
 
 SCALARS = st.one_of(

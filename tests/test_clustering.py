@@ -16,7 +16,6 @@ from smartfog.clustering import (
     jacobi_eigh,
     k_means,
     kmeans_cost,
-    median_bandwidth,
     similarity_matrix,
     spectral_embed,
 )
@@ -24,7 +23,7 @@ from smartfog.centrality import CentralityMode
 from smartfog.decision import AreaType, GatewayAssignment
 from smartfog.errors import CapacityError, ConfigurationError, ContractError, NumericalError
 from smartfog.harness import run_smartfog_pipeline
-from smartfog.overlay import build_overlay
+from smartfog.overlay import Arch, FogDevice, FogOverlay, Link, build_overlay
 
 from oracles import (
     adjusted_rand_index,
@@ -77,11 +76,12 @@ class TestBandwidth:
     def test_median_of_pairwise_distances(self):
         feats = features_of([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]])
         # pairwise distances 1, 3, 2 -> median 2
-        assert median_bandwidth(feats) == 2.0
+        assert similarity_matrix(feats).bandwidth == 2.0
 
     def test_fallbacks(self):
-        assert median_bandwidth(features_of([[1.0, 1.0]])) == 1.0
-        assert median_bandwidth(features_of([[2.0, 2.0]] * 4)) == 1.0
+        # no pair, then only coincident pairs: the default falls back to 1.0
+        assert similarity_matrix(features_of([[1.0, 1.0]])).bandwidth == 1.0
+        assert similarity_matrix(features_of([[2.0, 2.0]] * 4)).bandwidth == 1.0
 
 
 class TestSimilarity:
@@ -101,7 +101,11 @@ class TestSimilarity:
     def test_default_bandwidth_is_median(self):
         ov = build_overlay(10, seed=2)
         feats = device_features(ov)
-        assert similarity_matrix(feats).bandwidth == median_bandwidth(feats)
+        x = feats.values
+        distances = [
+            math.sqrt(((x[i] - x[j]) ** 2).sum()) for i in range(len(x)) for j in range(i + 1, len(x))
+        ]
+        assert similarity_matrix(feats).bandwidth == float(np.median(distances))
 
     def test_invalid_bandwidth(self):
         feats = features_of([[0.0, 0.0], [1.0, 1.0]])
@@ -135,8 +139,6 @@ class TestSimilarity:
             similarity_matrix(feats)
         with pytest.raises(ContractError, match="features"):
             similarity_matrix(feats, bandwidth=1.0)
-        with pytest.raises(ContractError, match="features"):
-            median_bandwidth(feats)
 
     @given(seed=st.integers(0, 500), n=st.integers(2, 20))
     def test_exact_symmetry(self, seed, n):
@@ -602,6 +604,35 @@ class TestFunctionalAreas:
         ov = build_overlay(12, seed=2)
         with pytest.raises(ConfigurationError, match="^bandwidth "):
             cluster_functional_areas(ov, self.assignment_for(ov), k=2, bandwidth=bad)
+
+    @pytest.mark.parametrize(
+        "area_type, groups",
+        [
+            (AreaType.COMPUTE_OPTIMIZED, [(1000.0, 1.0), (1000.0, 8.0)]),
+            (AreaType.MEMORY_OPTIMIZED, [(800.0, 4.0), (1600.0, 4.0)]),
+        ],
+        ids=["compute", "memory"],
+    )
+    def test_score_tie_goes_to_lower_label(self, area_type, groups):
+        """Two clusters with the same mean on the area's column: the lower label wins.
+
+        Gateway 0 leaves two groups of four identical devices that differ only
+        in the other column, so k = 2 splits them and both tie on the score.
+        """
+        attrs = [(1200.0, 2.0)] + [group for group in groups for _ in range(4)]
+        ov = FogOverlay(
+            devices=tuple(
+                FogDevice(id=i, mips=m, memory_gb=g, storage_gb=16.0, arch=Arch.ARM)
+                for i, (m, g) in enumerate(attrs)
+            ),
+            links=tuple(Link(a=i, b=i + 1, latency_ms=2.0) for i in range(len(attrs) - 1)),
+            cloud_latency_ms={0: 60.0},
+        )
+        assignment = GatewayAssignment(gateways=((0, area_type),))
+        for seed in range(4):
+            (area,) = cluster_functional_areas(ov, assignment, k=2, seed=seed)
+            assert area.cluster_label == 0
+            assert area.members in ({1, 2, 3, 4}, {5, 6, 7, 8})
 
     def test_deterministic_export(self):
         ov = build_overlay(12, seed=2)

@@ -5,13 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smartfog.centrality import CentralityMode, CentralityScores, betweenness
-from smartfog.decision import (
-    OBJECTIVE_SENSES,
-    AreaType,
-    GatewayAssignment,
-    evaluate_devices,
-    select_gateways,
-)
+from smartfog.decision import AreaType, GatewayAssignment, evaluate_devices, select_gateways
 from smartfog.errors import CapacityError, ContractError, TopologyError
 from smartfog.overlay import (
     Arch,
@@ -21,7 +15,7 @@ from smartfog.overlay import (
     build_overlay,
     latency_to_cloud,
 )
-from smartfog.pareto import non_dominated_sort
+from smartfog.pareto import Sense, non_dominated_sort
 
 from oracles import oracle_select
 
@@ -59,24 +53,35 @@ def given_scores(values):
     return CentralityScores(scores=dict(enumerate(values)), mode=CentralityMode.UNWEIGHTED)
 
 
+#: betweenness and MIPS are maximized, cloud latency minimized
+SENSES = (Sense.MAXIMIZE, Sense.MAXIMIZE, Sense.MINIMIZE)
+
+
 def one_front(overlay, scores):
-    fronts = non_dominated_sort([e.objectives for e in evaluate_devices(overlay, scores)])
-    return fronts.fronts == (tuple(range(len(overlay.devices))),)
+    _, objectives, _ = evaluate_devices(overlay, scores)
+    return non_dominated_sort(objectives, SENSES) == (tuple(range(len(overlay.devices))),)
+
+
+def evaluation_rows(overlay, scores):
+    """(device_id, betweenness, mips, cloud_latency, memory_gb) per device, as the oracle takes them."""
+    ids, objectives, memory = evaluate_devices(overlay, scores)
+    return [(d, *row, m) for d, row, m in zip(ids, objectives.tolist(), memory.tolist())]
 
 
 class TestEvaluateDevices:
     def test_values_and_order(self):
         ov = build_overlay(9, seed=6)
         scores = scores_for(ov)
-        evals = evaluate_devices(ov, scores)
-        assert [e.device_id for e in evals] == sorted(ov.device_ids)
-        for ev in evals:
-            dev = ov.device(ev.device_id)
-            assert ev.betweenness == scores[ev.device_id]
-            assert ev.mips == dev.mips
-            assert ev.cloud_latency_ms == latency_to_cloud(ov, ev.device_id)
-            assert ev.memory_gb == dev.memory_gb
-            assert ev.objectives.senses == OBJECTIVE_SENSES
+        ids, objectives, memory = evaluate_devices(ov, scores)
+        assert ids == tuple(sorted(ov.device_ids))
+        assert objectives.shape == (len(ids), 3) and memory.shape == (len(ids),)
+        assert objectives.dtype == memory.dtype == float
+        for dev_id, (b, mips, latency), memory_gb in zip(ids, objectives.tolist(), memory.tolist()):
+            dev = ov.device(dev_id)
+            assert b == scores[dev_id]
+            assert mips == dev.mips
+            assert latency == latency_to_cloud(ov, dev_id)
+            assert memory_gb == dev.memory_gb
 
     def test_missing_score_rejected(self):
         ov = build_overlay(4, seed=0)
@@ -256,14 +261,7 @@ class TestSelectGateways:
         areas = areas[: n]
         ov = build_overlay(n, seed)
         scores = betweenness(ov, mode)
-        evals = evaluate_devices(ov, scores)
-        expected = oracle_select(
-            [
-                (e.device_id, e.betweenness, e.mips, e.cloud_latency_ms, e.memory_gb)
-                for e in evals
-            ],
-            [a.value for a in areas],
-        )
+        expected = oracle_select(evaluation_rows(ov, scores), [a.value for a in areas])
         got = select_gateways(ov, areas, scores)
         assert [(d, a.value) for d, a in got.gateways] == expected
 
@@ -349,14 +347,10 @@ class TestDominatedRemovalScoped:
     def test_dropping_deep_fronts_is_neutral(self, seed, n):
         ov = build_overlay(n, seed)
         scores = scores_for(ov)
-        evals = evaluate_devices(ov, scores)
-        fronts = non_dominated_sort([e.objectives for e in evals])
-        front0 = [evals[i] for i in fronts.fronts[0]]
+        rows = evaluation_rows(ov, scores)
+        front0 = [rows[i] for i in non_dominated_sort([row[1:4] for row in rows], SENSES)[0]]
         areas = [AreaType.COMPUTE_OPTIMIZED, AreaType.MEMORY_OPTIMIZED][: len(front0)]
         full = select_gateways(ov, areas, scores)
-        assert set(full.device_ids) <= {e.device_id for e in front0}
-        as_tuple = lambda e: (e.device_id, e.betweenness, e.mips, e.cloud_latency_ms, e.memory_gb)
-        restricted = oracle_select(
-            [as_tuple(e) for e in front0], [a.value for a in areas]
-        )
+        assert set(full.device_ids) <= {row[0] for row in front0}
+        restricted = oracle_select(front0, [a.value for a in areas])
         assert [(d, a.value) for d, a in full.gateways] == restricted

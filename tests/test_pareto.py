@@ -4,15 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smartfog.errors import ContractError
-from smartfog.pareto import (
-    ObjectiveVector,
-    ParetoFronts,
-    Sense,
-    _dominance_matrix,
-    dominates,
-    non_dominated_sort,
-    pareto_front,
-)
+from smartfog.pareto import Sense, _dominance_matrix, non_dominated_sort
 
 from oracles import oracle_fronts
 
@@ -20,8 +12,19 @@ MIN2 = (Sense.MINIMIZE, Sense.MINIMIZE)
 MIXED3 = (Sense.MAXIMIZE, Sense.MAXIMIZE, Sense.MINIMIZE)
 
 
-def vec(*values, senses=MIN2):
-    return ObjectiveVector(values=tuple(float(v) for v in values), senses=senses)
+def fronts(*rows, senses=MIN2):
+    return non_dominated_sort(np.array(rows, dtype=float), senses)
+
+
+def minimized(table, senses):
+    return np.array(
+        [[-v if s is Sense.MAXIMIZE else v for v, s in zip(row, senses)] for row in table]
+    )
+
+
+def dominates(a, b):
+    """The scalar definition on minimized rows: no worse anywhere, better somewhere."""
+    return all(x <= y for x, y in zip(a, b)) and any(x < y for x, y in zip(a, b))
 
 
 finite = st.floats(
@@ -36,160 +39,171 @@ lattice = st.integers(-1000, 1000).map(lambda i: i / 8.0)
 tie_prone = st.sampled_from([-1.0, -0.0, 0.0, 1.0, 2.5]) | finite
 
 
-def vectors(n_objectives, senses, elements=finite, max_size=40):
-    point = st.tuples(*[elements] * n_objectives).map(
-        lambda t: ObjectiveVector(values=t, senses=senses)
-    )
-    return st.lists(point, min_size=1, max_size=max_size)
+def tables(n_objectives, elements=finite, max_size=40):
+    row = st.tuples(*[elements] * n_objectives)
+    return st.lists(row, min_size=1, max_size=max_size).map(np.array)
 
 
-def vectors_with_duplicates(n_objectives, senses, max_size=60):
-    """Up to ``max_size`` draws from a smaller pool, so points repeat."""
-    return vectors(n_objectives, senses, tie_prone, max_size=max_size // 2).flatmap(
-        lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=max_size)
-    )
+def tables_with_duplicates(n_objectives, max_size=60):
+    """Up to ``max_size`` rows drawn from a smaller pool, so rows repeat."""
+    pool = st.lists(st.tuples(*[tie_prone] * n_objectives), min_size=1, max_size=max_size // 2)
+    return pool.flatmap(
+        lambda rows: st.lists(st.sampled_from(rows), min_size=1, max_size=max_size)
+    ).map(np.array)
 
 
 class TestDominates:
+    """Dominance between two rows, read from the fronts of a two-row table."""
+
     def test_strictly_better_everywhere(self):
-        assert dominates(vec(1, 1), vec(2, 2))
-        assert not dominates(vec(2, 2), vec(1, 1))
+        assert fronts((1, 1), (2, 2)) == ((0,), (1,))
+        assert fronts((2, 2), (1, 1)) == ((1,), (0,))
 
     def test_equal_vectors_do_not_dominate(self):
-        assert not dominates(vec(3, 4), vec(3, 4))
+        assert fronts((3, 4), (3, 4)) == ((0, 1),)
 
     def test_tradeoff_is_incomparable(self):
-        assert not dominates(vec(1, 5), vec(5, 1))
-        assert not dominates(vec(5, 1), vec(1, 5))
+        assert fronts((1, 5), (5, 1)) == ((0, 1),)
 
     def test_weakly_better_with_one_strict(self):
-        assert dominates(vec(1, 4), vec(1, 5))
+        assert fronts((1, 4), (1, 5)) == ((0,), (1,))
 
     def test_senses_flip_direction(self):
-        hi = ObjectiveVector(values=(9.0, 9.0), senses=(Sense.MAXIMIZE, Sense.MAXIMIZE))
-        lo = ObjectiveVector(values=(1.0, 1.0), senses=(Sense.MAXIMIZE, Sense.MAXIMIZE))
-        assert dominates(hi, lo)
-        assert not dominates(lo, hi)
+        maximize = (Sense.MAXIMIZE, Sense.MAXIMIZE)
+        assert fronts((9, 9), (1, 1), senses=maximize) == ((0,), (1,))
+        assert fronts((1, 1), (9, 9), senses=maximize) == ((1,), (0,))
+        # one column each way: (1, 9) is better in both
+        assert fronts((1, 9), (5, 5), senses=(Sense.MINIMIZE, Sense.MAXIMIZE)) == ((0,), (1,))
 
     def test_mismatched_senses_rejected(self):
-        a = ObjectiveVector(values=(1.0, 1.0), senses=MIN2)
-        b = ObjectiveVector(values=(1.0, 1.0), senses=(Sense.MAXIMIZE, Sense.MINIMIZE))
-        with pytest.raises(ContractError):
-            dominates(a, b)
+        table = np.array([[1.0, 1.0], [2.0, 2.0]])
+        for senses in [MIN2[:1], (*MIN2, Sense.MAXIMIZE), ()]:
+            with pytest.raises(ContractError, match="^senses must give one sense per column"):
+                non_dominated_sort(table, senses)
 
     def test_vector_validation(self):
-        with pytest.raises(ContractError):
-            ObjectiveVector(values=(1.0,), senses=(Sense.MINIMIZE,))
-        with pytest.raises(ContractError):
-            ObjectiveVector(values=(1.0, float("nan")), senses=MIN2)
-        with pytest.raises(ContractError):
-            ObjectiveVector(values=(1.0, 2.0, 3.0), senses=MIN2)
+        with pytest.raises(ContractError, match="^values"):
+            non_dominated_sort(np.array([[1.0], [2.0]]), (Sense.MINIMIZE,))
+        with pytest.raises(ContractError, match="^values"):
+            non_dominated_sort(np.array([[1.0, float("nan")]]), MIN2)
+        with pytest.raises(ContractError, match="^senses"):
+            non_dominated_sort(np.array([[1.0, 2.0, 3.0]]), MIN2)
 
     def test_sense_values_become_members(self):
-        # Raw strings were stored and read as "minimize", which reversed these fronts.
-        points = [ObjectiveVector(values=(v, v), senses=("max", "max")) for v in (1.0, 9.0)]
-        assert points[0].senses == (Sense.MAXIMIZE, Sense.MAXIMIZE)
-        assert non_dominated_sort(points).fronts == ((1,), (0,))
-        # A list of members becomes the tuple, which dominates() compares.
-        assert ObjectiveVector(values=(1.0, 2.0), senses=list(MIN2)).senses == MIN2
+        # Raw strings must be read as their members, or these fronts reverse.
+        assert fronts((1, 1), (9, 9), senses=("max", "max")) == ((1,), (0,))
+        assert fronts((1, 1), (9, 9), senses=["max", Sense.MAXIMIZE]) == ((1,), (0,))
+        assert fronts((1, 1), (9, 9), senses=list(MIN2)) == ((0,), (1,))
 
     @pytest.mark.parametrize(
         "values,senses,field",
         [
-            (("x", 1.0), MIN2, "values"),
-            ((True, 1.0), MIN2, "values"),
-            ((1.0, 2.0), ("max", "up"), "senses"),
-            ((1.0, 2.0), (Sense.MAXIMIZE, None), "senses"),
+            ([["x", 1.0]], MIN2, "values"),
+            ([[True, 1.0]], MIN2, "values"),
+            ([[1.0, 2.0]], ("max", "up"), "senses"),
+            ([[1.0, 2.0]], (Sense.MAXIMIZE, None), "senses"),
+            ([[1.0, None]], MIN2, "values"),
+            ([[1.0, float("nan")]], MIN2, "values"),
+            ([[1.0, float("inf")]], MIN2, "values"),
+            ([[1.0, -float("inf")]], MIN2, "values"),
+            (np.array([[1.0, np.inf]]), MIN2, "values"),
+            (np.array([[True, False]]), MIN2, "values"),
+            ([[1.0, 2.0], [3.0, True]], MIN2, "values"),
+            ([[1.0, 10**400]], MIN2, "values"),
+            ([], MIN2, "values"),
+            (np.empty((0, 2)), MIN2, "values"),
+            ([1.0, 2.0], MIN2, "values"),
+            (np.array([1.0, 2.0]), MIN2, "values"),
+            (5.0, MIN2, "values"),
+            ([[1.0, 2.0], [3.0]], MIN2, "values"),
+            ([[1.0, 2.0], [3.0, [4.0, 5.0]]], MIN2, "values"),
+            ([np.zeros((2, 2)), np.zeros((2, 3))], MIN2, "values"),
+            (np.array([[1.0, 2.0, 3.0]]).reshape(1, 3, 1), MIN2, "values"),
+            ([[1.0], [2.0]], MIN2[:1], "values"),
+            ([[1.0, 2.0]], MIN2[:1], "senses"),
+            ([[1.0, 2.0]], "min", "senses"),
+            ([[1.0, 2.0]], None, "senses"),
         ],
-        ids=["value-str", "value-bool", "sense-unknown", "sense-none"],
+        ids=[
+            "value-str", "value-bool", "sense-unknown", "sense-none", "value-none",
+            "value-nan", "value-inf", "value-minus-inf", "array-inf", "array-bool",
+            "one-bool-among-floats", "int-past-float", "empty-list", "empty-array",
+            "one-dim-list", "one-dim-array", "scalar", "ragged", "ragged-nested",
+            "ragged-arrays", "three-dim", "one-column", "senses-short", "senses-str",
+            "senses-none-at-all",
+        ],
     )
     def test_bad_entries_refused_by_name(self, values, senses, field):
         with pytest.raises(ContractError, match=f"^{field} must"):
-            ObjectiveVector(values=values, senses=senses)
+            non_dominated_sort(values, senses)
 
-    @given(vs=vectors(2, MIN2))
-    def test_antisymmetric_and_irreflexive(self, vs):
-        for a in vs:
-            assert not dominates(a, a)
-            for b in vs:
-                assert not (dominates(a, b) and dominates(b, a))
+    @given(table=tables(2))
+    def test_antisymmetric_and_irreflexive(self, table):
+        dom = _dominance_matrix(table)
+        assert not dom.diagonal().any()
+        assert not (dom & dom.T).any()
 
-    @given(vs=st.lists(st.tuples(finite, finite), min_size=3, max_size=3))
-    def test_transitive(self, vs):
-        a, b, c = (vec(*t) for t in vs)
-        if dominates(a, b) and dominates(b, c):
-            assert dominates(a, c)
+    @given(table=tables(2, max_size=8) | tables_with_duplicates(2, max_size=8))
+    def test_transitive(self, table):
+        dom = _dominance_matrix(table).astype(int)
+        # i dominates j and j dominates k: i dominates k
+        assert ((dom @ dom > 0) <= (dom > 0)).all()
 
 
 class TestNonDominatedSort:
     def test_chain_peels_one_per_front(self):
-        points = [vec(3, 3), vec(1, 1), vec(2, 2)]
-        fronts = non_dominated_sort(points).fronts
-        assert fronts == ((1,), (2,), (0,))
+        assert fronts((3, 3), (1, 1), (2, 2)) == ((1,), (2,), (0,))
 
     def test_antichain_single_front(self):
-        points = [vec(1, 4), vec(2, 3), vec(3, 2), vec(4, 1)]
-        assert non_dominated_sort(points).fronts == ((0, 1, 2, 3),)
+        assert fronts((1, 4), (2, 3), (3, 2), (4, 1)) == ((0, 1, 2, 3),)
 
     def test_duplicates_share_a_front(self):
-        points = [vec(2, 2), vec(1, 1), vec(1, 1)]
-        assert non_dominated_sort(points).fronts == ((1, 2), (0,))
+        assert fronts((2, 2), (1, 1), (1, 1)) == ((1, 2), (0,))
 
     def test_single_point(self):
-        assert non_dominated_sort([vec(5, 5)]).fronts == ((0,),)
+        assert fronts((5, 5)) == ((0,),)
 
     def test_empty_rejected(self):
-        with pytest.raises(ContractError):
-            non_dominated_sort([])
+        with pytest.raises(ContractError, match="^values"):
+            non_dominated_sort(np.empty((0, 3)), MIXED3)
 
-    def test_mixed_senses_rejected(self):
-        a = ObjectiveVector(values=(1.0, 1.0), senses=MIN2)
-        b = ObjectiveVector(values=(1.0, 1.0), senses=(Sense.MAXIMIZE, Sense.MINIMIZE))
-        with pytest.raises(ContractError):
-            non_dominated_sort([a, b])
+    def test_integer_and_listed_tables_sort_as_floats(self):
+        as_floats = non_dominated_sort(np.array([[3.0, 1.0], [1.0, 3.0], [4.0, 4.0]]), MIN2)
+        assert non_dominated_sort(np.array([[3, 1], [1, 3], [4, 4]]), MIN2) == as_floats
+        assert non_dominated_sort([(3, 1.0), [1, np.float32(3)], (4, 4)], MIN2) == as_floats
+        assert as_floats == ((0, 1), (2,))
 
-    def test_front_of(self):
-        fronts = non_dominated_sort([vec(3, 3), vec(1, 1), vec(2, 2)])
-        assert fronts.front_of(1) == 0
-        assert fronts.front_of(0) == 2
-        with pytest.raises(ContractError):
-            fronts.front_of(9)
-
-    @given(vs=vectors(3, MIXED3, max_size=60) | vectors_with_duplicates(3, MIXED3))
-    def test_matches_matrix_oracle(self, vs):
-        got = non_dominated_sort(vs).fronts
-        expected = oracle_fronts(
-            np.array([v.values for v in vs]),
-            np.array([s is Sense.MINIMIZE for s in MIXED3]),
-        )
+    @given(table=tables(3, max_size=60) | tables_with_duplicates(3))
+    def test_matches_matrix_oracle(self, table):
+        got = non_dominated_sort(table, MIXED3)
+        expected = oracle_fronts(table, np.array([s is Sense.MINIMIZE for s in MIXED3]))
         assert [list(f) for f in got] == [sorted(f) for f in expected]
         # the sort's matrix is the scalar definition, entry by entry
-        minimized = np.array([v.minimized() for v in vs])
-        assert _dominance_matrix(minimized).tolist() == [[dominates(a, b) for b in vs] for a in vs]
+        rows = minimized(table, MIXED3)
+        assert _dominance_matrix(rows).tolist() == [[dominates(a, b) for b in rows] for a in rows]
 
-    @given(vs=vectors(2, MIN2))
-    def test_partition_covers_all_points(self, vs):
-        fronts = non_dominated_sort(vs).fronts
-        flat = [i for front in fronts for i in front]
-        assert sorted(flat) == list(range(len(vs)))
+    @given(table=tables(2))
+    def test_partition_covers_all_points(self, table):
+        flat = [i for front in non_dominated_sort(table, MIN2) for i in front]
+        assert sorted(flat) == list(range(len(table)))
         assert len(flat) == len(set(flat))
 
-    @given(vs=vectors(2, MIN2))
-    def test_front_semantics(self, vs):
+    @given(table=tables(2))
+    def test_front_semantics(self, table):
         """No intra-front domination; every later point dominated by an earlier front."""
-        fronts = non_dominated_sort(vs).fronts
-        for rank, front in enumerate(fronts):
+        got = non_dominated_sort(table, MIN2)
+        for rank, front in enumerate(got):
             for i in front:
                 for j in front:
-                    assert not dominates(vs[i], vs[j])
+                    assert not dominates(table[i], table[j])
                 if rank > 0:
                     assert any(
-                        dominates(vs[j], vs[i]) for j in fronts[rank - 1]
+                        dominates(table[j], table[i]) for j in got[rank - 1]
                     ), "front assignment must be tight"
 
     def test_pareto_front_shortcut(self):
-        points = [vec(1, 4), vec(3, 3), vec(2, 2), vec(4, 1)]
-        assert pareto_front(points) == (0, 2, 3)
+        # front 0 is the non-dominated subset, in input order
+        assert fronts((1, 4), (3, 3), (2, 2), (4, 1))[0] == (0, 2, 3)
 
 
 class TestMonotoneTransformInvariance:
@@ -206,31 +220,19 @@ class TestMonotoneTransformInvariance:
 
     @settings(max_examples=1000)
     @given(
-        vs=vectors(3, MIXED3, elements=lattice),
+        table=tables(3, elements=lattice),
         picks=st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),
     )
-    def test_fronts_invariant(self, vs, picks):
+    def test_fronts_invariant(self, table, picks):
         maps = [self.TRANSFORMS[p] for p in picks]
-        transformed = [
-            ObjectiveVector(
-                values=tuple(m(x) for m, x in zip(maps, v.values)), senses=v.senses
-            )
-            for v in vs
-        ]
-        assert non_dominated_sort(vs).fronts == non_dominated_sort(transformed).fronts
+        transformed = np.array([[m(x) for m, x in zip(maps, row)] for row in table.tolist()])
+        assert non_dominated_sort(table, MIXED3) == non_dominated_sort(transformed, MIXED3)
 
     @given(
-        vs=vectors(2, MIN2, elements=lattice),
+        table=tables(2, elements=lattice),
         a=st.sampled_from([0.5, 2.0, 3.0]),
         b=lattice,
     )
-    def test_dominance_invariant_under_affine(self, vs, a, b):
-        for u in vs[:6]:
-            for w in vs[:6]:
-                tu = ObjectiveVector(
-                    values=tuple(a * x + b for x in u.values), senses=u.senses
-                )
-                tw = ObjectiveVector(
-                    values=tuple(a * x + b for x in w.values), senses=w.senses
-                )
-                assert dominates(u, w) == dominates(tu, tw)
+    def test_dominance_invariant_under_affine(self, table, a, b):
+        head = table[:6]
+        assert (_dominance_matrix(head) == _dominance_matrix(a * head + b)).all()
