@@ -42,7 +42,6 @@ from .overlay import (
     apply_churn,
     build_overlay,
     latency_to_cloud,
-    shortest_paths,
 )
 from .pareto import Sense, non_dominated_sort
 from .simulation import (
@@ -107,7 +106,6 @@ __all__ = [
     "run_simulation",
     "run_smartfog_pipeline",
     "select_gateways",
-    "shortest_paths",
     "similarity_matrix",
     "spectral_embed",
 ]

@@ -87,6 +87,7 @@ def betweenness(
     keeps them as :attr:`FogOverlay.path_table` unless a table is cached; it
     searches from every source either way, so a second call costs the same.
     """
+    overlay = _convert(FogOverlay, overlay, "overlay", ContractError)
     mode = _convert(CentralityMode, mode, "mode", ContractError)
     if not overlay.is_connected():
         raise TopologyError("betweenness requires a connected overlay")

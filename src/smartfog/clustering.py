@@ -8,9 +8,10 @@ embedded points.  Each gateway gets its own k-means run (seeded with
 ``seed XOR gateway_index``) and claims the cluster whose raw-feature centroid
 best matches its area type.
 
-All gateways' k-means runs share one batch of restarts: every k-means++
-seeding is drawn first, each run's from its own seeded stream, then Lloyd's
-iterations update all unconverged restarts together in one array.  Lloyd's
+All gateways' k-means runs are one call of :func:`k_means`, which takes
+their seeds and runs every restart in one batch: every k-means++ seeding is
+drawn first, each run's from its own seeded stream, then Lloyd's iterations
+update all unconverged restarts together in one array.  Lloyd's
 iterations draw no random numbers, and each distance and centroid is summed
 in the same order as a restart run on its own, so the labels are bit for
 bit those of running the runs, and their restarts, one after another.
@@ -33,7 +34,7 @@ import numpy as np
 
 from .decision import AreaType, GatewayAssignment
 from .errors import CapacityError, ConfigurationError, ContractError, NumericalError
-from .errors import _convert, _convert_int
+from .errors import _are_plain, _convert, _convert_int
 from .overlay import FogDevice, FogOverlay
 
 #: k-means restart count and Lloyd iteration cap.
@@ -55,20 +56,12 @@ class FeatureMatrix:
     raw: np.ndarray
 
 
-def device_features(
-    overlay: FogOverlay, device_ids: Sequence[int] | None = None
-) -> FeatureMatrix:
-    """Standardized feature rows for ``device_ids`` (default: all devices)."""
-    if device_ids is None:
-        return _features(overlay.devices)
-    device_ids = [_convert(int, d, "device_ids", ContractError) for d in device_ids]
-    if not device_ids or not all(d in overlay for d in device_ids):
-        raise ContractError(f"device_ids must name one or more devices, got {device_ids}")
-    return _features([overlay.device(d) for d in device_ids])
-
-
-def _features(devices: Sequence[FogDevice]) -> FeatureMatrix:
-    """:func:`device_features` of ``devices``, in their order."""
+def device_features(devices: Sequence[FogDevice]) -> FeatureMatrix:
+    """Standardized feature rows of one or more ``devices``, in their order."""
+    if not (type(devices) in (tuple, list) and _are_plain(devices, FogDevice)):
+        devices = _convert(tuple[FogDevice, ...], devices, "devices", ContractError)
+    if not devices:
+        raise ContractError(f"devices must hold one or more devices, got {devices!r}")
     raw = np.array([[d.mips, d.memory_gb] for d in devices], dtype=float)
     values = raw - raw.mean(axis=0)
     std = raw.std(axis=0)
@@ -130,6 +123,7 @@ def similarity_matrix(
     pairs or all points coincide.  The result is exactly symmetric with unit
     diagonal and entries in [0, 1].
     """
+    features = _convert(FeatureMatrix, features, "features", ContractError)
     d2 = _squared_distances(features)
     if bandwidth is None:
         bandwidth = _median_distance(d2)
@@ -300,42 +294,38 @@ def _cluster_means(points: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray
 
 
 def k_means(
-    points: np.ndarray, k: int, seed: int, n_init: int = KMEANS_RESTARTS
-) -> np.ndarray:
-    """Best-of-``n_init`` seeded Lloyd runs; returns the label array.
+    points: np.ndarray, k: int, seeds: Sequence[int], n_init: int = KMEANS_RESTARTS
+) -> list[np.ndarray]:
+    """Best-of-``n_init`` seeded Lloyd runs for each of ``seeds``: one label array per seed.
 
-    Deterministic for a given (points, k, seed): restarts consume a single
-    seeded stream and ties keep the earliest restart.
+    Deterministic for given (points, k, seed): a seed's restarts consume its
+    own seeded stream and ties keep the earliest restart.  All seeds' restarts
+    run as one batch: each iteration assigns every live restart from one
+    ``(k, R, n)`` distance array, computed element by element as a single
+    restart computes it, to its first nearest centroid, as ``argmin`` does; a
+    restart whose labels did not change is a fixed point and leaves the batch.
+    Centroids add each cluster's rows in index order, as a cluster's mean does.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or 0 in points.shape:
         raise ContractError(f"points must be a non-empty 2-d array, got shape {points.shape}")
-    if not np.all(np.isfinite(points)):
-        raise ContractError("points must be finite")
     n = points.shape[0]
-    # n * (bounding-box diagonal)**2 bounds every sum of squared distances.
-    with np.errstate(over="ignore"):
+    # n * (bounding-box diagonal)**2 bounds every sum of squared distances; a
+    # NaN or infinite point makes it NaN or infinite too.
+    with np.errstate(over="ignore", invalid="ignore"):
         bound = n * float(((points.max(axis=0) - points.min(axis=0)) ** 2).sum())
     if not math.isfinite(bound):
+        if not np.isfinite(points).all():
+            raise ContractError("points must be finite")
         raise ContractError("points must lie close enough for squared distances to stay finite")
     k = _convert(int, k, "k", ContractError)
     if not 1 <= k <= n:
         raise ContractError(f"k must be an integer in [1, {n}], got {k!r}")
-    seed = _convert_int(seed, "seed", 0, ContractError)
+    seeds = _convert(tuple[int, ...], seeds, "seeds", ContractError)
+    if not seeds or min(seeds) < 0:
+        raise ContractError(f"seeds must be one or more integers >= 0, got {list(seeds)}")
     n_init = _convert_int(n_init, "n_init", 1, ContractError)
-    return _k_means_batch(points, k, [seed], n_init)[0]
 
-
-def _k_means_batch(points: np.ndarray, k: int, seeds: Sequence[int], n_init: int) -> list:
-    """:func:`k_means` of checked arguments for each of ``seeds``, as one batch.
-
-    Each iteration assigns every live restart from one ``(k, R, n)`` distance
-    array, computed element by element as a single restart computes it, to
-    its first nearest centroid, as ``argmin`` does; a restart whose labels
-    did not change is a fixed point and leaves the batch.
-    Centroids add each cluster's rows in index order, as a cluster's mean does.
-    """
-    n = points.shape[0]
     rngs = map(np.random.default_rng, seeds)
     centroids = np.concatenate([_kmeanspp_seedings(points, k, rng, n_init) for rng in rngs])
     runs = len(centroids)
@@ -378,12 +368,28 @@ def _k_means_batch(points: np.ndarray, k: int, seeds: Sequence[int], n_init: int
 
 @dataclass(frozen=True)
 class FunctionalArea:
-    """A gateway's claimed cluster of member devices."""
+    """A gateway's claimed cluster of member devices.
+
+    ``area_type`` may be the enum's string value, and ``members`` any set,
+    list or tuple of device ids; it is stored as a frozenset.
+    """
 
     owner_gateway: int
     area_type: AreaType
     members: frozenset[int]
     cluster_label: int
+
+    def __post_init__(self):
+        members = self.members
+        if not (type(members) is frozenset and _are_plain(members, int)):
+            if not isinstance(members, (set, frozenset, list, tuple)):
+                raise ContractError(f"members must be a set of device ids, got {members!r}")
+            members = frozenset(_convert(int, m, "members", ContractError) for m in members)
+            object.__setattr__(self, "members", members)
+        for name, hint in (("owner_gateway", int), ("area_type", AreaType), ("cluster_label", int)):
+            object.__setattr__(self, name, _convert(hint, getattr(self, name), name, ContractError))
+        if self.cluster_label < 0:
+            raise ContractError(f"cluster_label must be an integer >= 0, got {self.cluster_label}")
 
 
 def cluster_functional_areas(
@@ -402,6 +408,8 @@ def cluster_functional_areas(
     the lower cluster label.  Gateways claim clusters independently, so two
     areas can coincide: they do in 26 of 60 pipelines at n = 20/30/40.
     """
+    overlay = _convert(FogOverlay, overlay, "overlay", ContractError)
+    assignment = _convert(GatewayAssignment, assignment, "assignment", ContractError)
     k = _convert_int(k, "k", 1, ContractError)
     seed = _convert_int(seed, "seed", 0, ContractError)
     gateway_ids = assignment.device_ids
@@ -413,11 +421,11 @@ def cluster_functional_areas(
         raise CapacityError(
             f"need at least k={k} non-gateway devices to cluster, have {len(pool)}"
         )
-    features = _features(pool)
+    features = device_features(pool)
     sim = similarity_matrix(features, bandwidth)
     embedding = spectral_embed(sim, k)
     seeds = [seed ^ gw_index for gw_index in range(len(assignment.gateways))]
-    runs = _k_means_batch(embedding, k, seeds, KMEANS_RESTARTS)
+    runs = k_means(embedding, k, seeds)
     areas = []
     for labels, (gw, area_type) in zip(runs, assignment.gateways):
         column = 0 if area_type is AreaType.COMPUTE_OPTIMIZED else 1
@@ -442,6 +450,7 @@ def cluster_functional_areas(
 
 def areas_to_json(areas: Sequence[FunctionalArea]) -> str:
     """Deterministic export: one record per area with sorted member lists."""
+    areas = _convert(tuple[FunctionalArea, ...], areas, "areas", ContractError)
     doc = [
         {
             "gateway": area.owner_gateway,

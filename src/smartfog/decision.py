@@ -35,9 +35,21 @@ class AreaType(str, Enum):
 
 @dataclass(frozen=True)
 class GatewayAssignment:
-    """Selected gateways in area order; devices are distinct."""
+    """Selected gateways in area order; devices are distinct.
+
+    ``gateways`` may be given as lists, and area types as the enum's string
+    values; they are stored as tuples and members.
+    """
 
     gateways: tuple[tuple[int, AreaType], ...]
+
+    def __post_init__(self):
+        hint = tuple[tuple[int, AreaType], ...]
+        gateways = _convert(hint, self.gateways, "gateways", ContractError)
+        ids = [dev for dev, _ in gateways]
+        if not ids or len(set(ids)) != len(ids):
+            raise ContractError(f"gateways must name one or more distinct devices, got {ids}")
+        object.__setattr__(self, "gateways", gateways)
 
     @property
     def device_ids(self) -> tuple[int, ...]:
@@ -57,6 +69,8 @@ def evaluate_devices(
     Raises ContractError for a missing or non-finite score and TopologyError
     for a device with no finite latency to the cloud.
     """
+    overlay = _convert(FogOverlay, overlay, "overlay", ContractError)
+    centrality = _convert(CentralityScores, centrality, "centrality", ContractError)
     ids, devices = overlay.device_ids, overlay.devices
     scores, exits = centrality.scores, overlay.cloud_exit
     for dev_id in ids:
@@ -84,6 +98,8 @@ def select_gateways(
 
     ``areas`` may hold the enum's string values, such as ``"compute"``.
     """
+    overlay = _convert(FogOverlay, overlay, "overlay", ContractError)
+    centrality = _convert(CentralityScores, centrality, "centrality", ContractError)
     if not areas:
         raise ContractError("at least one area is required")
     areas = [_convert(AreaType, area, "areas", ContractError) for area in areas]

@@ -58,6 +58,8 @@ def _coerce(hint, value):
     nested dataclass, must hold an instance of itself.  Any other hint is
     ``X | None`` or ``tuple[...]``, read by its ``__args__``.
     """
+    if type(value) is hint and hint is not float:  # an exact int, enum member or instance
+        return value
     if hint is int:
         if _is_int(value):
             return int(value)

@@ -215,7 +215,7 @@ class FogOverlay:
 
     @cached_property
     def path_table(self) -> dict[int, dict[int, tuple[float, int]]]:
-        """Every device's :func:`shortest_paths`, unless weighted betweenness offered its own."""
+        """Every device's search row, unless weighted betweenness offered its own."""
         return {dev.id: _search(self.adjacency, dev.id) for dev in self.devices}
 
     def _offer_path_table(self, rows: dict[int, dict[int, tuple[float, int]]]) -> None:
@@ -406,6 +406,7 @@ def apply_churn(overlay: FogOverlay, event: ChurnEvent) -> FogOverlay:
     cloud attachment is rejected with :class:`ChurnRejectedError`; the input
     overlay is never modified.
     """
+    overlay = _convert(FogOverlay, overlay, "overlay", ContractError)
     if isinstance(event, Join):
         return _apply_join(overlay, event)
     if isinstance(event, Leave):
@@ -525,19 +526,6 @@ def _search(adjacency: _Adjacency, source: int, sigma=None, preds=None) -> dict:
     return {node: (dist, hops) for dist, hops, node, _ in search}
 
 
-def shortest_paths(overlay: FogOverlay, source: int) -> dict[int, tuple[float, int]]:
-    """Dijkstra over link latencies from ``source``, run to completion.
-
-    Returns ``id -> (latency_ms, hops)`` where ``hops`` is the hop count of
-    the minimum-latency path (fewest hops among latency ties), which keeps the
-    chosen route deterministic.  Unreachable devices are absent from the map.
-    Keys are in settle order (ascending latency).
-    """
-    if _convert(int, source, "source", ContractError) not in overlay:
-        raise ContractError(f"source {source} names no device")
-    return _search(overlay.adjacency, source)
-
-
 def latency_to_cloud(overlay: FogOverlay, device_id: int) -> float:
     """Lowest total latency from ``device_id`` to the cloud.
 
@@ -547,6 +535,7 @@ def latency_to_cloud(overlay: FogOverlay, device_id: int) -> float:
     from the one search behind :attr:`FogOverlay.cloud_exit`, the float as
     summed: inf if finite latencies sum past the largest double.
     """
+    overlay = _convert(FogOverlay, overlay, "overlay", ContractError)
     if _convert(int, device_id, "device_id", ContractError) not in overlay:
         raise ContractError(f"device_id {device_id} names no device")
     try:
@@ -556,5 +545,11 @@ def latency_to_cloud(overlay: FogOverlay, device_id: int) -> float:
 
 
 def all_pairs_paths(overlay: FogOverlay) -> dict[int, dict[int, tuple[float, int]]]:
-    """The overlay's cached shortest-path table (:attr:`FogOverlay.path_table`)."""
-    return overlay.path_table
+    """The overlay's cached shortest-path table (:attr:`FogOverlay.path_table`).
+
+    Row ``source`` maps each device reachable from ``source`` to ``(latency_ms,
+    hops)`` of its minimum-latency path, ``hops`` being the fewest among
+    latency ties, so the chosen route is deterministic.  Keys are in settle
+    order (ascending latency); unreachable devices are absent.
+    """
+    return _convert(FogOverlay, overlay, "overlay", ContractError).path_table

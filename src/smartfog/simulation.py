@@ -146,6 +146,8 @@ def attach_sensors(
     access_ms_range: tuple[float, float] = (1.0, 5.0),
 ) -> SensorAttachment:
     """Pin ``n_sensors`` sensor/actuator pairs to uniformly random devices."""
+    overlay = _convert(FogOverlay, overlay, "overlay", ContractError)
+    rng = _convert(random.Random, rng, "rng", ContractError)
     n_sensors = _convert_int(n_sensors, "n_sensors", 1, ContractError)
     access_ms_range = _convert_range(access_ms_range, "access_ms_range")
     access_point = {}
@@ -173,12 +175,26 @@ def place_edge_ward(
     unoptimized: uniformly random host per sensor and uniformly random
     cloud-attached forwarder per device, drawn from ``rng``.
     """
+    overlay = _convert(FogOverlay, overlay, "overlay", ContractError)
+    sensors = _convert(SensorAttachment, sensors, "sensors", ContractError)
     mode = _convert(Mode, mode, "mode", ContractError)
+    assignment = _convert(GatewayAssignment | None, assignment, "assignment", ContractError)
+    areas = _convert(tuple[FunctionalArea, ...] | None, areas, "areas", ContractError)
+    rng = _convert(random.Random | None, rng, "rng", ContractError)
     if not sensors.access_point:
         raise ContractError("placement requires at least one sensor")
     for s, ap in sensors.access_point.items():
         if ap not in overlay:
             raise ContractError(f"sensor {s}: access_point {ap!r} names no device")
+    for gw in assignment.device_ids if assignment is not None else ():
+        if gw not in overlay:
+            raise ContractError(f"assignment: gateway {gw} names no device")
+    for area in areas or ():
+        if area.owner_gateway not in overlay:
+            raise ContractError(f"areas: owner_gateway {area.owner_gateway} names no device")
+        unknown = area.members.difference(overlay.device_ids)
+        if unknown:
+            raise ContractError(f"areas: member {min(unknown)} names no device")
     paths = all_pairs_paths(overlay)
 
     if mode is Mode.SMARTFOG:
@@ -402,6 +418,7 @@ def run(
     :func:`_serve` over flat arrays.  ``mode`` may be the enum's string
     value, e.g. ``"smartfog"``.
     """
+    overlay = _convert(FogOverlay, overlay, "overlay", ContractError)
     mode = _convert(Mode, mode, "mode", ContractError)
     workload = _convert(WorkloadSpec, workload, "workload", ContractError)
     seed = _convert_int(seed, "seed", 0, ContractError)

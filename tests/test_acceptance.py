@@ -130,7 +130,7 @@ def test_kmeans_reaches_exhaustive_bipartition_optimum(capsys):
         points = rng.normal(size=(n, 2))
         norms = np.linalg.norm(points, axis=1, keepdims=True)
         points = np.where(norms > 0, points / norms, points)  # embedding-like rows
-        cost = kmeans_cost(points, k_means(points, 2, seed=trial, n_init=10))
+        cost = kmeans_cost(points, k_means(points, 2, [trial], n_init=10)[0])
         best = bipartition_best_cost(points)
         if cost < best - 1e-9:  # impossible unless the oracle is broken
             sane = False
@@ -194,9 +194,9 @@ def test_planted_two_population_recovery(capsys):
     recovered = 0
     for seed in range(50):
         overlay, truth = planted_overlay(10, seed=seed)
-        feats = device_features(overlay)
+        feats = device_features(overlay.devices)
         emb = spectral_embed(similarity_matrix(feats), 2)
-        labels = k_means(emb, 2, seed=seed)
+        [labels] = k_means(emb, 2, [seed])
         if adjusted_rand_index([int(x) for x in labels], truth) >= 0.9:
             recovered += 1
     ok = recovered >= 45

@@ -19,8 +19,11 @@ from smartfog import (
     Arch,
     AreaType,
     CentralityMode,
+    ContractError,
     FogDevice,
     FogOverlay,
+    FunctionalArea,
+    GatewayAssignment,
     Join,
     Leave,
     Link,
@@ -28,11 +31,14 @@ from smartfog import (
     Sense,
     SmartFogError,
     WorkloadSpec,
+    apply_churn,
+    areas_to_json,
     attach_sensors,
     betweenness,
     build_overlay,
     cluster_functional_areas,
     device_features,
+    evaluate_devices,
     k_means,
     latency_to_cloud,
     non_dominated_sort,
@@ -40,16 +46,16 @@ from smartfog import (
     run_simulation,
     run_smartfog_pipeline,
     select_gateways,
-    shortest_paths,
     similarity_matrix,
     spectral_embed,
 )
 from smartfog.errors import _convert
+from smartfog.overlay import all_pairs_paths
 
 OVERLAY = build_overlay(10, 3)
 SCORES = betweenness(OVERLAY)
 ASSIGNMENT, AREAS = run_smartfog_pipeline(OVERLAY, ("compute", "memory"), 2, None, 3)[:2]
-FEATURES = device_features(OVERLAY)
+FEATURES = device_features(OVERLAY.devices)
 SIMILARITY = similarity_matrix(FEATURES)
 POINTS = spectral_embed(SIMILARITY, 2)
 SENSORS = attach_sensors(OVERLAY, 3, random.Random(0))
@@ -100,12 +106,11 @@ CASES = [
      lambda v: run_smartfog_pipeline(OVERLAY, ["compute"], 2, None, 0, v)),
     ("similarity_matrix.bandwidth", "bandwidth", float, lambda v: similarity_matrix(FEATURES, v)),
     ("spectral_embed.k", "k", int, lambda v: spectral_embed(SIMILARITY, v)),
-    ("k_means.k", "k", int, lambda v: k_means(POINTS, v, 0)),
-    ("k_means.seed", "seed", int, lambda v: k_means(POINTS, 2, v)),
-    ("k_means.n_init", "n_init", int, lambda v: k_means(POINTS, 2, 0, v)),
-    ("device_features.device_ids", "device_ids", int, lambda v: device_features(OVERLAY, [v])),
+    ("k_means.k", "k", int, lambda v: k_means(POINTS, v, [0])),
+    ("k_means.seeds", "seeds", int, lambda v: k_means(POINTS, 2, [1, v])),
+    ("k_means.n_init", "n_init", int, lambda v: k_means(POINTS, 2, [0], v)),
+    ("device_features.devices", "devices", FogDevice, lambda v: device_features([v])),
     ("latency_to_cloud.device_id", "device_id", int, lambda v: latency_to_cloud(OVERLAY, v)),
-    ("shortest_paths.source", "source", int, lambda v: shortest_paths(OVERLAY, v)),
     ("FogOverlay.device.device_id", "device_id", int, lambda v: OVERLAY.device(v)),
     ("attach_sensors.n_sensors", "n_sensors", int,
      lambda v: attach_sensors(OVERLAY, v, random.Random(0))),
@@ -143,6 +148,16 @@ CASES = [
      lambda v: non_dominated_sort([(v, 1.0), (2.0, 3.0)], (Sense.MAXIMIZE, Sense.MINIMIZE))),
     ("non_dominated_sort.senses", "senses", Sense,
      lambda v: non_dominated_sort([(1.0, 2.0)], (v, "min"))),
+    ("GatewayAssignment.gateways.device", "gateways", int,
+     lambda v: GatewayAssignment(((v, "compute"),))),
+    ("GatewayAssignment.gateways.area_type", "gateways", AreaType,
+     lambda v: GatewayAssignment(((0, v),))),
+    ("FunctionalArea.owner_gateway", "owner_gateway", int,
+     lambda v: FunctionalArea(v, "compute", {1}, 0)),
+    ("FunctionalArea.area_type", "area_type", AreaType, lambda v: FunctionalArea(0, v, {1}, 0)),
+    ("FunctionalArea.members", "members", int, lambda v: FunctionalArea(0, "compute", [1, v], 0)),
+    ("FunctionalArea.cluster_label", "cluster_label", int,
+     lambda v: FunctionalArea(0, "compute", {1}, v)),
 ]
 
 # Public names with no scalar argument of their own, each with the reason.
@@ -152,8 +167,7 @@ NO_SCALARS = {
     "CapacityError", "ChurnRejectedError", "ConfigurationError", "ConflictError",
     "ContractError", "NumericalError", "SmartFogError", "TopologyError",
     # result records, built by the package from checked inputs
-    "CentralityScores", "FunctionalArea", "GatewayAssignment", "Placement",
-    "SensorAttachment", "SimilarityMatrix", "SimulationReport",
+    "CentralityScores", "Placement", "SensorAttachment", "SimilarityMatrix", "SimulationReport",
     # config objects: test_harness's JSON property feeds every field of all three
     "ExperimentConfig", "OverlayParams", "WorkloadSpec", "run_experiment",
     # objects, arrays and overlays only
@@ -184,3 +198,46 @@ def test_scalar_arguments_refused_by_name(word, hint, call, value):
     else:
         # Success is only for a value the rule accepts; ranges may refuse more.
         _convert(hint, value, word)
+
+
+# (case id, word the message must hold, a call with an object of the wrong type)
+WRONG_OBJECTS = [
+    ("betweenness.overlay", "overlay", lambda: betweenness(None)),
+    ("run_smartfog_pipeline.overlay", "overlay",
+     lambda: run_smartfog_pipeline(None, ["compute"], 2, None, 0)),
+    ("run_simulation.overlay", "overlay", lambda: run_simulation(None, "unoptimized", WORKLOAD, 1)),
+    ("select_gateways.centrality", "centrality",
+     lambda: select_gateways(OVERLAY, ["compute"], {0: 1.0})),
+    ("evaluate_devices.overlay", "overlay", lambda: evaluate_devices(OVERLAY.devices, SCORES)),
+    ("evaluate_devices.centrality", "centrality", lambda: evaluate_devices(OVERLAY, None)),
+    ("cluster_functional_areas.assignment", "assignment",
+     lambda: cluster_functional_areas(OVERLAY, None, 2)),
+    ("place_edge_ward.sensors", "sensors",
+     lambda: place_edge_ward(OVERLAY, "x", "smartfog", **ORGANIZED)),
+    ("place_edge_ward.assignment", "assignment",
+     lambda: place_edge_ward(OVERLAY, SENSORS, "smartfog", ASSIGNMENT.gateways, AREAS)),
+    ("place_edge_ward.areas", "areas",
+     lambda: place_edge_ward(OVERLAY, SENSORS, "smartfog", ASSIGNMENT, [AREAS[0], 1])),
+    ("place_edge_ward.rng", "rng", lambda: place_edge_ward(OVERLAY, SENSORS, "unoptimized", rng=5)),
+    ("attach_sensors.rng", "rng", lambda: attach_sensors(OVERLAY, 3, 5)),
+    ("attach_sensors.overlay", "overlay", lambda: attach_sensors(None, 3, random.Random(0))),
+    ("latency_to_cloud.overlay", "overlay", lambda: latency_to_cloud(None, 0)),
+    ("all_pairs_paths.overlay", "overlay", lambda: all_pairs_paths(None)),
+    ("apply_churn.overlay", "overlay", lambda: apply_churn(None, Leave(1))),
+    ("similarity_matrix.features", "features", lambda: similarity_matrix(None)),
+    ("areas_to_json.areas", "areas", lambda: areas_to_json([1])),
+    ("device_features.devices", "devices", lambda: device_features(OVERLAY)),
+    ("k_means.seeds", "seeds", lambda: k_means(POINTS, 2, 0)),
+    ("GatewayAssignment.gateways", "gateways", lambda: GatewayAssignment(None)),
+    ("GatewayAssignment.gateways.distinct", "gateways",
+     lambda: GatewayAssignment(((1, "compute"), (1, "memory")))),
+    ("FunctionalArea.members", "members", lambda: FunctionalArea(0, "compute", 5, 0)),
+]
+
+
+@pytest.mark.parametrize(
+    "word,call", [c[1:] for c in WRONG_OBJECTS], ids=[c[0] for c in WRONG_OBJECTS]
+)
+def test_objects_of_the_wrong_type_rejected_by_name(word, call):
+    with pytest.raises(ContractError, match=word):
+        call()

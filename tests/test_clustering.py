@@ -47,7 +47,7 @@ def features_of(points):
 class TestDeviceFeatures:
     def test_standardization(self):
         ov = build_overlay(20, seed=3)
-        feats = device_features(ov)
+        feats = device_features(ov.devices)
         assert feats.device_ids == tuple(sorted(ov.device_ids))
         assert feats.values.shape == (20, 2)
         np.testing.assert_allclose(feats.values.mean(axis=0), 0.0, atol=1e-12)
@@ -58,18 +58,18 @@ class TestDeviceFeatures:
 
     def test_constant_column_zeroed(self):
         ov = build_overlay(6, seed=0)
-        single = device_features(ov, [0, 0, 0])  # identical rows
+        single = device_features([ov.device(0)] * 3)  # identical rows
         assert np.all(single.values == 0.0)
 
     def test_subset_order_respected(self):
         ov = build_overlay(8, seed=5)
-        feats = device_features(ov, [5, 2, 7])
+        feats = device_features([ov.device(d) for d in (5, 2, 7)])
         assert feats.device_ids == (5, 2, 7)
         assert feats.raw[0, 0] == ov.device(5).mips
 
     def test_empty_subset_rejected(self):
         with pytest.raises(ContractError):
-            device_features(build_overlay(4, seed=0), [])
+            device_features([])
 
 
 class TestBandwidth:
@@ -93,14 +93,14 @@ class TestSimilarity:
 
     def test_unit_diagonal_and_range(self):
         ov = build_overlay(15, seed=9)
-        sim = similarity_matrix(device_features(ov))
+        sim = similarity_matrix(device_features(ov.devices))
         np.testing.assert_array_equal(np.diag(sim.values), 1.0)
         assert np.all(sim.values > 0.0)
         assert np.all(sim.values <= 1.0)
 
     def test_default_bandwidth_is_median(self):
         ov = build_overlay(10, seed=2)
-        feats = device_features(ov)
+        feats = device_features(ov.devices)
         x = feats.values
         distances = [
             math.sqrt(((x[i] - x[j]) ** 2).sum()) for i in range(len(x)) for j in range(i + 1, len(x))
@@ -254,7 +254,7 @@ class TestLaplacianSpectrum:
 class TestSpectralEmbed:
     def test_shape_and_unit_rows(self):
         ov = build_overlay(12, seed=4)
-        emb = spectral_embed(similarity_matrix(device_features(ov)), 3)
+        emb = spectral_embed(similarity_matrix(device_features(ov.devices)), 3)
         assert emb.shape == (12, 3)
         norms = np.sqrt((emb**2).sum(axis=1))
         for nrm in norms:
@@ -275,7 +275,7 @@ class TestSpectralEmbed:
 
     def test_deterministic(self):
         ov = build_overlay(10, seed=6)
-        sim = similarity_matrix(device_features(ov))
+        sim = similarity_matrix(device_features(ov.devices))
         assert np.array_equal(spectral_embed(sim, 2), spectral_embed(sim, 2))
 
     def test_separated_blocks_embed_apart(self):
@@ -347,44 +347,45 @@ class TestKMeans:
     def test_deterministic_for_seed(self):
         rng = np.random.default_rng(0)
         pts = rng.normal(size=(30, 2))
-        assert np.array_equal(k_means(pts, 3, seed=5), k_means(pts, 3, seed=5))
+        assert np.array_equal(k_means(pts, 3, [5]), k_means(pts, 3, [5]))
 
     def test_all_labels_used(self):
         rng = np.random.default_rng(1)
         pts = rng.normal(size=(25, 2))
-        labels = k_means(pts, 4, seed=9)
+        [labels] = k_means(pts, 4, [9])
         assert labels.shape == (25,)
         assert set(int(x) for x in labels) == {0, 1, 2, 3}
 
     def test_k_equals_one_and_n(self):
         rng = np.random.default_rng(2)
         pts = rng.normal(size=(6, 2))
-        assert np.all(k_means(pts, 1, seed=0) == 0)
-        assert kmeans_cost(pts, k_means(pts, 6, seed=0)) == pytest.approx(0.0, abs=1e-12)
+        assert np.all(k_means(pts, 1, [0])[0] == 0)
+        assert kmeans_cost(pts, k_means(pts, 6, [0])[0]) == pytest.approx(0.0, abs=1e-12)
 
     def test_separated_blobs_recovered(self):
         rng = np.random.default_rng(3)
         a = rng.normal(loc=0.0, scale=0.05, size=(10, 2))
         b = rng.normal(loc=5.0, scale=0.05, size=(10, 2))
-        labels = k_means(np.vstack([a, b]), 2, seed=1)
+        [labels] = k_means(np.vstack([a, b]), 2, [1])
         assert len(set(int(x) for x in labels[:10])) == 1
         assert len(set(int(x) for x in labels[10:])) == 1
         assert labels[0] != labels[10]
 
     def test_validation(self):
         with pytest.raises(ContractError):
-            k_means(np.empty((0, 2)), 1, seed=0)
+            k_means(np.empty((0, 2)), 1, [0])
         with pytest.raises(ContractError):
-            k_means(np.empty((3, 0)), 1, seed=0)
+            k_means(np.empty((3, 0)), 1, [0])
         with pytest.raises(ContractError):
-            k_means(np.ones((3, 2)), 4, seed=0)
+            k_means(np.ones((3, 2)), 4, [0])
         with pytest.raises(ContractError):
-            k_means(np.ones(5), 2, seed=0)
-        with pytest.raises(ContractError, match="seed"):
-            k_means(np.ones((3, 2)), 2, seed=-1)
+            k_means(np.ones(5), 2, [0])
+        for seeds in ([-1], [0, -1], [], 3, None):
+            with pytest.raises(ContractError, match="^seeds must"):
+                k_means(np.ones((3, 2)), 2, seeds)
         for n_init in (0, -3):
             with pytest.raises(ContractError, match="n_init"):
-                k_means(np.ones((3, 2)), 2, seed=0, n_init=n_init)
+                k_means(np.ones((3, 2)), 2, [0], n_init=n_init)
 
     @pytest.mark.parametrize(
         "kwargs,field",
@@ -397,8 +398,8 @@ class TestKMeans:
             ({"k": 2.5}, "k"),
             ({"k": True}, "k"),
             ({"k": "2"}, "k"),
-            ({"seed": 1.5}, "seed"),
-            ({"seed": False}, "seed"),
+            ({"seeds": [1.5]}, "seeds"),
+            ({"seeds": [False]}, "seeds"),
             ({"n_init": 2.5}, "n_init"),
             ({"n_init": True}, "n_init"),
         ],
@@ -406,7 +407,7 @@ class TestKMeans:
              "n_init-float", "n_init-bool"],
     )
     def test_bad_input_named(self, kwargs, field):
-        args = {"points": [[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]], "k": 2, "seed": 0, "n_init": 3}
+        args = {"points": [[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]], "k": 2, "seeds": [0], "n_init": 3}
         args.update(kwargs)
         with pytest.raises(ContractError, match=f"^{field} must"):
             k_means(np.array(args.pop("points")), **args)
@@ -414,8 +415,8 @@ class TestKMeans:
     def test_numpy_integer_arguments_accepted(self):
         pts = np.random.default_rng(4).normal(size=(12, 2))
         assert np.array_equal(
-            k_means(pts, np.int64(3), seed=np.int32(7), n_init=np.int64(4)),
-            k_means(pts, 3, seed=7, n_init=4),
+            k_means(pts, np.int64(3), [np.int32(7)], n_init=np.int64(4)),
+            k_means(pts, 3, [7], n_init=4),
         )
 
     def test_cost_never_below_exhaustive_optimum(self):
@@ -423,7 +424,7 @@ class TestKMeans:
         for seed in range(25):
             rng = np.random.default_rng(seed)
             pts = rng.normal(size=(7, 2))
-            cost = kmeans_cost(pts, k_means(pts, 2, seed=seed))
+            cost = kmeans_cost(pts, k_means(pts, 2, [seed])[0])
             best = bipartition_best_cost(pts)
             assert cost >= best - 1e-9
             if cost <= best + 1e-9:
@@ -458,8 +459,7 @@ def kmeans_problems(draw):
 
 def spectral_points(n, seed, k, churn_events=0):
     overlay = churned_overlay(n, seed, churn_events)
-    pool = sorted(overlay.device_ids)[2:]
-    return spectral_embed(similarity_matrix(device_features(overlay, pool)), k)
+    return spectral_embed(similarity_matrix(device_features(overlay.devices[2:])), k)
 
 
 class TestKMeansMatchesSequentialRestarts:
@@ -470,7 +470,7 @@ class TestKMeansMatchesSequentialRestarts:
     def test_property(self, problem):
         points, k, seed, n_init = problem
         assert np.array_equal(
-            k_means(points, k, seed, n_init), sequential_k_means(points, k, seed, n_init)
+            k_means(points, k, [seed], n_init)[0], sequential_k_means(points, k, seed, n_init)
         )
 
     @given(problem=kmeans_problems(), more=st.lists(st.integers(0, 2**32), max_size=3))
@@ -484,7 +484,7 @@ class TestKMeansMatchesSequentialRestarts:
         """
         points, k, seed, n_init = problem
         seeds = [seed, *more]
-        got = clustering._k_means_batch(points, k, seeds, n_init)
+        got = k_means(points, k, seeds, n_init)
         want = [sequential_k_means(points, k, s, n_init) for s in seeds]
         assert len(got) == len(want)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
@@ -503,7 +503,7 @@ class TestKMeansMatchesSequentialRestarts:
         points = spectral_points(n, seed, k, churn_events)
         for kmeans_seed in range(4):
             assert np.array_equal(
-                k_means(points, k, kmeans_seed),
+                k_means(points, k, [kmeans_seed])[0],
                 sequential_k_means(points, k, kmeans_seed, 10),
             )
 
@@ -517,7 +517,7 @@ class TestKMeansMatchesSequentialRestarts:
             [-0.4, 0.4, -1.0, 1.0, 0.1, 0.1, -0.1, -2.5, 0.3, 0.8, 2.1, 0.8]
         ).reshape(-1, 1)
         assert np.array_equal(
-            k_means(points, 3, 1048054883), sequential_k_means(points, 3, 1048054883, 10)
+            k_means(points, 3, [1048054883])[0], sequential_k_means(points, 3, 1048054883, 10)
         )
 
     @pytest.mark.parametrize("max_iter", [1, 2, 3])
@@ -526,7 +526,7 @@ class TestKMeansMatchesSequentialRestarts:
         points = spectral_points(80, 11, 3)
         for seed in range(6):
             assert np.array_equal(
-                k_means(points, 3, seed), sequential_k_means(points, 3, seed, 10, max_iter)
+                k_means(points, 3, [seed])[0], sequential_k_means(points, 3, seed, 10, max_iter)
             )
 
 
@@ -633,6 +633,37 @@ class TestFunctionalAreas:
             (area,) = cluster_functional_areas(ov, assignment, k=2, seed=seed)
             assert area.cluster_label == 0
             assert area.members in ({1, 2, 3, 4}, {5, 6, 7, 8})
+
+    def test_area_type_values_cluster_as_members(self):
+        """An assignment given string area types scores each area on its own column."""
+        for seed in range(10):
+            ov = build_overlay(20, seed=seed)
+            ids = sorted(ov.device_ids)
+            by_value = GatewayAssignment(((ids[0], "compute"), (ids[1], "memory")))
+            by_member = self.assignment_for(ov)
+            assert by_value == by_member
+            assert cluster_functional_areas(ov, by_value, 2, seed=seed) == (
+                cluster_functional_areas(ov, by_member, 2, seed=seed)
+            )
+
+    def test_record_fields_converted(self):
+        area = FunctionalArea(np.int64(3), "memory", [4, np.int32(5)], np.int64(1))
+        assert area == FunctionalArea(3, AreaType.MEMORY_OPTIMIZED, frozenset({4, 5}), 1)
+        assert type(area.owner_gateway) is int and type(area.cluster_label) is int
+        assert type(area.area_type) is AreaType
+        assert all(type(m) is int for m in area.members)
+        assert areas_to_json([area]) == '[{"area_type":"memory","gateway":3,"members":[4,5]}]'
+
+    @pytest.mark.parametrize(
+        "fields, field",
+        [((0, "fast", {1}, 0), "area_type"), ((0, "compute", None, 0), "members"),
+         ((0, "compute", {1.5}, 0), "members"), ((0, "compute", {1}, -1), "cluster_label"),
+         ((True, "compute", {1}, 0), "owner_gateway")],
+        ids=["area-type", "members-none", "members-float", "label-negative", "owner-bool"],
+    )
+    def test_bad_record_fields_rejected_by_name(self, fields, field):
+        with pytest.raises(ContractError, match=f"^{field} must"):
+            FunctionalArea(*fields)
 
     def test_deterministic_export(self):
         ov = build_overlay(12, seed=2)

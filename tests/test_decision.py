@@ -168,6 +168,29 @@ class TestPriorityWithinFront:
         assert got.device_ids == (0, 1, 2, 3)
 
 
+class TestGatewayAssignment:
+    def test_fields_converted(self):
+        assignment = GatewayAssignment([[3, "compute"], (1, AreaType.MEMORY_OPTIMIZED)])
+        assert assignment.gateways == (
+            (3, AreaType.COMPUTE_OPTIMIZED),
+            (1, AreaType.MEMORY_OPTIMIZED),
+        )
+        assert type(assignment.gateways[0][1]) is AreaType
+        assert assignment.to_json_obj() == [
+            {"gateway": 3, "area_type": "compute"},
+            {"gateway": 1, "area_type": "memory"},
+        ]
+
+    @pytest.mark.parametrize(
+        "gateways",
+        [None, (), ((1, "compute"), (1, "memory")), ((1, "fast"),), ((1.0, "compute"),), (1,)],
+        ids=["none", "empty", "duplicate", "area-type", "device-float", "flat"],
+    )
+    def test_bad_gateways_rejected_by_name(self, gateways):
+        with pytest.raises(ContractError, match="^gateways must"):
+            GatewayAssignment(gateways)
+
+
 class TestSelectGateways:
     def test_small_chain_scenario(self):
         # front 0 is {0, 1} (0 wins mips+latency, 1 wins betweenness);

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import smartfog.clustering
 import smartfog.harness
 from smartfog.centrality import CentralityMode
 from smartfog.cli import build_parser, main
@@ -436,6 +437,24 @@ class TestRunExperiment:
             "run_smartfog_pipeline": len(config.sizes) * reps,
         }
         assert len(searched_sources) == sum(config.sizes) * reps
+
+    def test_pipeline_runs_the_public_clustering_entries(self, monkeypatch):
+        """Organizing builds the features and runs every gateway's k-means in one call each."""
+        calls = Counter()
+
+        def count_calls(module, name):
+            original = getattr(module, name)
+
+            def counting(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+
+        count_calls(smartfog.clustering, "device_features")
+        count_calls(smartfog.clustering, "k_means")
+        run_smartfog_pipeline(build_overlay(20, 1), ("compute", "memory"), 2, None, 1)
+        assert calls == {"device_features": 1, "k_means": 1}
 
     def test_unoptimized_only_never_organizes(self, tmp_path, monkeypatch):
         # n = 3 has too few non-gateway devices to cluster, so organizing would fail

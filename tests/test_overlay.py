@@ -28,10 +28,10 @@ from smartfog.overlay import (
     Leave,
     Link,
     OverlayParams,
+    all_pairs_paths,
     apply_churn,
     build_overlay,
     latency_to_cloud,
-    shortest_paths,
 )
 from smartfog.simulation import Mode, WorkloadSpec, run
 
@@ -513,7 +513,7 @@ class TestCanonicalOrder:
 
 def full_search_latency_to_cloud(overlay, device_id):
     """The cloud latency read off a complete shortest-path table."""
-    table = shortest_paths(overlay, device_id)
+    table = all_pairs_paths(overlay)[device_id]
     return min(table[g][0] + ms for g, ms in overlay.cloud_latency_ms.items() if g in table)
 
 
@@ -529,7 +529,8 @@ def virtual_cloud_latencies(overlay):
     joined = apply_churn(
         overlay, Join(device=virtual, links=tuple(overlay.cloud_latency_ms.items()))
     )
-    return {dev: ms for dev, (ms, _) in shortest_paths(joined, cloud_id).items() if dev != cloud_id}
+    row = all_pairs_paths(joined)[cloud_id]
+    return {dev: ms for dev, (ms, _) in row.items() if dev != cloud_id}
 
 
 def integer_latency_overlay(seed, n=30, n_links=50, n_cloud=6):
@@ -591,7 +592,7 @@ class TestLatencyToCloud:
         ov = integer_latency_overlay(seed)
         tied = 0
         for dev in ov.device_ids:
-            table = shortest_paths(ov, dev)
+            table = all_pairs_paths(ov)[dev]
             totals = sorted(table[g][0] + ms for g, ms in ov.cloud_latency_ms.items())
             tied += totals[0] == totals[1]
             assert latency_to_cloud(ov, dev) == totals[0]
@@ -641,7 +642,7 @@ class TestShortestPaths:
     def test_matches_brute_force(self, seed, n):
         ov = build_overlay(n, seed)
         for src in ov.device_ids:
-            table = shortest_paths(ov, src)
+            table = all_pairs_paths(ov)[src]
             for dst in ov.device_ids:
                 assert table[dst][0] == pytest.approx(
                     brute_force_min_latency(ov, src, dst), abs=1e-9
@@ -649,6 +650,6 @@ class TestShortestPaths:
 
     def test_hop_counts_on_chain(self):
         ov = chain_overlay(4)
-        table = shortest_paths(ov, 0)
+        table = all_pairs_paths(ov)[0]
         assert table[3] == (6.0, 3)
         assert table[0] == (0.0, 0)

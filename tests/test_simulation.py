@@ -214,6 +214,30 @@ class TestPlacement:
         with pytest.raises(ContractError, match="access_point"):
             place_edge_ward(ov, sensors, mode, assignment, areas, random.Random(0))
 
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize(
+        "place, match",
+        [("member", "member 99 names"), ("owner", "owner_gateway 99 names"),
+         ("gateway", "gateway 99 names")],
+        ids=["member", "owner", "gateway"],
+    )
+    def test_unknown_area_ids_rejected_by_name(self, mode, place, match):
+        """An id naming no device is refused in either mode, before any route is sought."""
+        ov = chain(4)
+        sensors = SensorAttachment(access_point={0: 1}, access_ms={0: 2.0})
+        gateways = [(0, AreaType.COMPUTE_OPTIMIZED)]
+        area = self.area(0, {2, 3})
+        if place == "member":
+            area = self.area(0, {2, 3, 99})
+        elif place == "owner":
+            area = self.area(99, {2, 3})
+        else:
+            gateways.append((99, AreaType.MEMORY_OPTIMIZED))
+        with pytest.raises(ContractError, match=match):
+            place_edge_ward(
+                ov, sensors, mode, GatewayAssignment(gateways), [area], random.Random(0)
+            )
+
 
 class TestSingleDeviceLoop:
     """One device, one sensor, one tuple: every delay term known in closed form."""
