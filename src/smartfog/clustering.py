@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.random import default_rng
 
 from .decision import AreaType, GatewayAssignment
 from .errors import CapacityError, ConfigurationError, ContractError, NumericalError
@@ -40,6 +41,10 @@ from .overlay import FogDevice, FogOverlay
 #: k-means restart count and Lloyd iteration cap.
 KMEANS_RESTARTS = 10
 KMEANS_MAX_ITER = 300
+
+#: ``k_means`` accepts points no coordinate of which exceeds this in
+#: magnitude without computing the exact overflow bound.
+_FAST_COORDINATE_LIMIT = 1e100
 
 
 @dataclass(frozen=True)
@@ -101,7 +106,14 @@ def _median_distance(d2: np.ndarray) -> float:
     n = d2.shape[0]
     if n < 2:
         return 1.0
-    med = float(np.median(np.sqrt(d2[np.triu_indices(n, k=1)])))
+    dist = np.sqrt(d2[np.triu_indices(n, k=1)])
+    half = len(dist) // 2
+    # Not np.median: its NaN check imports numpy.ma, which each forked worker would load.
+    if len(dist) % 2:
+        med = float(np.partition(dist, half)[half])
+    else:
+        low, high = np.partition(dist, (half - 1, half))[half - 1 : half + 1]
+        med = float((low + high) / 2)
     return med if med > 0 else 1.0
 
 
@@ -207,7 +219,8 @@ def kmeans_cost(points: np.ndarray, labels: np.ndarray) -> float:
     """Sum of squared distances to each point's cluster mean."""
     points = np.asarray(points, dtype=float)
     cost = 0.0
-    for label in np.unique(labels):
+    # Not np.unique: it calls np.ma.is_masked, which imports numpy.ma in each forked worker.
+    for label in sorted(set(labels.tolist())):
         members = points[labels == label]
         centroid = members.mean(axis=0)
         cost += float(((members - centroid) ** 2).sum())
@@ -311,13 +324,15 @@ def k_means(
         raise ContractError(f"points must be a non-empty 2-d array, got shape {points.shape}")
     n = points.shape[0]
     # n * (bounding-box diagonal)**2 bounds every sum of squared distances; a
-    # NaN or infinite point makes it NaN or infinite too.
-    with np.errstate(over="ignore", invalid="ignore"):
-        bound = n * float(((points.max(axis=0) - points.min(axis=0)) ** 2).sum())
-    if not math.isfinite(bound):
-        if not np.isfinite(points).all():
-            raise ContractError("points must be finite")
-        raise ContractError("points must lie close enough for squared distances to stay finite")
+    # NaN or infinite point makes it NaN or infinite too.  Within the fast
+    # limit it is below n * d * 4e200, so it needs computing only past it.
+    if not float(np.abs(points).max()) <= _FAST_COORDINATE_LIMIT:
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = n * float(((points.max(axis=0) - points.min(axis=0)) ** 2).sum())
+        if not math.isfinite(bound):
+            if not np.isfinite(points).all():
+                raise ContractError("points must be finite")
+            raise ContractError("points must lie close enough for squared distances to stay finite")
     k = _convert(int, k, "k", ContractError)
     if not 1 <= k <= n:
         raise ContractError(f"k must be an integer in [1, {n}], got {k!r}")
@@ -326,7 +341,7 @@ def k_means(
         raise ContractError(f"seeds must be one or more integers >= 0, got {list(seeds)}")
     n_init = _convert_int(n_init, "n_init", 1, ContractError)
 
-    rngs = map(np.random.default_rng, seeds)
+    rngs = map(default_rng, seeds)
     centroids = np.concatenate([_kmeanspp_seedings(points, k, rng, n_init) for rng in rngs])
     runs = len(centroids)
     final = np.empty((runs, n), dtype=np.intp)
@@ -386,6 +401,8 @@ class FunctionalArea:
                 raise ContractError(f"members must be a set of device ids, got {members!r}")
             members = frozenset(_convert(int, m, "members", ContractError) for m in members)
             object.__setattr__(self, "members", members)
+        if not members:
+            raise ContractError(f"members must hold one or more device ids, got {members!r}")
         for name, hint in (("owner_gateway", int), ("area_type", AreaType), ("cluster_label", int)):
             object.__setattr__(self, name, _convert(hint, getattr(self, name), name, ContractError))
         if self.cluster_label < 0:

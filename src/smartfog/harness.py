@@ -18,8 +18,11 @@ Every replicate runs at one OpenBLAS thread, at any ``jobs``, and the caller's
 count is restored afterwards.  Worker processes would otherwise each run
 OpenBLAS's helper threads beside them, and the spectral eigensolve's bytes
 could depend on the thread count, so results.csv would depend on ``jobs`` and
-on the host.  Workers inherit the count only under the ``fork`` start method,
-the default on Linux before Python 3.14.
+on the host.  On Linux the pool forks its workers, named explicitly because
+Python 3.14 defaults to ``forkserver``.  They inherit the count, and they
+start warm: ``import smartfog`` already loads every module a replicate uses,
+so no worker imports one during its first replicate.  Elsewhere the
+platform's default start method applies.
 
 The frozen config objects check and convert every value by its annotation when
 built, in code or by ``ExperimentConfig.from_dict``, which only maps JSON keys.
@@ -33,6 +36,7 @@ import json
 import logging
 import math
 import os
+import sys
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, is_dataclass
@@ -350,7 +354,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[Path, Path]:
     Replicates run at one OpenBLAS thread at any ``jobs``, so results.csv does
     not depend on ``jobs`` or on the host's cores, and the caller's thread
     count is restored on return or error.  The pool's workers inherit that
-    count only when they are forked (the ``fork`` start method).
+    count, and the parent's loaded modules, because on Linux they are forked.
     """
     config = _convert(ExperimentConfig, config, "config", ContractError)
     out_dir = Path(config.out_dir)
@@ -362,9 +366,12 @@ def run_experiment(config: ExperimentConfig) -> tuple[Path, Path]:
     with _one_blas_thread():
         if jobs > 1:
             # Imported here: the pool pulls in multiprocessing, which no other path needs.
+            import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
+            # Forked workers inherit the BLAS thread count and every loaded module.
+            context = multiprocessing.get_context("fork") if sys.platform == "linux" else None
+            with ProcessPoolExecutor(max_workers=jobs, mp_context=context) as pool:
                 chunk = max(1, len(sizes) // (jobs * 4))
                 replicates = list(pool.map(replicate, sizes, reps, chunksize=chunk))
         else:

@@ -83,6 +83,16 @@ class TestBandwidth:
         assert similarity_matrix(features_of([[1.0, 1.0]])).bandwidth == 1.0
         assert similarity_matrix(features_of([[2.0, 2.0]] * 4)).bandwidth == 1.0
 
+    def test_equals_numpy_median_bit_for_bit(self):
+        # Pair counts 1, 3, 6, ... 78: odd and even, so one and two middle values.
+        rng = np.random.default_rng(11)
+        for n in range(2, 14):
+            for scale in (1e-3, 1.0, 1e3):
+                x = rng.normal(size=(n, 2)) * scale
+                d2 = ((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=-1)
+                expected = float(np.median(np.sqrt(d2[np.triu_indices(n, k=1)])))
+                assert clustering._median_distance(d2) == expected
+
 
 class TestSimilarity:
     def test_known_value_at_bandwidth_distance(self):
@@ -412,6 +422,13 @@ class TestKMeans:
         with pytest.raises(ContractError, match=f"^{field} must"):
             k_means(np.array(args.pop("points")), **args)
 
+    def test_large_points_with_finite_bound_accepted(self):
+        # Past the fast coordinate limit, but 3 * (2e150)**2 is finite.
+        pts = np.array([[0.0, 1.0], [1e150, 0.0], [-1e150, 1.0]])
+        assert np.abs(pts).max() > clustering._FAST_COORDINATE_LIMIT
+        (labels,) = k_means(pts, 2, [0])
+        assert sorted(set(labels.tolist())) == [0, 1]
+
     def test_numpy_integer_arguments_accepted(self):
         pts = np.random.default_rng(4).normal(size=(12, 2))
         assert np.array_equal(
@@ -658,8 +675,9 @@ class TestFunctionalAreas:
         "fields, field",
         [((0, "fast", {1}, 0), "area_type"), ((0, "compute", None, 0), "members"),
          ((0, "compute", {1.5}, 0), "members"), ((0, "compute", {1}, -1), "cluster_label"),
-         ((True, "compute", {1}, 0), "owner_gateway")],
-        ids=["area-type", "members-none", "members-float", "label-negative", "owner-bool"],
+         ((True, "compute", {1}, 0), "owner_gateway"), ((0, "compute", [], 0), "members")],
+        ids=["area-type", "members-none", "members-float", "label-negative", "owner-bool",
+             "members-empty"],
     )
     def test_bad_record_fields_rejected_by_name(self, fields, field):
         with pytest.raises(ContractError, match=f"^{field} must"):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import dataclasses
 import json
@@ -386,6 +387,22 @@ class TestRunExperiment:
             parallel = run_experiment(tiny_config(out / "parallel", jobs=2, **overrides))
             assert serial[0].read_bytes() == parallel[0].read_bytes()
 
+    def test_pool_forks_its_workers_on_linux(self, tmp_path, monkeypatch):
+        contexts = []
+
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, mp_context=None, **kwargs):
+                contexts.append(mp_context)
+                super().__init__(*args, mp_context=mp_context, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        run_experiment(tiny_config(tmp_path, jobs=2))
+        assert len(contexts) == 1
+        if sys.platform == "linux":
+            assert contexts[0].get_start_method() == "fork"
+        else:
+            assert contexts[0] is None
+
     @needs_openblas
     def test_pool_workers_run_at_one_blas_thread(self, tmp_path, monkeypatch):
         monkeypatch.setattr(smartfog.harness, "_replicate", replicate_noting_blas_threads)
@@ -716,13 +733,9 @@ def test_readme_commands_parse():
             pytest.fail(f"README command does not parse: smartfog {shlex.join(argv)}")
 
 
-def test_import_loads_no_process_pool():
-    """``import smartfog`` leaves multiprocessing unloaded; only sweeps at ``jobs > 1`` use it."""
+def fresh_interpreter_output(code):
+    """What ``code`` prints in a new interpreter that imports smartfog from this tree."""
     src = Path(smartfog.harness.__file__).resolve().parents[1]
-    code = (
-        "import sys, smartfog; print(sorted(m for m in sys.modules"
-        " if m.split('.')[0] == 'multiprocessing' or m == 'concurrent.futures.process'))"
-    )
     result = subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": str(src)},
@@ -731,4 +744,28 @@ def test_import_loads_no_process_pool():
         timeout=60,
         check=True,
     )
-    assert result.stdout.strip() == "[]"
+    return result.stdout.strip()
+
+
+def test_import_loads_no_process_pool():
+    """``import smartfog`` leaves multiprocessing unloaded; only sweeps at ``jobs > 1`` use it."""
+    code = (
+        "import sys, smartfog; print(sorted(m for m in sys.modules"
+        " if m.split('.')[0] == 'multiprocessing' or m == 'concurrent.futures.process'))"
+    )
+    assert fresh_interpreter_output(code) == "[]"
+
+
+def test_replicate_imports_no_module():
+    """After ``import smartfog`` a replicate loads no module, so forked workers start warm."""
+    code = (
+        "import sys, smartfog\n"
+        "from smartfog import harness\n"
+        "before = set(sys.modules)\n"
+        "for centrality in smartfog.CentralityMode:\n"
+        "    config = harness.ExperimentConfig(sizes=(12,), replications=1,\n"
+        "                                      centrality_mode=centrality, modes=tuple(smartfog.Mode))\n"
+        "    harness._replicate(config, 12, 0)\n"
+        "print(sorted(set(sys.modules) - before))"
+    )
+    assert fresh_interpreter_output(code) == "[]"
