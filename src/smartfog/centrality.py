@@ -37,12 +37,15 @@ The latency-weighted mode runs the overlay's one Dijkstra once per source.
 As in Brandes (2001), the search counts shortest paths and records their
 predecessors as it settles, ties decided by exact float equality of path
 latencies; sums of link latencies are floats, but the counts and the
-recurrence stay integers.  The searches' rows are offered to the overlay as
-:attr:`FogOverlay.path_table`, the table the simulation routes on, so one
-search per source serves both.  A table already cached is kept, and the
-searches still run, so a second weighted call on one overlay costs as much
-as the first: seconds at n = 1000.  No caller in the package makes a second
-call.
+recurrence stay integers.  The search and the sweep run on device
+positions: path counts, predecessors, dependencies and numerators are lists
+indexed like :attr:`FogOverlay.neighbours`, mapped to device ids once at the
+end.  The searches' rows, keyed by id in settle order, are offered to the
+overlay as :attr:`FogOverlay.path_table`, the table the simulation routes
+on, so one search per source serves both.  A table already cached is kept,
+and the searches still run, so a second weighted call on one overlay costs
+as much as the first: seconds at n = 1000.  No caller in the package makes
+a second call.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ContractError, TopologyError, _convert
-from .overlay import FogOverlay, _Adjacency, _search
+from .overlay import FogOverlay, _Neighbours, _search
 
 #: Integers below these are exact in float64 (53-bit significand) and int64.
 _EXACT_FLOAT = 2**53
@@ -95,18 +98,19 @@ def betweenness(
         scores = _brandes_all_sources(overlay)
     else:
         rows = {}
-        scores = _brandes_sweep(overlay.adjacency, rows)
+        scores = _brandes_sweep(overlay.neighbours, overlay.device_ids, rows)
         overlay._offer_path_table(rows)
     return CentralityScores(scores=scores, mode=mode)
 
 
 def _brandes_all_sources(overlay: FogOverlay) -> dict[int, float]:
-    ids = overlay.device_ids
+    ids, neighbours = overlay.device_ids, overlay.neighbours
     n = len(ids)
-    index = {v: i for i, v in enumerate(ids)}
     adj = np.zeros((n, n))
-    for link in overlay.links:
-        adj[index[link.a], index[link.b]] = adj[index[link.b], index[link.a]] = 1.0
+    adj[
+        [v for v, row in enumerate(neighbours) for _ in row],
+        [w for row in neighbours for w, _ in row],
+    ] = 1.0
     # Forward pass, one BFS level of every source per product: row s of
     # ``sigma`` holds source s's path counts, ``front`` those on the current
     # level, ``levels[d]`` marks the devices at distance d.  Values are finite,
@@ -156,39 +160,46 @@ def _brandes_all_sources(overlay: FogOverlay) -> dict[int, float]:
 
 def _brandes_unweighted(overlay: FogOverlay) -> dict[int, float]:
     # The exact path past the 2**53 bound: the per-source sweep on unit lengths.
-    hops = {v: [(w, 1) for w, _ in nbrs] for v, nbrs in overlay.adjacency.items()}
-    return _brandes_sweep(hops)
+    hops = [[(w, 1) for w, _ in row] for row in overlay.neighbours]
+    return _brandes_sweep(hops, overlay.device_ids)
 
 
-def _brandes_sweep(adjacency: _Adjacency, rows: dict | None = None) -> dict[int, float]:
+def _brandes_sweep(
+    neighbours: _Neighbours, ids: tuple[int, ...], rows: dict | None = None
+) -> dict[int, float]:
     """Exact betweenness from one shortest-path search per source.
 
-    ``adjacency`` holds the edge lengths.  Each source's search counts its
-    shortest paths and records their predecessors as it settles; given
-    ``rows``, its ``id -> (latency, hops)`` row is stored there too.
+    ``neighbours`` holds the edge lengths by device position, ``ids`` each
+    position's device id.  Each source's search counts its shortest paths
+    and records their predecessors as it settles; given ``rows``, its
+    ``id -> (latency, hops)`` row is stored there too, under the source's id.
     """
+    n = len(ids)
+    position = dict(zip(ids, range(n)))
     # Running sum of every source's dependencies as integer numerators over
-    # one common denominator ``den``.
-    num = dict.fromkeys(adjacency, 0)
+    # one common denominator ``den``, by position.
+    num = [0] * n
     den = 1
-    for s in adjacency:
-        sigma = {s: 1}
-        preds: dict[int, list[int]] = {s: []}
-        row = _search(adjacency, s, sigma, preds)
+    for s in range(n):
+        sigma = [0] * n
+        sigma[s] = 1
+        preds: list = [None] * n
+        preds[s] = []
+        row = _search(neighbours, ids, s, sigma, preds)
         if rows is not None:
-            rows[s] = row
+            rows[ids[s]] = row
         # Dependencies scaled by L = lcm(sigma): D[v] = L * delta(v) is an
         # integer and every division below is exact.  D / L is added into
-        # num / den over their least common denominator.
-        scale = math.lcm(*sigma.values())
+        # num / den over their least common denominator.  The overlay is
+        # connected, so every count is positive.
+        scale = math.lcm(*sigma)
         up = scale // math.gcd(den, scale)
         if up != 1:
-            for v in num:
-                num[v] *= up
+            num = [x * up for x in num]
             den *= up
         down = den // scale
-        dep = dict.fromkeys(row, 0)
-        for w in reversed(row):
+        dep = [0] * n
+        for w in map(position.__getitem__, reversed(row)):
             share = (scale + dep[w]) // sigma[w]
             for v in preds[w]:
                 dep[v] += sigma[v] * share
@@ -197,4 +208,4 @@ def _brandes_sweep(adjacency: _Adjacency, rows: dict | None = None) -> dict[int,
     # Each unordered pair was counted from both endpoints.  int / int is
     # correctly rounded, so each score is the double nearest the exact value.
     den *= 2
-    return {v: x / den for v, x in num.items()}
+    return {v: x / den for v, x in zip(ids, num)}

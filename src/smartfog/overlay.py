@@ -9,7 +9,10 @@ yields the same overlay, byte for byte after serialization.
 The cached ``path_table`` and ``cloud_exit`` come from the module's one
 Dijkstra, run from each device or once from every cloud-attached device.
 The same search counts shortest paths for weighted betweenness, whose rows
-only :meth:`FogOverlay._offer_path_table` writes into ``path_table``.
+only :meth:`FogOverlay._offer_path_table` writes into ``path_table``.  The
+search runs on device positions (indices into ``device_ids``, whose order is
+id order, so every tie rule is unchanged) over :attr:`FogOverlay.neighbours`,
+with its state in lists; only the rows and maps it returns are keyed by id.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterator, Mapping, Sequence, Union
 
 from .errors import (
     ChurnRejectedError,
@@ -191,32 +194,39 @@ class FogOverlay:
         return tuple(d.id for d in self.devices)
 
     @cached_property
-    def _by_id(self) -> dict[int, FogDevice]:
-        return {d.id: d for d in self.devices}
+    def _position(self) -> dict[int, int]:
+        """Each device id's index in ``devices`` and ``device_ids``."""
+        return {d.id: i for i, d in enumerate(self.devices)}
 
     def device(self, device_id: int) -> FogDevice:
         if device_id not in self:
             _convert(int, device_id, "device_id", ContractError)
             raise ContractError(f"device_id {device_id} names no device")
-        return self._by_id[device_id]
+        return self.devices[self._position[device_id]]
 
     def __contains__(self, device_id: object) -> bool:
         """Whether ``device_id`` is an integer (not a bool) naming a device."""
-        return _is_int(device_id) and device_id in self._by_id
+        return _is_int(device_id) and device_id in self._position
 
     @cached_property
-    def adjacency(self) -> dict[int, tuple[tuple[int, float], ...]]:
-        """Neighbour lists as ``id -> ((neighbour, latency_ms), ...)``, built ascending."""
-        adj: dict[int, list[tuple[int, float]]] = {d.id: [] for d in self.devices}
+    def neighbours(self) -> tuple[tuple[tuple[int, float], ...], ...]:
+        """Row i holds device i's ``((position, latency_ms), ...)``, built ascending.
+
+        Positions index ``device_ids``, whose order is id order.
+        """
+        position = self._position
+        rows: list[list[tuple[int, float]]] = [[] for _ in self.devices]
         for link in self.links:
-            adj[link.a].append((link.b, link.latency_ms))
-            adj[link.b].append((link.a, link.latency_ms))
-        return {k: tuple(v) for k, v in adj.items()}
+            a, b, ms = position[link.a], position[link.b], link.latency_ms
+            rows[a].append((b, ms))
+            rows[b].append((a, ms))
+        return tuple(map(tuple, rows))
 
     @cached_property
     def path_table(self) -> dict[int, dict[int, tuple[float, int]]]:
         """Every device's search row, unless weighted betweenness offered its own."""
-        return {dev.id: _search(self.adjacency, dev.id) for dev in self.devices}
+        ids = self.device_ids
+        return {v: _search(self.neighbours, ids, i) for i, v in enumerate(ids)}
 
     def _offer_path_table(self, rows: dict[int, dict[int, tuple[float, int]]]) -> None:
         """Cache ``rows``, every device's search row, as ``path_table`` unless one is cached."""
@@ -225,8 +235,10 @@ class FogOverlay:
     @cached_property
     def cloud_exit(self) -> dict[int, tuple[float, int]]:
         """Each device's ``(latency_ms, exit_device)`` to the cloud; ties to the lower exit."""
-        search = _settle(self.adjacency, self.cloud_latency_ms)
-        return {node: (dist, root) for dist, _, node, root in search}
+        ids, position = self.device_ids, self._position
+        roots = {position[g]: ms for g, ms in self.cloud_latency_ms.items()}
+        search = _settle(self.neighbours, roots)
+        return {ids[node]: (dist, ids[root]) for dist, _, node, root in search}
 
     def is_connected(self) -> bool:
         """Whether the links join every device; searched once per overlay."""
@@ -456,55 +468,58 @@ def _apply_leave(overlay: FogOverlay, event: Leave) -> FogOverlay:
 
 def _reaches_all(overlay: FogOverlay) -> bool:
     """Whether a depth-first search from the first device reaches every device."""
-    start = overlay.devices[0].id
-    seen = {start}
-    stack = [start]
+    neighbours = overlay.neighbours
+    seen = {0}
+    stack = [0]
     while stack:
-        node = stack.pop()
-        for nbr, _ in overlay.adjacency[node]:
+        for nbr, _ in neighbours[stack.pop()]:
             if nbr not in seen:
                 seen.add(nbr)
                 stack.append(nbr)
-    return len(seen) == len(overlay.devices)
+    return len(seen) == len(neighbours)
 
 
-#: Neighbour lists as ``id -> ((neighbour, length), ...)``.
-_Adjacency = Mapping[int, Iterable[tuple[int, float]]]
+#: Neighbour rows by device position: row i is ``((position, length), ...)``.
+_Neighbours = Sequence[Sequence[tuple[int, float]]]
 
 
 def _settle(
-    adjacency: _Adjacency, roots: Mapping[int, float], sigma=None, preds=None
+    neighbours: _Neighbours, roots: Mapping[int, float], sigma=None, preds=None
 ) -> Iterator[tuple[float, int, int, int]]:
     """Dijkstra from every root at once, yielding ``(latency_ms, hops, device, root)``.
 
-    Each root starts at its own latency.  Heap keys are ``(latency, root,
-    hops, id)``: latency ties settle the lower root's path first, then the
-    fewer-hop one, then the lower id.  One root compares as ``(latency, hops, id)``.
-    A device is pushed only when that improves its tentative ``(latency, root, hops)``.
+    Devices and roots are positions in ``neighbours``.  Each root starts at
+    its own latency.  Heap keys are ``(latency, root, hops, position)``:
+    latency ties settle the lower root's path first, then the fewer-hop one,
+    then the lower position, which is the lower id.  One root compares as
+    ``(latency, hops, position)``.  A device is pushed only when that
+    improves its tentative ``(latency, root, hops)``.
 
-    Given ``sigma = {root: 1}`` and ``preds = {root: []}`` for one root, it
-    counts shortest paths as Brandes (2001) does: a push at a device's
-    tentative latency adds the pusher's count and records it as predecessor,
-    and a lower latency starts both afresh.  Only settled devices push, so
-    predecessors stay acyclic even when ``dist + ms == dist``.
+    Given lists ``sigma`` and ``preds`` over positions, holding 1 and ``[]``
+    at the one root, it counts shortest paths as Brandes (2001) does: a push
+    at a device's tentative latency adds the pusher's count and records it as
+    predecessor, and a lower latency starts both afresh.  Only settled devices
+    push, so predecessors stay acyclic even when ``dist + ms == dist``.
     """
-    # Each device's least heap entry so far.
-    best = {root: (ms, root, 0, root) for root, ms in roots.items()}
-    heap = list(best.values())
+    # Each device's least heap entry so far, and whether it has settled.
+    best: list = [None] * len(neighbours)
+    for root, ms in roots.items():
+        best[root] = (ms, root, 0, root)
+    heap = [best[root] for root in roots]
     heapq.heapify(heap)
-    settled: set[int] = set()
+    settled = [False] * len(neighbours)
     while heap:
         dist, root, hops, node = heapq.heappop(heap)
-        if node in settled:
+        if settled[node]:
             continue
-        settled.add(node)
+        settled[node] = True
         yield dist, hops, node, root
         hops += 1
-        for nbr, ms in adjacency[node]:
-            if nbr in settled:
+        for nbr, ms in neighbours[node]:
+            if settled[nbr]:
                 continue
             latency = dist + ms
-            old = best.get(nbr)
+            old = best[nbr]
             if old is None or latency < old[0]:
                 if sigma is not None:
                     sigma[nbr], preds[nbr] = sigma[node], [node]
@@ -520,10 +535,10 @@ def _settle(
             heapq.heappush(heap, entry)
 
 
-def _search(adjacency: _Adjacency, source: int, sigma=None, preds=None) -> dict:
-    """One source's search: its ``id -> (latency_ms, hops)`` row in settle order."""
-    search = _settle(adjacency, {source: 0.0}, sigma, preds)
-    return {node: (dist, hops) for dist, hops, node, _ in search}
+def _search(neighbours: _Neighbours, ids, source: int, sigma=None, preds=None) -> dict:
+    """The search from position ``source``: its ``id -> (latency_ms, hops)`` row in settle order."""
+    search = _settle(neighbours, {source: 0.0}, sigma, preds)
+    return {ids[node]: (dist, hops) for dist, hops, node, _ in search}
 
 
 def latency_to_cloud(overlay: FogOverlay, device_id: int) -> float:

@@ -203,14 +203,21 @@ def place_edge_ward(
         spa_area = next(
             (a for a in areas if a.area_type is AreaType.COMPUTE_OPTIMIZED), areas[0]
         )
-        members = sorted(spa_area.members)
+        members = spa_area.members
         edge_modules = {}
         for s in sensors.sensor_ids:
             ap = sensors.access_point[s]
-            reachable = [m for m in members if m in paths[ap]]
-            if not reachable:
+            # The row's settle order has non-decreasing latency: the first member
+            # is nearest, and one after it at equal latency wins with a lower id.
+            host = None
+            for m, (ms, _) in paths[ap].items():
+                if host is not None and ms > nearest:
+                    break
+                if m in members and (host is None or m < host):
+                    host, nearest = m, ms
+            if host is None:
                 raise ContractError(f"no functional-area member reachable from device {ap}")
-            edge_modules[s] = min(reachable, key=lambda m: (paths[ap][m][0], m))
+            edge_modules[s] = host
         gateway_ids = set(assignment.device_ids)
         cloud_route = {}
         for d in overlay.device_ids:

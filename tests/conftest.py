@@ -23,10 +23,11 @@ settings.load_profile("dev")
 
 @pytest.fixture
 def searched_sources(monkeypatch):
-    """The source of every per-source shortest-path search, in call order.
+    """The device id of every per-source shortest-path search, in call order.
 
-    Both the path table and weighted betweenness run ``overlay._search``;
-    centrality binds its own reference, so both bindings are counted.
+    Both the path table and weighted betweenness run ``overlay._search`` on
+    device positions, with the overlay's ids; centrality binds its own
+    reference, so both bindings are counted.
     """
     import smartfog.centrality
     import smartfog.overlay
@@ -34,9 +35,9 @@ def searched_sources(monkeypatch):
     calls = []
     original = smartfog.overlay._search
 
-    def counting(adjacency, source, *args):
-        calls.append(source)
-        return original(adjacency, source, *args)
+    def counting(neighbours, ids, source, *args):
+        calls.append(ids[source])
+        return original(neighbours, ids, source, *args)
 
     for module in (smartfog.overlay, smartfog.centrality):
         monkeypatch.setattr(module, "_search", counting)

@@ -8,7 +8,8 @@ a time, eigenvalues by the Faddeev-LeVerrier characteristic polynomial,
 gateway selection by a literal replay of the ranking rules, the simulation
 by one global event heap whose delay samples are sorted by (C, emission
 index) once at the end, weighted betweenness by re-deriving each source's
-shortest-path DAG from a finished path table, the sample stddev by
+shortest-path DAG from a finished path table, cloud exits by a search
+that pushes every unsettled neighbour, the sample stddev by
 :class:`Fraction` sums and midpoint bracketing.  None of them import the
 corresponding package module's internals, with two exceptions.
 :func:`laplacian_eigensystem` is not an oracle: it exposes the package's own
@@ -71,7 +72,13 @@ from smartfog.simulation import (
 # Betweenness centrality
 
 
-def _adjacency(overlay: FogOverlay, weighted: bool) -> dict[int, list[tuple[int, float]]]:
+def link_adjacency(
+    overlay: FogOverlay, weighted: bool = True
+) -> dict[int, list[tuple[int, float]]]:
+    """Neighbour lists ``id -> [(neighbour id, length), ...]`` read off the links.
+
+    Lengths are latencies, or 1.0 each unless ``weighted``; lists are ascending.
+    """
     adj: dict[int, list[tuple[int, float]]] = {d.id: [] for d in overlay.devices}
     for link in overlay.links:
         w = link.latency_ms if weighted else 1.0
@@ -128,7 +135,7 @@ def oracle_betweenness(overlay: FogOverlay, weighted: bool) -> dict[int, float]:
     result is the double nearest the exact score in both modes.
     """
     ids = sorted(overlay.device_ids)
-    adj = _adjacency(overlay, weighted)
+    adj = link_adjacency(overlay, weighted)
     dist = _floyd_warshall(ids, adj)
     tol = 1e-9 if weighted else 0.0
     acc = {v: Fraction(0) for v in ids}
@@ -155,7 +162,7 @@ def fraction_brandes_unweighted(overlay: FogOverlay) -> dict[int, float]:
     exhaustive path enumeration cannot reach.
     """
     ids = sorted(overlay.device_ids)
-    adj = _adjacency(overlay, weighted=False)
+    adj = link_adjacency(overlay, weighted=False)
     acc = {v: Fraction(0) for v in ids}
     for s in ids:
         dist = {s: 0}
@@ -196,9 +203,7 @@ def table_dag_betweenness(overlay: FogOverlay, unit: bool = False):
     scores that must equal the package's byte for byte.  ``unit`` runs it on
     unit lengths, as the package's hop-count fallback past 2**53 does.
     """
-    adjacency = {
-        v: [(w, 1.0 if unit else ms) for w, ms in nbrs] for v, nbrs in overlay.adjacency.items()
-    }
+    adjacency = link_adjacency(overlay, weighted=not unit)
     table = {}
     for s in adjacency:
         row = {}
@@ -245,7 +250,7 @@ def table_dag_betweenness(overlay: FogOverlay, unit: bool = False):
 def oracle_pair_path_stats(overlay: FogOverlay, weighted: bool):
     """Per-pair (sigma, mean interior-vertex count) for the sum identity."""
     ids = sorted(overlay.device_ids)
-    adj = _adjacency(overlay, weighted)
+    adj = link_adjacency(overlay, weighted)
     dist = _floyd_warshall(ids, adj)
     tol = 1e-9 if weighted else 0.0
     stats = {}
@@ -503,7 +508,7 @@ def brute_force_min_latency(overlay: FogOverlay, src: int, dst: int) -> float:
     """Minimum path latency by enumerating every simple path."""
     if src == dst:
         return 0.0
-    adj = _adjacency(overlay, weighted=True)
+    adj = link_adjacency(overlay, weighted=True)
     best = math.inf
     stack = [(src, {src}, 0.0)]
     while stack:
@@ -516,6 +521,30 @@ def brute_force_min_latency(overlay: FogOverlay, src: int, dst: int) -> float:
             elif nbr not in visited:
                 stack.append((nbr, visited | {nbr}, length + w))
     return best
+
+
+def heap_cloud_exit(overlay: FogOverlay) -> dict[int, tuple[float, int]]:
+    """Each device's ``(latency_ms, exit_device)``, in settle order, like ``cloud_exit``.
+
+    One heap starts at every cloud-attached device's own cloud latency, and
+    each settled device pushes every unsettled neighbour, keyed ``(latency,
+    exit, hops, id)`` as the package's search is.  That search pushes only
+    keys that improve a device's tentative one, which leaves the least key,
+    and so the settle order, unchanged.
+    """
+    adj = link_adjacency(overlay)
+    heap = [(ms, g, 0, g) for g, ms in overlay.cloud_latency_ms.items()]
+    heapq.heapify(heap)
+    exits: dict[int, tuple[float, int]] = {}
+    while heap:
+        dist, exit_device, hops, node = heapq.heappop(heap)
+        if node in exits:
+            continue
+        exits[node] = (dist, exit_device)
+        for nbr, ms in adj[node]:
+            if nbr not in exits:
+                heapq.heappush(heap, (dist + ms, exit_device, hops + 1, nbr))
+    return exits
 
 
 def brute_force_latency_to_cloud(overlay: FogOverlay, device_id: int) -> float:

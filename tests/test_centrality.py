@@ -17,6 +17,8 @@ from oracles import (
     bundle_chain_overlay,
     churned_overlay,
     fraction_brandes_unweighted,
+    heap_cloud_exit,
+    link_adjacency,
     oracle_betweenness,
     oracle_pair_path_stats,
     table_dag_betweenness,
@@ -39,11 +41,12 @@ def overlay_from_edges(n, edges, latencies=None):
 
 def hop_path_counts(ov, source):
     """Number of shortest hop-count paths from ``source`` to every device."""
+    adjacency = link_adjacency(ov)
     dist, sigma, frontier = {source: 0}, {source: 1}, [source]
     while frontier:
         nxt = []
         for v in frontier:
-            for w, _ in ov.adjacency[v]:
+            for w, _ in adjacency[v]:
                 if w not in dist:
                     dist[w] = dist[v] + 1
                     sigma[w] = 0
@@ -352,6 +355,26 @@ class TestSearchCountsPaths:
         assert table_rows(fresh.path_table) == table_rows(table)
         # The hop-count sweep past 2**53 runs the same search on unit lengths.
         assert centrality._brandes_unweighted(ov) == table_dag_betweenness(ov, unit=True)[0]
+
+
+class TestChurnedIds:
+    """Overlays after Join and Leave events: their ids have gaps and run
+    past n, so a device's id is not its position in ``device_ids``."""
+
+    @given(seed=st.integers(0, 3000), n=st.integers(3, 9), events=st.sampled_from([3, 5]))
+    def test_churned_ids_match_table_dag_oracle(self, seed, n, events):
+        # An odd count leaves n + 1 devices, the last joined with an id above n.
+        ov = churned_overlay(n, seed, events)
+        assert max(ov.device_ids) > n == len(ov.device_ids) - 1
+        scores, table = table_dag_betweenness(ov)
+        assert betweenness(ov).scores == scores
+        assert table_rows(ov.path_table) == table_rows(table)
+        fresh = FogOverlay(ov.devices, ov.links, ov.cloud_latency_ms)
+        assert table_rows(fresh.path_table) == table_rows(table)
+        unweighted = betweenness(ov, CentralityMode.UNWEIGHTED).scores
+        assert unweighted == fraction_brandes_unweighted(ov)
+        assert centrality._brandes_unweighted(ov) == table_dag_betweenness(ov, unit=True)[0]
+        assert list(ov.cloud_exit.items()) == list(heap_cloud_exit(ov).items())
 
 
 class TestInvariances:

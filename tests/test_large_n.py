@@ -18,7 +18,7 @@ from smartfog.harness import run_smartfog_pipeline
 from smartfog.overlay import build_overlay
 from smartfog.simulation import Mode, WorkloadSpec, run
 
-from oracles import laplacian_eigensystem
+from oracles import laplacian_eigensystem, link_adjacency
 
 
 @pytest.mark.slow
@@ -47,12 +47,12 @@ def test_pipeline_holds_at_large_n(n):
     assert float(np.abs(lap @ vecs - vecs * vals).max()) <= 1e-8
 
 
-def _hop_distances(overlay, source):
+def _hop_distances(adjacency, source):
     dist = {source: 0}
     queue = deque([source])
     while queue:
         v = queue.popleft()
-        for w, _ in overlay.adjacency[v]:
+        for w, _ in adjacency[v]:
             if w not in dist:
                 dist[w] = dist[v] + 1
                 queue.append(w)
@@ -73,10 +73,11 @@ def test_unweighted_pipeline_and_simulation_at_n_1000():
     )
     # Every shortest s-t path has d(s, t) - 1 interior vertices, so the
     # scores sum to that over unordered pairs.
+    adjacency = link_adjacency(overlay)
     interior = sum(
         d - 1
         for s in overlay.device_ids
-        for t, d in _hop_distances(overlay, s).items()
+        for t, d in _hop_distances(adjacency, s).items()
         if s < t
     )
     assert math.fsum(scores.scores.values()) == pytest.approx(interior, rel=1e-12)

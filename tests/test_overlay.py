@@ -499,14 +499,13 @@ class TestCanonicalOrder:
         ends = ((3, 4), (1, 2), (0, 4), (2, 3), (0, 1), (1, 3))
         links = tuple(Link(a=a, b=b, latency_ms=float(a + b)) for a, b in ends)
         ov = FogOverlay(devices=devices, links=links, cloud_latency_ms={3: 60.0, 0: 70.0})
-        assert list(ov.adjacency) == [0, 1, 2, 3, 4]
-        assert ov.adjacency == {
-            0: ((1, 1.0), (4, 4.0)),
-            1: ((0, 1.0), (2, 3.0), (3, 4.0)),
-            2: ((1, 3.0), (3, 5.0)),
-            3: ((1, 4.0), (2, 5.0), (4, 7.0)),
-            4: ((0, 4.0), (3, 7.0)),
-        }
+        assert ov.neighbours == (
+            ((1, 1.0), (4, 4.0)),
+            ((0, 1.0), (2, 3.0), (3, 4.0)),
+            ((1, 3.0), (3, 5.0)),
+            ((1, 4.0), (2, 5.0), (4, 7.0)),
+            ((0, 4.0), (3, 7.0)),
+        )
         assert [(l.a, l.b) for l in ov.links] == sorted(ends)
         assert list(ov.cloud_latency_ms) == [0, 3]
 
@@ -548,16 +547,17 @@ def integer_latency_overlay(seed, n=30, n_links=50, n_cloud=6):
     return FogOverlay(devices=devices, links=links, cloud_latency_ms=cloud)
 
 
-class CountingAdjacency(dict):
-    """An adjacency map that records which devices' neighbour lists are read."""
+class CountingNeighbours(tuple):
+    """Neighbour rows that record which device positions' rows are read."""
 
-    def __init__(self, adjacency):
-        super().__init__(adjacency)
-        self.reads = []
+    def __new__(cls, neighbours):
+        rows = super().__new__(cls, neighbours)
+        rows.reads = []
+        return rows
 
-    def __getitem__(self, device_id):
-        self.reads.append(device_id)
-        return super().__getitem__(device_id)
+    def __getitem__(self, position):
+        self.reads.append(position)
+        return super().__getitem__(position)
 
 
 def assert_matches_searches(ov):
@@ -601,11 +601,11 @@ class TestLatencyToCloud:
     def test_one_search_serves_every_device(self):
         """Every device's neighbour list is read once for all the overlay's lookups."""
         ov = churned_overlay(100, 1, 40)
-        counting = CountingAdjacency(ov.adjacency)
-        ov.__dict__["adjacency"] = counting  # replaces the cached_property value
+        counting = CountingNeighbours(ov.neighbours)
+        ov.__dict__["neighbours"] = counting  # replaces the cached_property value
         for dev in ov.device_ids:
             latency_to_cloud(ov, dev)
-        assert sorted(counting.reads) == sorted(ov.device_ids)
+        assert sorted(ov.device_ids[i] for i in counting.reads) == sorted(ov.device_ids)
 
     def test_unreachable_cloud_rejected(self):
         ov = two_component_overlay()
