@@ -9,7 +9,6 @@ baseline.
 from .centrality import CentralityMode, CentralityScores, betweenness
 from .clustering import (
     FunctionalArea,
-    SimilarityMatrix,
     areas_to_json,
     cluster_functional_areas,
     device_features,
@@ -83,7 +82,6 @@ __all__ = [
     "Placement",
     "Sense",
     "SensorAttachment",
-    "SimilarityMatrix",
     "SimulationReport",
     "SmartFogError",
     "TopologyError",

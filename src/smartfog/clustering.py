@@ -5,8 +5,14 @@ memory), build a Gaussian similarity matrix, form the symmetric normalized
 Laplacian ``L = I - D^{-1/2} S D^{-1/2}``, take the eigenvectors of the k
 smallest eigenvalues, renormalize rows to unit length and run k-means on the
 embedded points.  Each gateway gets its own k-means run (seeded with
-``seed XOR gateway_index``) and claims the cluster whose raw-feature centroid
-best matches its area type.
+``seed XOR gateway_index``) and claims the cluster whose members' mean raw
+MIPS or memory is highest, as its area type asks.
+
+Every stage takes and returns plain arrays.  Each array entry checks its
+input with ``errors._table``, the package's one array check, and adds only
+its own rule: a square similarity or eigensolver matrix, or, for
+``similarity_matrix`` and ``k_means``, one bound that keeps squared
+distances from overflowing.
 
 All gateways' k-means runs are one call of :func:`k_means`, which takes
 their seeds and runs every restart in one batch: every k-means++ seeding is
@@ -35,34 +41,24 @@ from numpy.random import default_rng
 
 from .decision import AreaType, GatewayAssignment
 from .errors import CapacityError, ConfigurationError, ContractError, NumericalError
-from .errors import _are_plain, _convert, _convert_int
+from .errors import _are_plain, _convert, _convert_int, _table
 from .overlay import FogDevice, FogOverlay
 
 #: k-means restart count and Lloyd iteration cap.
 KMEANS_RESTARTS = 10
 KMEANS_MAX_ITER = 300
 
-#: ``k_means`` accepts points no coordinate of which exceeds this in
-#: magnitude without computing the exact overflow bound.
+#: ``similarity_matrix`` and ``k_means`` accept rows no coordinate of which
+#: exceeds this in magnitude without computing the exact overflow bound.
 _FAST_COORDINATE_LIMIT = 1e100
 
 
-@dataclass(frozen=True)
-class FeatureMatrix:
-    """Standardized (MIPS, memory) features for an ordered set of devices.
+def device_features(devices: Sequence[FogDevice]) -> np.ndarray:
+    """Standardized (MIPS, memory) rows of one or more ``devices``, in their order, shape (n, 2).
 
-    ``values`` columns have zero mean and unit variance; a constant column is
-    left at all-zeros instead of dividing by zero.  ``raw`` keeps the
-    unstandardized features for centroid scoring.
+    Each column has zero mean and unit variance; a constant column is left at
+    all-zeros instead of dividing by zero.
     """
-
-    device_ids: tuple[int, ...]
-    values: np.ndarray
-    raw: np.ndarray
-
-
-def device_features(devices: Sequence[FogDevice]) -> FeatureMatrix:
-    """Standardized feature rows of one or more ``devices``, in their order."""
     if not (type(devices) in (tuple, list) and _are_plain(devices, FogDevice)):
         devices = _convert(tuple[FogDevice, ...], devices, "devices", ContractError)
     if not devices:
@@ -75,7 +71,7 @@ def device_features(devices: Sequence[FogDevice]) -> FeatureMatrix:
             values[:, col] /= std[col]
         else:
             values[:, col] = 0.0
-    return FeatureMatrix(device_ids=tuple(d.id for d in devices), values=values, raw=raw)
+    return values
 
 
 def _sum_squares(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -93,12 +89,17 @@ def _sum_squares(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return total
 
 
-def _squared_distances(features: FeatureMatrix) -> np.ndarray:
-    """Pairwise squared Euclidean distances of the standardized features."""
-    x = features.values
-    if not np.all(np.isfinite(x)):
-        raise ContractError("features must have finite values")
-    return _sum_squares(x[:, None, :], x[None, :, :])
+def _check_spread(points: np.ndarray, field: str) -> None:
+    """ContractError naming ``field`` unless n * (bounding-box diagonal)**2 is finite.
+
+    That bounds every sum of squared distances between rows.  Within the
+    fast limit it is below n * d * 4e200, so it needs computing only past it.
+    """
+    if float(np.abs(points).max()) > _FAST_COORDINATE_LIMIT:
+        with np.errstate(over="ignore"):
+            bound = len(points) * float(((points.max(axis=0) - points.min(axis=0)) ** 2).sum())
+        if not math.isfinite(bound):
+            raise ContractError(f"{field} must lie close enough for squared distances to stay finite")
 
 
 def _median_distance(d2: np.ndarray) -> float:
@@ -117,26 +118,17 @@ def _median_distance(d2: np.ndarray) -> float:
     return med if med > 0 else 1.0
 
 
-@dataclass(frozen=True)
-class SimilarityMatrix:
-    """Gaussian similarity ``S_ij = exp(-|x_i - x_j|^2 / (2 G^2))``."""
-
-    values: np.ndarray
-    bandwidth: float
-
-
-def similarity_matrix(
-    features: FeatureMatrix, bandwidth: float | None = None
-) -> SimilarityMatrix:
-    """Pairwise Gaussian similarity of the standardized features.
+def similarity_matrix(features: np.ndarray, bandwidth: float | None = None) -> np.ndarray:
+    """Gaussian similarity ``S_ij = exp(-|x_i - x_j|^2 / (2 G^2))`` of the (n, d) ``features`` rows.
 
     ``bandwidth`` (G) defaults to the median pairwise distance, taken from
     the same squared distances the Gaussian uses, or 1.0 when there are no
     pairs or all points coincide.  The result is exactly symmetric with unit
     diagonal and entries in [0, 1].
     """
-    features = _convert(FeatureMatrix, features, "features", ContractError)
-    d2 = _squared_distances(features)
+    x = _table(features, "features")
+    _check_spread(x, "features")
+    d2 = _sum_squares(x[:, None, :], x[None, :, :])
     if bandwidth is None:
         bandwidth = _median_distance(d2)
     bandwidth = _convert(float, bandwidth, "bandwidth")
@@ -148,8 +140,7 @@ def similarity_matrix(
     # A tiny bandwidth can overflow d2 / denominator to inf; exp(-inf) = 0 is
     # the value the true quotient's exp underflows to anyway.
     with np.errstate(over="ignore"):
-        s = np.exp(-d2 / denominator)
-    return SimilarityMatrix(values=s, bandwidth=bandwidth)
+        return np.exp(-d2 / denominator)
 
 
 def jacobi_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -157,45 +148,41 @@ def jacobi_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues ascending and
     eigenvectors as the corresponding columns, each sign-normalized so its
-    largest-magnitude component is positive.  Raises ContractError for
-    non-square, non-finite or non-symmetric input and NumericalError if
-    LAPACK reports that it did not converge.
+    largest-magnitude component is positive.  Raises ContractError naming
+    ``matrix`` for input that is not a finite table, not square or not
+    symmetric, and NumericalError if LAPACK reports that it did not converge.
 
     The name dates from an earlier cyclic Jacobi solver.  It is kept because
     the benchmark's span tracer (``perfbench/spans.py``) wraps it by name.
     """
-    a = np.array(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ContractError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ContractError("jacobi_eigh requires finite matrix entries")
+    a = _table(matrix, "matrix")
+    if a.shape[0] != a.shape[1]:
+        raise ContractError(f"matrix must be square, got shape {a.shape}")
     if not (np.abs(a - a.T) <= 1e-12).all():
-        raise ContractError("jacobi_eigh requires a symmetric matrix")
+        raise ContractError("matrix must be symmetric to within 1e-12")
     try:
         eigvals, eigvecs = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"symmetric eigensolver did not converge: {exc}") from exc
-    if a.size:
-        pivots = np.abs(eigvecs).argmax(axis=0)
-        eigvecs = eigvecs * np.where(eigvecs[pivots, np.arange(a.shape[0])] < 0, -1.0, 1.0)
+    pivots = np.abs(eigvecs).argmax(axis=0)
+    eigvecs = eigvecs * np.where(eigvecs[pivots, np.arange(a.shape[0])] < 0, -1.0, 1.0)
     return eigvals, eigvecs
 
 
-def _normalized_laplacian(similarity: SimilarityMatrix | np.ndarray) -> np.ndarray:
+def _normalized_laplacian(similarity: np.ndarray) -> np.ndarray:
     """Symmetric normalized Laplacian ``I - D^{-1/2} S D^{-1/2}``."""
-    s = similarity.values if isinstance(similarity, SimilarityMatrix) else similarity
-    s = np.array(s, dtype=float)
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
+    s = _table(similarity, "similarity")
+    if s.shape[0] != s.shape[1]:
         raise ContractError(f"similarity must be square, got shape {s.shape}")
     degrees = s.sum(axis=1)
     if np.any(degrees <= 0):
-        raise ContractError("every row of the similarity matrix needs positive degree")
+        raise ContractError("similarity must give every row a positive degree")
     inv_sqrt = 1.0 / np.sqrt(degrees)
     lap = np.eye(s.shape[0]) - s * inv_sqrt[:, None] * inv_sqrt[None, :]
     return (lap + lap.T) / 2.0
 
 
-def spectral_embed(similarity: SimilarityMatrix | np.ndarray, k: int) -> np.ndarray:
+def spectral_embed(similarity: np.ndarray, k: int) -> np.ndarray:
     """Rows of the k leading Laplacian eigenvectors, renormalized to unit length.
 
     Accepts any symmetric non-negative similarity matrix (including
@@ -319,20 +306,9 @@ def k_means(
     restart whose labels did not change is a fixed point and leaves the batch.
     Centroids add each cluster's rows in index order, as a cluster's mean does.
     """
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or 0 in points.shape:
-        raise ContractError(f"points must be a non-empty 2-d array, got shape {points.shape}")
+    points = _table(points, "points")
+    _check_spread(points, "points")
     n = points.shape[0]
-    # n * (bounding-box diagonal)**2 bounds every sum of squared distances; a
-    # NaN or infinite point makes it NaN or infinite too.  Within the fast
-    # limit it is below n * d * 4e200, so it needs computing only past it.
-    if not float(np.abs(points).max()) <= _FAST_COORDINATE_LIMIT:
-        with np.errstate(over="ignore", invalid="ignore"):
-            bound = n * float(((points.max(axis=0) - points.min(axis=0)) ** 2).sum())
-        if not math.isfinite(bound):
-            if not np.isfinite(points).all():
-                raise ContractError("points must be finite")
-            raise ContractError("points must lie close enough for squared distances to stay finite")
     k = _convert(int, k, "k", ContractError)
     if not 1 <= k <= n:
         raise ContractError(f"k must be an integer in [1, {n}], got {k!r}")
@@ -438,18 +414,17 @@ def cluster_functional_areas(
         raise CapacityError(
             f"need at least k={k} non-gateway devices to cluster, have {len(pool)}"
         )
-    features = device_features(pool)
-    sim = similarity_matrix(features, bandwidth)
-    embedding = spectral_embed(sim, k)
+    embedding = spectral_embed(similarity_matrix(device_features(pool), bandwidth), k)
     seeds = [seed ^ gw_index for gw_index in range(len(assignment.gateways))]
     runs = k_means(embedding, k, seeds)
+    raw = np.array([[d.mips, d.memory_gb] for d in pool])
     areas = []
     for labels, (gw, area_type) in zip(runs, assignment.gateways):
         column = 0 if area_type is AreaType.COMPUTE_OPTIMIZED else 1
         best_label = -1
         best_score = -math.inf
         for label in sorted(set(int(x) for x in labels)):
-            score = float(features.raw[labels == label, column].mean())
+            score = float(raw[labels == label, column].mean())
             if score > best_score:
                 best_score = score
                 best_label = label

@@ -1,4 +1,8 @@
-"""Exception types shared across the package, and the input checks that raise them."""
+"""Exception types shared across the package, and the input checks that raise them.
+
+Scalars, tuples and enum values pass ``_convert``'s one rule; every array
+entry's table passes ``_table``, the one array check.
+"""
 
 import enum
 import numbers
@@ -6,6 +10,8 @@ import sys
 import typing
 from dataclasses import fields
 from functools import cache
+
+import numpy as np
 
 
 def _is_int(value) -> bool:
@@ -136,6 +142,33 @@ def _convert_range(value, field: str):
 def _are_plain(values, hint) -> bool:
     """Whether every one of ``values`` is exactly a ``hint``, in one pass at C speed."""
     return set(map(type, values)) <= {hint}
+
+
+def _table(values, field: str) -> np.ndarray:
+    """``values`` as a finite float (n, d) array with n, d >= 1; else ContractError naming ``field``.
+
+    A numeric array passes as it is, converted to float; anything else is
+    read cell by cell, so a ragged table, a string or a bool among the cells
+    is refused instead of reaching numpy.
+    """
+    if isinstance(values, np.ndarray) and values.dtype.kind in "fiu":
+        cells = values
+    else:
+        try:
+            cells = np.array(values, dtype=object)
+        except ValueError:  # rows of arrays that numpy cannot stack even as objects
+            cells = None
+    if cells is None or cells.ndim != 2 or 0 in cells.shape:
+        shape = "ragged rows" if cells is None else f"shape {cells.shape}"
+        raise ContractError(f"{field} must be a rectangular (n, d) table with n, d >= 1, got {shape}")
+    if cells.dtype == object and not _are_plain(cells.flat, float):
+        for cell in cells.flat:
+            _convert(float, cell, field, ContractError)
+    table = cells.astype(float, copy=False)
+    finite = np.isfinite(table)
+    if not finite.all():
+        raise ContractError(f"{field} must be finite numbers, got {table[~finite][0]}")
+    return table
 
 
 @cache

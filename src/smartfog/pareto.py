@@ -6,6 +6,9 @@ when it is at least as good in every column and strictly better in at least
 one, each column judged under its own sense.  Sorting peels the rows into
 fronts: front 0 is the non-dominated set, front i+1 is the set dominated
 only by earlier fronts.
+
+The table passes ``errors._table``, the package's one array check; the sort
+adds only its own rule of two or more columns.
 """
 
 from __future__ import annotations
@@ -15,37 +18,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ContractError, _are_plain, _convert
+from .errors import ContractError, _are_plain, _convert, _table
 
 
 class Sense(Enum):
     MINIMIZE = "min"
     MAXIMIZE = "max"
-
-
-def _table(values) -> np.ndarray:
-    """``values`` as a finite float (n, d) array with n >= 1 and d >= 2; else ContractError."""
-    if isinstance(values, np.ndarray) and values.dtype.kind in "fiu":
-        cells = values
-    else:
-        try:
-            cells = np.array(values, dtype=object)
-        except ValueError:  # rows of arrays that numpy cannot stack even as objects
-            cells = None
-    if cells is None or cells.ndim != 2 or cells.shape[0] < 1 or cells.shape[1] < 2:
-        shape = "ragged rows" if cells is None else f"shape {cells.shape}"
-        raise ContractError(
-            "values must be a rectangular (n, d) table with n >= 1 rows and d >= 2 "
-            f"columns, got {shape}"
-        )
-    if cells.dtype == object and not _are_plain(cells.flat, float):
-        for cell in cells.flat:
-            _convert(float, cell, "values", ContractError)
-    table = cells.astype(float, copy=False)
-    finite = np.isfinite(table)
-    if not finite.all():
-        raise ContractError(f"values must be finite numbers, got {table[~finite][0]}")
-    return table
 
 
 def _dominance_matrix(m: np.ndarray) -> np.ndarray:
@@ -75,7 +53,9 @@ def non_dominated_sort(values, senses: Sequence[Sense]) -> tuple[tuple[int, ...]
     finite numbers (a bool is not one), and naming ``senses`` for an unknown
     sense or a count that differs from the columns.
     """
-    table = _table(values)
+    table = _table(values, "values")
+    if table.shape[1] < 2:
+        raise ContractError(f"values must have d >= 2 columns, got shape {table.shape}")
     if not (type(senses) is tuple and _are_plain(senses, Sense)):
         senses = _convert(tuple[Sense, ...], senses, "senses", ContractError)
     if len(senses) != table.shape[1]:

@@ -36,7 +36,6 @@ import numpy as np
 from smartfog.clustering import (
     KMEANS_MAX_ITER,
     FunctionalArea,
-    SimilarityMatrix,
     _normalized_laplacian,
     jacobi_eigh,
     kmeans_cost,
@@ -433,9 +432,7 @@ def charpoly_eigvals(matrix: np.ndarray) -> np.ndarray:
     return np.sort(roots.real)
 
 
-def laplacian_eigensystem(
-    similarity: SimilarityMatrix | np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
+def laplacian_eigensystem(similarity: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Full (eigenvalues, eigenvectors) of the package's symmetric normalized Laplacian."""
     return jacobi_eigh(_normalized_laplacian(similarity))
 

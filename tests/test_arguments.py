@@ -5,11 +5,17 @@ Every scalar a public function or input object takes is judged by
 numbers are finite, enum values become members.  Fed a bool, a float for an
 int, NaN, an infinity, a negative value or a string, each call either
 succeeds or raises a SmartFogError whose message names the parameter.
+
+Every array a public function takes is judged by ``errors._table``'s rule:
+a finite float (n, d) table with n, d >= 1.  Fed a malformed table, each
+array entry raises a ContractError whose message starts with the
+parameter's name.
 """
 
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -39,6 +45,7 @@ from smartfog import (
     cluster_functional_areas,
     device_features,
     evaluate_devices,
+    jacobi_eigh,
     k_means,
     latency_to_cloud,
     non_dominated_sort,
@@ -51,6 +58,8 @@ from smartfog import (
 )
 from smartfog.errors import _convert
 from smartfog.overlay import all_pairs_paths
+
+from bad_tables import BAD_TABLES
 
 OVERLAY = build_overlay(10, 3)
 SCORES = betweenness(OVERLAY)
@@ -167,7 +176,7 @@ NO_SCALARS = {
     "CapacityError", "ChurnRejectedError", "ConfigurationError", "ConflictError",
     "ContractError", "NumericalError", "SmartFogError", "TopologyError",
     # result records, built by the package from checked inputs
-    "CentralityScores", "Placement", "SensorAttachment", "SimilarityMatrix", "SimulationReport",
+    "CentralityScores", "Placement", "SensorAttachment", "SimulationReport",
     # config objects: test_harness's JSON property feeds every field of all three
     "ExperimentConfig", "OverlayParams", "WorkloadSpec", "run_experiment",
     # objects, arrays and overlays only
@@ -241,3 +250,41 @@ WRONG_OBJECTS = [
 def test_objects_of_the_wrong_type_rejected_by_name(word, call):
     with pytest.raises(ContractError, match=word):
         call()
+
+
+# (the array argument's name, a call with a table in its place)
+ARRAY_ENTRIES = [
+    ("values", lambda table: non_dominated_sort(table, (Sense.MINIMIZE, Sense.MINIMIZE))),
+    ("features", similarity_matrix),
+    ("similarity", lambda table: spectral_embed(table, 1)),
+    ("matrix", jacobi_eigh),
+    ("points", lambda table: k_means(table, 1, [0])),
+]
+ENTRY_IDS = [field for field, _ in ARRAY_ENTRIES]
+
+
+@pytest.mark.parametrize("field,call", ARRAY_ENTRIES, ids=ENTRY_IDS)
+@pytest.mark.parametrize("table", [t for _, t in BAD_TABLES], ids=[c for c, _ in BAD_TABLES])
+def test_bad_tables_rejected_by_name(table, field, call):
+    with pytest.raises(ContractError, match=f"^{field} must"):
+        call(table)
+
+
+BAD_CELLS = st.one_of(
+    st.booleans(),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), None, 10**400, 1j]),
+    st.text(max_size=2),
+)
+
+
+@pytest.mark.parametrize("field,call", ARRAY_ENTRIES, ids=ENTRY_IDS)
+@given(data=st.data(), n=st.integers(1, 4), cell=BAD_CELLS)
+def test_bad_cells_rejected_by_name(field, call, data, n, cell):
+    """One bad cell anywhere in an otherwise finite square table, as lists or an object array."""
+    row = st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)
+    rows = data.draw(st.lists(row, min_size=n, max_size=n), label="rows")
+    i, j = data.draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), label="cell")
+    rows[i][j] = cell
+    for table in (rows, np.array(rows, dtype=object)):
+        with pytest.raises(ContractError, match=f"^{field} must"):
+            call(table)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from smartfog import clustering
 from smartfog.clustering import (
-    FeatureMatrix,
     FunctionalArea,
     areas_to_json,
     cluster_functional_areas,
@@ -37,35 +36,35 @@ from oracles import (
 )
 
 
-def features_of(points):
-    pts = np.asarray(points, dtype=float)
-    return FeatureMatrix(
-        device_ids=tuple(range(len(pts))), values=pts, raw=pts.copy()
-    )
+def standardized(devices):
+    """(MIPS, memory) rows of ``devices`` in their order, each column scaled to mean 0, std 1."""
+    raw = np.array([[d.mips, d.memory_gb] for d in devices])
+    return (raw - raw.mean(axis=0)) / raw.std(axis=0)
 
 
 class TestDeviceFeatures:
     def test_standardization(self):
         ov = build_overlay(20, seed=3)
         feats = device_features(ov.devices)
-        assert feats.device_ids == tuple(sorted(ov.device_ids))
-        assert feats.values.shape == (20, 2)
-        np.testing.assert_allclose(feats.values.mean(axis=0), 0.0, atol=1e-12)
-        np.testing.assert_allclose(feats.values.std(axis=0), 1.0, atol=1e-12)
-        for row, dev_id in zip(feats.raw, feats.device_ids):
-            dev = ov.device(dev_id)
-            assert tuple(row) == (dev.mips, dev.memory_gb)
+        assert feats.shape == (20, 2)
+        np.testing.assert_allclose(feats.mean(axis=0), 0.0, atol=1e-12)
+        np.testing.assert_allclose(feats.std(axis=0), 1.0, atol=1e-12)
+        # row i is device i's (MIPS, memory), standardized
+        np.testing.assert_allclose(feats, standardized(ov.devices), rtol=1e-12)
 
     def test_constant_column_zeroed(self):
         ov = build_overlay(6, seed=0)
         single = device_features([ov.device(0)] * 3)  # identical rows
-        assert np.all(single.values == 0.0)
+        assert np.all(single == 0.0)
 
     def test_subset_order_respected(self):
         ov = build_overlay(8, seed=5)
-        feats = device_features([ov.device(d) for d in (5, 2, 7)])
-        assert feats.device_ids == (5, 2, 7)
-        assert feats.raw[0, 0] == ov.device(5).mips
+        subset = [ov.device(d) for d in (5, 2, 7)]
+        feats = device_features(subset)
+        np.testing.assert_allclose(feats, standardized(subset), rtol=1e-12)
+        # device 5 keeps row 0 however the subset is ordered
+        reordered = device_features([ov.device(d) for d in (2, 7, 5)])
+        np.testing.assert_allclose(feats, reordered[[2, 0, 1]], rtol=1e-12)
 
     def test_empty_subset_rejected(self):
         with pytest.raises(ContractError):
@@ -74,14 +73,18 @@ class TestDeviceFeatures:
 
 class TestBandwidth:
     def test_median_of_pairwise_distances(self):
-        feats = features_of([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]])
+        feats = np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]])
         # pairwise distances 1, 3, 2 -> median 2
-        assert similarity_matrix(feats).bandwidth == 2.0
+        assert np.array_equal(similarity_matrix(feats), similarity_matrix(feats, bandwidth=2.0))
+        assert not np.array_equal(similarity_matrix(feats), similarity_matrix(feats, bandwidth=1.0))
 
     def test_fallbacks(self):
-        # no pair, then only coincident pairs: the default falls back to 1.0
-        assert similarity_matrix(features_of([[1.0, 1.0]])).bandwidth == 1.0
-        assert similarity_matrix(features_of([[2.0, 2.0]] * 4)).bandwidth == 1.0
+        # no pair, then only coincident pairs: the default falls back to 1.0,
+        # where a median of 0 would be refused as a bandwidth
+        for feats in (np.array([[1.0, 1.0]]), np.full((4, 2), 2.0)):
+            d2 = np.zeros((len(feats), len(feats)))
+            assert clustering._median_distance(d2) == 1.0
+            assert np.array_equal(similarity_matrix(feats), np.ones_like(d2))
 
     def test_equals_numpy_median_bit_for_bit(self):
         # Pair counts 1, 3, 6, ... 78: odd and even, so one and two middle values.
@@ -97,65 +100,74 @@ class TestBandwidth:
 class TestSimilarity:
     def test_known_value_at_bandwidth_distance(self):
         # squared distance 2 with bandwidth 1 -> exp(-2 / 2) = exp(-1)
-        feats = features_of([[0.0, 0.0], [math.sqrt(2.0), 0.0]])
+        feats = np.array([[0.0, 0.0], [math.sqrt(2.0), 0.0]])
         sim = similarity_matrix(feats, bandwidth=1.0)
-        assert sim.values[0, 1] == pytest.approx(math.exp(-1.0), rel=1e-12)
+        assert sim[0, 1] == pytest.approx(math.exp(-1.0), rel=1e-12)
 
     def test_unit_diagonal_and_range(self):
         ov = build_overlay(15, seed=9)
         sim = similarity_matrix(device_features(ov.devices))
-        np.testing.assert_array_equal(np.diag(sim.values), 1.0)
-        assert np.all(sim.values > 0.0)
-        assert np.all(sim.values <= 1.0)
+        np.testing.assert_array_equal(np.diag(sim), 1.0)
+        assert np.all(sim > 0.0)
+        assert np.all(sim <= 1.0)
 
     def test_default_bandwidth_is_median(self):
         ov = build_overlay(10, seed=2)
-        feats = device_features(ov.devices)
-        x = feats.values
+        x = device_features(ov.devices)
         distances = [
             math.sqrt(((x[i] - x[j]) ** 2).sum()) for i in range(len(x)) for j in range(i + 1, len(x))
         ]
-        assert similarity_matrix(feats).bandwidth == float(np.median(distances))
+        median = float(np.median(distances))
+        assert np.array_equal(similarity_matrix(x), similarity_matrix(x, bandwidth=median))
 
     def test_invalid_bandwidth(self):
-        feats = features_of([[0.0, 0.0], [1.0, 1.0]])
+        feats = np.array([[0.0, 0.0], [1.0, 1.0]])
         for bad in (0.0, -2.0, math.inf, math.nan):
             with pytest.raises(ConfigurationError):
                 similarity_matrix(feats, bandwidth=bad)
 
     @pytest.mark.parametrize("bad", ["1", [1.0], True], ids=["str", "list", "bool"])
     def test_non_number_bandwidth_rejected_by_name(self, bad):
-        feats = features_of([[0.0, 0.0], [1.0, 1.0]])
+        feats = np.array([[0.0, 0.0], [1.0, 1.0]])
         with pytest.raises(ConfigurationError, match="^bandwidth must be a finite number"):
             similarity_matrix(feats, bandwidth=bad)
 
     def test_underflowing_bandwidth_rejected(self):
         """2 * G^2 underflows to 0: refused up front, with no numpy warning."""
-        feats = features_of([[0.0, 0.0], [1.0, 1.0]])
+        feats = np.array([[0.0, 0.0], [1.0, 1.0]])
         with pytest.raises(ConfigurationError, match="bandwidth"):
             similarity_matrix(feats, bandwidth=1e-300)
 
     def test_tiny_bandwidth_gives_zero_similarity(self):
         # d2 / (2 G^2) overflows to inf; exp(-inf) = 0 without a warning
-        feats = features_of([[0.0, 0.0], [1.0, 1.0]])
+        feats = np.array([[0.0, 0.0], [1.0, 1.0]])
         np.testing.assert_array_equal(
-            similarity_matrix(feats, bandwidth=1e-160).values, np.eye(2)
+            similarity_matrix(feats, bandwidth=1e-160), np.eye(2)
         )
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_features_rejected(self, bad):
-        feats = features_of([[0.0, 0.0], [1.0, bad], [2.0, 1.0]])
-        with pytest.raises(ContractError, match="features"):
+    @pytest.mark.parametrize(
+        "feats",
+        [
+            [[0.0, 0.0], [1.0, math.nan], [2.0, 1.0]],
+            [[0.0, 0.0], [1.0, math.inf], [2.0, 1.0]],
+            [[0.0, 0.0], [1.0, -math.inf], [2.0, 1.0]],
+            # Finite, but squared distances overflow: refused before any numpy warning.
+            [[0.0, 0.0], [1e200, 0.0], [3.0, 1.0]],
+        ],
+        ids=["nan", "inf", "-inf", "overflow"],
+    )
+    def test_non_finite_features_rejected(self, feats):
+        with pytest.raises(ContractError, match="^features must"):
             similarity_matrix(feats)
-        with pytest.raises(ContractError, match="features"):
+        with pytest.raises(ContractError, match="^features must"):
             similarity_matrix(feats, bandwidth=1.0)
 
     @given(seed=st.integers(0, 500), n=st.integers(2, 20))
     def test_exact_symmetry(self, seed, n):
         """Bit-for-bit symmetric, not merely within tolerance."""
         rng = np.random.default_rng(seed)
-        feats = features_of(rng.normal(size=(n, 2)))
-        s = similarity_matrix(feats, bandwidth=0.7).values
+        feats = rng.normal(size=(n, 2))
+        s = similarity_matrix(feats, bandwidth=0.7)
         assert np.array_equal(s, s.T)
 
 
@@ -173,9 +185,9 @@ class TestJacobi:
         np.testing.assert_allclose(vecs[:, 1], [r, r], atol=1e-10)
 
     def test_validation(self):
-        with pytest.raises(ContractError):
+        with pytest.raises(ContractError, match="^matrix must be square"):
             jacobi_eigh(np.ones((2, 3)))
-        with pytest.raises(ContractError):
+        with pytest.raises(ContractError, match="^matrix must be symmetric"):
             jacobi_eigh(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -238,7 +250,7 @@ class TestLaplacianSpectrum:
     @given(seed=st.integers(0, 500), n=st.integers(2, 12))
     def test_eigenvalues_bounded(self, seed, n):
         rng = np.random.default_rng(seed)
-        feats = features_of(rng.normal(size=(n, 2)))
+        feats = rng.normal(size=(n, 2))
         vals, _ = laplacian_eigensystem(similarity_matrix(feats, bandwidth=1.0))
         assert vals[0] >= -1e-8
         assert vals[-1] <= 2.0 + 1e-8
@@ -271,12 +283,12 @@ class TestSpectralEmbed:
             assert nrm == pytest.approx(1.0, abs=1e-9) or nrm == 0.0
 
     def test_k_validation(self):
-        sim = similarity_matrix(features_of([[0.0, 0.0], [1.0, 1.0]]))
+        sim = similarity_matrix(np.array([[0.0, 0.0], [1.0, 1.0]]))
         with pytest.raises(ContractError):
             spectral_embed(sim, 0)
         with pytest.raises(ContractError):
             spectral_embed(sim, 3)
-        with pytest.raises(ContractError):
+        with pytest.raises(ContractError, match="^similarity must be square"):
             spectral_embed(np.ones((2, 3)), 1)
         # True is not a one-column request, and 1.5 must not reach the slicing
         for k in (1.5, 2.0, True, "2", None):

@@ -40,7 +40,7 @@ def test_pipeline_holds_at_large_n(n):
         assert not area.members & gateways
 
     pool = [d for d in sorted(overlay.device_ids) if d not in gateways]
-    sim = similarity_matrix(device_features([overlay.device(d) for d in pool])).values
+    sim = similarity_matrix(device_features([overlay.device(d) for d in pool]))
     vals, vecs = laplacian_eigensystem(sim)
     inv_sqrt = 1.0 / np.sqrt(sim.sum(axis=1))
     lap = np.eye(len(pool)) - sim * inv_sqrt[:, None] * inv_sqrt[None, :]

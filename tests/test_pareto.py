@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from smartfog.errors import ContractError
 from smartfog.pareto import Sense, _dominance_matrix, non_dominated_sort
 
+from bad_tables import BAD_TABLES
 from oracles import oracle_fronts
 
 MIN2 = (Sense.MINIMIZE, Sense.MINIMIZE)
@@ -97,41 +98,18 @@ class TestDominates:
 
     @pytest.mark.parametrize(
         "values,senses,field",
-        [
-            ([["x", 1.0]], MIN2, "values"),
-            ([[True, 1.0]], MIN2, "values"),
+        [(table, MIN2, "values") for _, table in BAD_TABLES]
+        + [
             ([[1.0, 2.0]], ("max", "up"), "senses"),
             ([[1.0, 2.0]], (Sense.MAXIMIZE, None), "senses"),
-            ([[1.0, None]], MIN2, "values"),
-            ([[1.0, float("nan")]], MIN2, "values"),
-            ([[1.0, float("inf")]], MIN2, "values"),
-            ([[1.0, -float("inf")]], MIN2, "values"),
-            (np.array([[1.0, np.inf]]), MIN2, "values"),
-            (np.array([[True, False]]), MIN2, "values"),
-            ([[1.0, 2.0], [3.0, True]], MIN2, "values"),
-            ([[1.0, 10**400]], MIN2, "values"),
-            ([], MIN2, "values"),
-            (np.empty((0, 2)), MIN2, "values"),
-            ([1.0, 2.0], MIN2, "values"),
-            (np.array([1.0, 2.0]), MIN2, "values"),
-            (5.0, MIN2, "values"),
-            ([[1.0, 2.0], [3.0]], MIN2, "values"),
-            ([[1.0, 2.0], [3.0, [4.0, 5.0]]], MIN2, "values"),
-            ([np.zeros((2, 2)), np.zeros((2, 3))], MIN2, "values"),
-            (np.array([[1.0, 2.0, 3.0]]).reshape(1, 3, 1), MIN2, "values"),
             ([[1.0], [2.0]], MIN2[:1], "values"),
             ([[1.0, 2.0]], MIN2[:1], "senses"),
             ([[1.0, 2.0]], "min", "senses"),
             ([[1.0, 2.0]], None, "senses"),
         ],
-        ids=[
-            "value-str", "value-bool", "sense-unknown", "sense-none", "value-none",
-            "value-nan", "value-inf", "value-minus-inf", "array-inf", "array-bool",
-            "one-bool-among-floats", "int-past-float", "empty-list", "empty-array",
-            "one-dim-list", "one-dim-array", "scalar", "ragged", "ragged-nested",
-            "ragged-arrays", "three-dim", "one-column", "senses-short", "senses-str",
-            "senses-none-at-all",
-        ],
+        ids=[name for name, _ in BAD_TABLES]
+        + ["sense-unknown", "sense-none", "one-column", "senses-short", "senses-str",
+           "senses-none-at-all"],
     )
     def test_bad_entries_refused_by_name(self, values, senses, field):
         with pytest.raises(ContractError, match=f"^{field} must"):
