@@ -3,8 +3,8 @@
 The unit of work is one replicate: a size and replication r, whose seed
 ``seed_base + r`` drives overlay generation, the selection/clustering pipeline
 and the simulation.  Every configured mode of a replicate runs on one overlay
-object, so the modes share its workload and its cached path table, and the
-pipeline runs once.  Weighted centrality fills that table from its own
+object, back to back under one seed, so the modes share its workload, its
+cached path table and one emission schedule, and the pipeline runs once.  Weighted centrality fills that table from its own
 searches; after unweighted centrality the first simulation builds it.
 Result rows are emitted in (size, mode, replication) order regardless of how
 the worker pool schedules replicates, and reruns with identical config
@@ -262,9 +262,10 @@ def _write_csv(path: Path, columns: Sequence[str], rows: Sequence[dict]) -> Path
 def _replicate(config: ExperimentConfig, size: int, rep: int) -> tuple[list[dict], list[dict]]:
     """One result row per configured mode, in ``config.modes`` order, and the timing rows.
 
-    Every mode runs on one overlay object, so all of them read one cached
-    path table.  The smartfog pipeline runs only when smartfog is configured,
-    and then its stage timings make the one timing row; otherwise there is none.
+    Every mode runs on one overlay object, back to back under one seed, so
+    all of them read one cached path table and one cached emission schedule.
+    The smartfog pipeline runs only when smartfog is configured, and then its
+    stage timings make the one timing row; otherwise there is none.
     """
     seed = config.seed_base + rep
     overlay = build_overlay(size, seed, config.overlay_params)

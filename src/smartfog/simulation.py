@@ -24,14 +24,16 @@ hop traversed, including the sensor access hop and the cloud hop.
 Routes are fixed per sensor and links have no capacity, so every tuple
 visits one FIFO server (a device or the cloud), and each server runs
 Lindley's recursion D = max(A, D_prev) + s over its arrivals on its own.
-The tuples live in flat arrays: one sort puts every server's arrivals in
-order, a loop over plain floats runs the recursion, and counts, load and
-delay samples are array expressions.  A server takes its arrivals in order
-of (A, t, emission index), a tuple's emission index being its place in the
-emission schedule; :class:`SimulationReport` states the order of the delay
-samples.  All randomness comes from streams derived from one seed, with
-draws ordered so that emission times and work sizes are identical across
-modes for the same seed.
+The tuples live in flat arrays in emission order: one sort puts every
+server's arrivals in order, only the arrival, service and server columns
+are permuted for a loop over plain floats that runs the recursion, and
+counts, load and delay samples are array expressions.  A server takes its
+arrivals in order of (A, t, emission index), a tuple's emission index being
+its place in the emission schedule; :class:`SimulationReport` states the
+order of the delay samples.  All randomness comes from streams derived from
+one seed, with draws ordered so that emission times and work sizes are
+identical across modes for the same seed; the schedule is drawn once per
+(seed, workload, sensor count) and shared by both modes.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ import random
 from array import array
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -334,52 +337,91 @@ def _sensor_routes(
     return routes
 
 
+@lru_cache(maxsize=1)
+def _schedule(
+    seed: int, workload: WorkloadSpec, n_sensors: int
+) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """Every sensor's emission schedule, drawn once per (seed, spec, sensor count).
+
+    Per sensor, the SPA stream then the PC stream, whether routed or not, so
+    the draws do not depend on the mode; uniform(a, b) is spelled out as its
+    own a + (b - a) * random().  Returns every tuple's emit time and work in
+    emission order, as read-only float64 arrays, and each stream's tuple
+    count.  The one cached schedule serves both modes of a replicate, which
+    run back to back under one seed.
+    """
+    draw = random.Random(seed ^ _WORK_SALT).random
+    duration_ms = workload.duration_s * 1000.0
+    lo, hi = 1 - workload.jitter, 1 + workload.jitter
+    spread = hi - lo
+    kinds = (
+        (workload.spa_interval_s, workload.spa_mips_range),
+        (workload.pc_interval_s, workload.pc_mips_range),
+    )
+    times, works = array("d"), array("d")
+    sizes = []
+    for _ in range(n_sensors):
+        for interval_s, (a, b) in kinds:
+            first, width, t = len(times), b - a, 0.0
+            while True:
+                t += interval_s * (lo + spread * draw()) * 1000.0
+                if t > duration_ms:
+                    break
+                times.append(t)
+                works.append(a + width * draw())
+            sizes.append(len(times) - first)
+    emit, work = np.frombuffer(times), np.frombuffer(works)
+    emit.flags.writeable = work.flags.writeable = False
+    return emit, work, tuple(sizes)
+
+
 def _serve(
-    times: list[float],
-    works: list[float],
+    emit: np.ndarray,
+    work: np.ndarray,
     streams: list[float],
-    sizes: list[int],
+    sizes: Sequence[int],
     n_servers: int,
     duration_ms: float,
     warmup_ms: float,
 ) -> tuple[tuple[int, int], int, list[float], list[float]]:
     """Lindley's recursion for every server over flat per-tuple arrays.
 
-    ``times`` and ``works`` hold each routed tuple's emit time and work in
+    ``emit`` and ``work`` hold each routed tuple's emit time and work in
     emission order.  ``streams`` holds five numbers per routed stream, its
     (leg ms, leg hops, kind index, server index, server MIPS), and ``sizes``
-    its tuple count, of ``n_servers``.  Returns the completed count per kind,
-    the link hops travelled and the SPA and PC delays in report order.
+    its tuple count, of ``n_servers``.  Only the arrival, service and server
+    columns are permuted into the servers' FIFO order for the recursion; the
+    departures come back in emission order, where the rest is computed.
+    Returns the completed count per kind, the link hops travelled and the
+    SPA and PC delays in report order.
     """
-    n = len(times)
-    cols = np.empty((8, n))
-    cols[1] = np.fromiter(works, float, n)
-    cols[2] = np.fromiter(times, float, n)
-    cols[3:] = np.array(streams, dtype=float).reshape(-1, 5).T.repeat(sizes, axis=1)
-    arrive, service, emit, leg, _, _, server, mips = cols
-    np.add(emit, leg, out=arrive)
-    service /= mips
+    leg, hops, kind, server, mips = np.array(streams).reshape(-1, 5).T.repeat(sizes, axis=1)
+    arrive = emit + leg
+    service = work / mips
     service *= 1000.0
     # Every server's arrivals in FIFO order: (A, t, emission index).  A small
     # integer key lets numpy sort the servers by radix.
     order = np.lexsort((emit, arrive, server.astype(np.min_scalar_type(n_servers))))
-    arrive, service, emit, leg, hops, kind, server = cols[:7, order]
-    first = np.concatenate(((True,), server[1:] != server[:-1]))
+    server = server[order]
+    bounds = [0, *(np.flatnonzero(server[1:] != server[:-1]) + 1).tolist(), len(order)]
 
-    # D = max(A, D_prev) + s: the start is A on an idle server and D_prev
-    # otherwise, equal when the two tie.  D never falls along a server's
-    # arrivals, so the tuples with D within the horizon are the ones the
-    # server reaches and finishes in time; later ones never depart.
-    # An array("d") hands out its items as Python floats more cheaply than
-    # a list from tolist() holds them.
+    # D = max(A, D_prev) + s over each server's arrivals, the run between two
+    # ``bounds``: the start is A on an idle server, as at the first arrival,
+    # and D_prev otherwise, equal when the two tie.  D never falls along a
+    # server's arrivals, so the tuples with D within the horizon are the ones
+    # the server reaches and finishes in time; later ones never depart.  An
+    # array("d") hands out its items as Python floats more cheaply than a
+    # list from tolist() holds them.
+    arrivals, services = (array("d", column[order].tobytes()) for column in (arrive, service))
     dones: list[float] = []
-    done = -math.inf
-    for arrive_ms, service_ms, is_first in zip(
-        array("d", arrive.tobytes()), array("d", service.tobytes()), first.tolist()
-    ):
-        done = (arrive_ms if is_first or arrive_ms > done else done) + service_ms
-        dones.append(done)
-    done = np.fromiter(dones, float, n)
+    append = dones.append
+    for lo, hi in zip(bounds, bounds[1:]):
+        done = -math.inf
+        for arrive_ms, service_ms in zip(arrivals[lo:hi], services[lo:hi]):
+            done = (arrive_ms if arrive_ms > done else done) + service_ms
+            append(done)
+    done = np.empty_like(emit)
+    done[order] = np.fromiter(dones, float, len(dones))
     complete = done + leg
     # Every routed tuple goes up its leg; a served one comes back down it.
     load_hops = int(hops.sum() + hops[done <= duration_ms].sum())
@@ -389,12 +431,10 @@ def _serve(
     group = (kind + np.where(finished, np.where(emit >= warmup_ms, 0.0, 2.0), 4.0)).astype(np.int8)
     tally = np.bincount(group, minlength=6).tolist()
 
-    # Delays in order of C within each kind, ties in emission order: back in
-    # emission order, the stable sort leaves tied samples there.
-    complete_e, delay_e, group_e = np.empty(n), np.empty(n), np.empty(n, np.int8)
-    complete_e[order], delay_e[order], group_e[order] = complete, complete - emit, group
-    ranked = np.lexsort((complete_e, group_e))[: tally[0] + tally[1]]
-    delays = delay_e[ranked].tolist()
+    # Delays in order of C within each kind, ties in emission order, which
+    # the stable sort keeps.
+    ranked = np.lexsort((complete, group))[: tally[0] + tally[1]]
+    delays = (complete[ranked] - emit[ranked]).tolist()
     completed = (tally[0] + tally[2], tally[1] + tally[3])
     return completed, load_hops, delays[: tally[0]], delays[tally[0] :]
 
@@ -412,7 +452,9 @@ def run(
     Sensor attachment, emission schedules and per-tuple work sizes derive
     from seed-salted streams that do not depend on the mode, so runs of both
     modes under one seed see identical workloads and differ only in placement
-    and routing.
+    and routing.  :func:`_schedule` draws the emission schedule once per
+    (seed, workload, sensor count) and keeps the last one, so modes run back
+    to back under one seed share it.
 
     A tuple without a route (:func:`_sensor_routes`) is dropped.  One emitted
     at t arrives at A = t + leg, departs at D = start + service and completes
@@ -420,9 +462,9 @@ def run(
     departure, so start = max(A, D_prev).  Events after the horizon never
     happen: uplink load counts at t, downlink load at D, the completion at
     C.  A server takes arrivals tied on A in order of t, then of emission
-    index; delay samples tied on C are reported in emission order.  Emission
-    runs in Python, with its draws in order; the queues run in
-    :func:`_serve` over flat arrays.  ``mode`` may be the enum's string
+    index; delay samples tied on C are reported in emission order.  The
+    routed streams' tuples are kept from the schedule, and the queues run
+    in :func:`_serve` over flat arrays.  ``mode`` may be the enum's string
     value, e.g. ``"smartfog"``.
     """
     overlay = _convert(FogOverlay, overlay, "overlay", ContractError)
@@ -452,48 +494,25 @@ def run(
     }
     servers[_CLOUD] = (len(servers), workload.cloud_mips)
 
-    # Emission schedules: per sensor, SPA stream then PC stream, identical
-    # across modes; uniform(a, b) spelled out as its own a + (b - a) * random().
-    # A routed tuple's emit time and work go onto two flat lists in emission
-    # order and its stream's row onto ``streams``; an unrouted stream draws
-    # into lists that are dropped.
-    draw = random.Random(seed ^ _WORK_SALT).random
-    duration_ms = workload.duration_s * 1000.0
-    lo, hi = 1 - workload.jitter, 1 + workload.jitter
-    spread = hi - lo
-    kinds = (
-        (0, TupleKind.SPA, workload.spa_interval_s, workload.spa_mips_range),
-        (1, TupleKind.PC, workload.pc_interval_s, workload.pc_mips_range),
-    )
-    emitted, dropped = [0, 0], [0, 0]
-    times: list[float] = []
-    works: list[float] = []
+    # Stream i is sensor i // 2's SPA (even i) or PC (odd i) stream.  A
+    # routed stream's row goes onto ``streams``; an unrouted one is dropped.
+    emit, work, sizes = _schedule(seed, workload, n_sensors)
+    stream_routes = [routes.get((s, kind)) for s in sensors.sensor_ids for kind in TupleKind]
+    emitted, dropped = [sum(sizes[0::2]), sum(sizes[1::2])], [0, 0]
     streams: list[float] = []
-    sizes: list[int] = []
-    for s in sensors.sensor_ids:
-        for k, kind, interval_s, (a, b) in kinds:
-            route = routes.get((s, kind))
-            ts, ws = (times, works) if route is not None else ([], [])
-            first, width, t = len(ts), b - a, 0.0
-            while True:
-                t += interval_s * (lo + spread * draw()) * 1000.0
-                if t > duration_ms:
-                    break
-                ts.append(t)
-                ws.append(a + width * draw())
-            size = len(ts) - first
-            emitted[k] += size
-            if route is None:
-                dropped[k] += size
-            elif size:
-                server, leg_ms, leg_hops = route
-                streams += (leg_ms, leg_hops, k, *servers[server])
-                sizes.append(size)
+    for i, route in enumerate(stream_routes):
+        if route is None:
+            dropped[i % 2] += sizes[i]
+        else:
+            server, leg_ms, leg_hops = route
+            streams += (leg_ms, leg_hops, i % 2, *servers[server])
+    routed = [route is not None for route in stream_routes]
+    if not all(routed):
+        keep = np.repeat(routed, sizes)
+        emit, work, sizes = emit[keep], work[keep], [n for n, kept in zip(sizes, routed) if kept]
 
-    completed, load_hops, spa, pc = (
-        _serve(times, works, streams, sizes, len(servers), duration_ms, workload.warmup_s * 1000.0)
-        if streams
-        else ((0, 0), 0, [], [])
+    completed, load_hops, spa, pc = _serve(
+        emit, work, streams, sizes, len(servers), workload.duration_s * 1e3, workload.warmup_s * 1e3
     )
     report = SimulationReport(
         mode=mode,

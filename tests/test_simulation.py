@@ -19,6 +19,7 @@ from smartfog.simulation import (
     SensorAttachment,
     TupleKind,
     WorkloadSpec,
+    _schedule,
     attach_sensors,
     place_edge_ward,
     run,
@@ -394,6 +395,86 @@ class TestDeterminismAndPairing:
             by_value = run(ov, mode.value, workload, seed=6, **kwargs)
             assert by_value.mode is mode
             assert by_value.to_json() == run(ov, mode, workload, seed=6, **kwargs).to_json()
+
+    def test_paired_modes_draw_one_schedule(self):
+        ov = build_overlay(12, seed=6)
+        workload = WorkloadSpec(duration_s=60.0)
+        assignment, areas, _, _ = run_smartfog_pipeline(
+            ov, (AreaType.COMPUTE_OPTIMIZED, AreaType.MEMORY_OPTIMIZED), 2, None, 6
+        )
+        _schedule.cache_clear()
+        run(ov, Mode.SMARTFOG, workload, seed=6, assignment=assignment, areas=areas)
+        run(ov, Mode.UNOPTIMIZED, workload, seed=6)
+        info = _schedule.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+        # Another seed, another spec and another sensor count (7 for 14
+        # devices, 6 for 12) each draw a schedule of their own.
+        for ov_, workload_, seed in (
+            (ov, workload, 7),
+            (ov, dataclasses.replace(workload, jitter=0.1), 6),
+            (build_overlay(14, seed=6), workload, 6),
+        ):
+            misses = _schedule.cache_info().misses
+            run(ov_, Mode.UNOPTIMIZED, workload_, seed)
+            assert _schedule.cache_info().misses == misses + 1
+            assert _schedule.cache_info().currsize <= 1
+        emit, work, sizes = _schedule(6, workload, 6)
+        assert len(emit) == len(work) == sum(sizes) > 0
+        for column in (emit, work):
+            with pytest.raises(ValueError):
+                column[0] = 0.0
+
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.one_of(st.none(), st.integers(4, 10)),
+        sensors=st.one_of(st.none(), st.integers(1, 8)),
+        duration=st.integers(1, 60),
+        warmup=st.sampled_from((0.0, 0.25, 0.5)),
+        spa_every=st.integers(1, 10),
+        pc_every=st.integers(1, 10),
+        jitter=st.sampled_from((0.0, 0.2, 0.5)),
+        unoptimized_first=st.booleans(),
+    )
+    def test_shared_schedule_leaves_reports_unchanged(
+        self, seed, n, sensors, duration, warmup, spa_every, pc_every, jitter, unoptimized_first
+    ):
+        # n=None is the two-triangle overlay, where unoptimized placement
+        # leaves some sensors without a route.
+        if n is None:
+            ov = two_component_overlay()
+            assignment = GatewayAssignment(
+                gateways=((0, AreaType.COMPUTE_OPTIMIZED), (3, AreaType.MEMORY_OPTIMIZED))
+            )
+            areas = [
+                FunctionalArea(0, AreaType.COMPUTE_OPTIMIZED, frozenset(range(6)), 0),
+                FunctionalArea(3, AreaType.MEMORY_OPTIMIZED, frozenset({3, 4, 5}), 1),
+            ]
+        else:
+            ov = build_overlay(n, seed)
+            assignment, areas, _, _ = run_smartfog_pipeline(
+                ov, (AreaType.COMPUTE_OPTIMIZED, AreaType.MEMORY_OPTIMIZED), 2, None, seed
+            )
+        workload = WorkloadSpec(
+            duration_s=float(duration),
+            warmup_s=warmup * duration,
+            n_sensors=sensors,
+            spa_interval_s=float(spa_every),
+            pc_interval_s=float(pc_every),
+            jitter=jitter,
+        )
+        smart = {"assignment": assignment, "areas": areas}
+        modes = [(Mode.SMARTFOG, smart), (Mode.UNOPTIMIZED, {})]
+        if unoptimized_first:
+            modes.reverse()
+        _schedule.cache_clear()
+        warm = [run(ov, mode, workload, seed, **kwargs).to_json() for mode, kwargs in modes]
+        assert _schedule.cache_info().hits == 1
+        cold = []
+        for mode, kwargs in modes:
+            _schedule.cache_clear()
+            cold.append(run(ov, mode, workload, seed, **kwargs).to_json())
+        oracle = [event_loop_run(ov, mode, workload, seed, **kw).to_json() for mode, kw in modes]
+        assert warm == cold == oracle
 
     @pytest.mark.parametrize("bad", ["optimized", None, 0, "SMARTFOG"])
     def test_unknown_mode_rejected(self, bad):
@@ -792,7 +873,7 @@ class TestEventHeapOracle:
 
     def test_run_without_tuples_matches_oracle(self):
         # Every first emission gap is at least 0.8 of the 30 s PC interval,
-        # so nothing is emitted in 10 s and no array is built.
+        # so nothing is emitted in 10 s and every array is empty.
         workload = WorkloadSpec(duration_s=10.0, warmup_s=0.0)
         ov, _, kwargs = pinned_case(20, 1000, "default", Mode.SMARTFOG)
         for mode, mode_kwargs in ((Mode.SMARTFOG, kwargs), (Mode.UNOPTIMIZED, {})):
