@@ -173,8 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument(
         "--jobs",
         type=int,
-        help="worker processes, each at one BLAS thread (default: cpu count;"
-        " 1 for stable stage timings)",
+        help="processes that compute replicates, this one included, each at one"
+        " BLAS thread (default: the CPUs this process may use; 1 for stable stage timings)",
     )
     sim.set_defaults(func=_cmd_simulate)
 

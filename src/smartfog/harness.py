@@ -6,23 +6,36 @@ and the simulation.  Every configured mode of a replicate runs on one overlay
 object, back to back under one seed, so the modes share its workload, its
 cached path table and one emission schedule, and the pipeline runs once.  Weighted centrality fills that table from its own
 searches; after unweighted centrality the first simulation builds it.
-Result rows are emitted in (size, mode, replication) order regardless of how
-the worker pool schedules replicates, and reruns with identical config
-produce byte-identical files, on any Python version: the CSV medians and
-sample stddevs are exact.
+Result rows are emitted in (size, mode, replication) order, so results.csv
+is the same bytes at any ``jobs``, and reruns with identical config produce
+byte-identical files, on any Python version: the CSV medians and sample
+stddevs are exact.
 The pipeline's stage timings ride along with each replicate's rows into
 timing.csv, so no second loop rebuilds an overlay to time it; clocks read in
-worker processes are noisier, so stable timings need ``jobs=1``.
+child processes are noisier, so stable timings need ``jobs=1``.
+
+``jobs`` counts the processes that compute, the caller included.  The
+replicates are dealt into ``jobs`` strided shares, share i holding every
+``jobs``-th replicate from the i-th: the caller runs share 0 itself and
+``jobs - 1`` children run the rest, each sending its rows back in one message
+on a pipe of its own.  A sweep of a dozen replicates is over in tens of
+milliseconds, and a process pool's fixed cost (executor threads, a call queue,
+a message per task) outweighed the second core there, so ``--jobs 2`` lost to
+``--jobs 1``; a child per share has no executor and no per-task messages, and
+``jobs=1`` is the same code with no child.  If any share fails, every child
+still running is terminated before any is joined, and no child outlives the
+sweep.
 
 Every replicate runs at one OpenBLAS thread, at any ``jobs``, and the caller's
-count is restored afterwards.  Worker processes would otherwise each run
+count is restored afterwards.  Child processes would otherwise each run
 OpenBLAS's helper threads beside them, and the spectral eigensolve's bytes
 could depend on the thread count, so results.csv would depend on ``jobs`` and
-on the host.  On Linux the pool forks its workers, named explicitly because
-Python 3.14 defaults to ``forkserver``.  They inherit the count, and they
-start warm: ``import smartfog`` already loads every module a replicate uses,
-so no worker imports one during its first replicate.  Elsewhere the
-platform's default start method applies.
+on the host.  On Linux the children are forked, named explicitly because
+Python 3.14 defaults to ``forkserver``.  They inherit the count and leave it
+alone, since setting it in a forked child starts an OpenBLAS helper thread
+that spins beside the caller's share.  They start warm: ``import smartfog``
+already loads every module a replicate uses, so no child imports one during
+its first replicate.  Elsewhere the platform's default start method applies.
 
 The frozen config objects check and convert every value by its annotation when
 built, in code or by ``ExperimentConfig.from_dict``, which only maps JSON keys.
@@ -38,6 +51,7 @@ import math
 import os
 import sys
 import time
+import traceback
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, is_dataclass
 from functools import cache, partial
@@ -328,20 +342,99 @@ def _blas_threads():
 def _one_blas_thread():
     """Run the block at one OpenBLAS thread, then restore the caller's count.
 
-    Processes forked inside the block inherit the count; without OpenBLAS
-    this does nothing.
+    Processes forked inside the block inherit the count; without OpenBLAS,
+    or at a count of one already, this does nothing.  The second case is a
+    sweep's forked child: the fork stopped OpenBLAS's server, setting any
+    count restarts it, and its idle helper thread spins for about 0.1 s of
+    CPU, on the core the caller's share runs on.
     """
     threads = _blas_threads()
-    if threads is None:
+    count = threads[0]() if threads else 1
+    if count == 1:
         yield
         return
-    get, put = threads
-    count = get()
+    put = threads[1]
     put(1)
     try:
         yield
     finally:
         put(count)
+
+
+class _RemoteTraceback(Exception):
+    """The traceback text of an exception raised in a child, chained as its cause."""
+
+
+def _child_share(sender, replicate, share) -> None:
+    """Run ``share`` in a child and send one message: ``(True, results)`` or ``(False, error)``.
+
+    The error travels with its traceback text, which the caller chains to it.
+    """
+    try:
+        with _one_blas_thread():
+            message = True, [replicate(*task) for task in share]
+    except Exception as exc:  # sent to the caller, which re-raises it
+        message = False, (exc, traceback.format_exc())
+    sender.send(message)
+
+
+def _run_shares(replicate, tasks: list, jobs: int) -> list:
+    """``replicate(*task)`` for every task, in order, computed by ``jobs`` processes.
+
+    Share i is ``tasks[i::jobs]``.  The caller runs share 0; each other share
+    runs in a child process, which sends its results back in one message on a
+    one-way pipe.  The caller then receives the shares in order.  A child's
+    exception is re-raised here with its traceback as the cause, and a child
+    that exits without sending raises a RuntimeError naming its exit code.
+    On any failure every child still running is terminated before any is
+    joined, so a child blocked on a full pipe cannot hang the caller.
+    """
+    out = [None] * len(tasks)
+    children = []
+    try:
+        if jobs > 1:
+            # Imported here: only a sweep with children needs multiprocessing.
+            import multiprocessing
+
+            # Forked children inherit the BLAS thread count and every loaded module.
+            context = multiprocessing.get_context("fork" if sys.platform == "linux" else None)
+            for i in range(1, jobs):
+                receiver, sender = context.Pipe(duplex=False)
+                child = context.Process(
+                    target=_child_share, args=(sender, replicate, tasks[i::jobs]), daemon=True
+                )
+                child.start()
+                sender.close()  # the child holds the only write end, so its exit reads as EOF
+                children.append((child, receiver))
+        out[0::jobs] = [replicate(*task) for task in tasks[0::jobs]]
+        for i, (child, receiver) in enumerate(children, 1):
+            try:
+                ok, payload = receiver.recv()
+            except EOFError:
+                child.join()  # its write end closed, so it has exited
+                raise RuntimeError(
+                    f"sweep child {i} exited with code {child.exitcode} before sending its share"
+                ) from None
+            if not ok:
+                exc, remote = payload
+                raise exc from _RemoteTraceback(remote)
+            out[i::jobs] = payload
+    except BaseException:
+        for child, _ in children:
+            child.terminate()
+        raise
+    finally:
+        for child, receiver in children:
+            child.join()
+            receiver.close()
+    return out
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def run_experiment(config: ExperimentConfig) -> tuple[Path, Path]:
@@ -352,31 +445,26 @@ def run_experiment(config: ExperimentConfig) -> tuple[Path, Path]:
     replicate in (size, seed) order, and timing_summary.csv, one row per size;
     a sweep without smartfog writes them with no replicates.
 
+    ``jobs`` processes compute, the caller included; by default one per CPU
+    this process may use.  The (size, seed) replicates are dealt into
+    ``jobs`` strided shares: the caller runs the first and ``jobs - 1``
+    children the others (see ``_run_shares``), and the rows are put back in
+    order, so every CSV is the same bytes at any ``jobs``.  No child is left
+    running when this returns or raises.
+
     Replicates run at one OpenBLAS thread at any ``jobs``, so results.csv does
     not depend on ``jobs`` or on the host's cores, and the caller's thread
-    count is restored on return or error.  The pool's workers inherit that
-    count, and the parent's loaded modules, because on Linux they are forked.
+    count is restored on return or error.  The children inherit that count,
+    and the caller's loaded modules, because on Linux they are forked.
     """
     config = _convert(ExperimentConfig, config, "config", ContractError)
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    sizes, reps = zip(*product(config.sizes, range(config.replications)))
-    jobs = min(config.jobs or os.cpu_count() or 1, len(sizes))
-    log.info("running %d replicates with %d worker(s)", len(sizes), jobs)
-    replicate = partial(_replicate, config)
+    tasks = list(product(config.sizes, range(config.replications)))
+    jobs = min(config.jobs or _usable_cpus(), len(tasks))
+    log.info("running %d replicates in %d process(es)", len(tasks), jobs)
     with _one_blas_thread():
-        if jobs > 1:
-            # Imported here: the pool pulls in multiprocessing, which no other path needs.
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-
-            # Forked workers inherit the BLAS thread count and every loaded module.
-            context = multiprocessing.get_context("fork") if sys.platform == "linux" else None
-            with ProcessPoolExecutor(max_workers=jobs, mp_context=context) as pool:
-                chunk = max(1, len(sizes) // (jobs * 4))
-                replicates = list(pool.map(replicate, sizes, reps, chunksize=chunk))
-        else:
-            replicates = list(map(replicate, sizes, reps))
+        replicates = _run_shares(partial(_replicate, config), tasks, jobs)
     results, timings = zip(*replicates)
     # Replicates come size-major; transpose each size's block to mode-major.
     per_size = config.replications

@@ -1,15 +1,18 @@
-import concurrent.futures
 import csv
 import dataclasses
 import json
 import math
+import multiprocessing
 import os
 import re
 import shlex
+import signal
 import statistics
 import subprocess
 import sys
+import time
 from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -89,8 +92,33 @@ _REPLICATE = smartfog.harness._replicate
 def replicate_noting_blas_threads(config, size, rep):
     """``harness._replicate``, writing its process's BLAS thread count beside the results."""
     get, _ = BLAS_THREADS
-    (Path(config.out_dir) / f"blas-threads-{os.getpid()}").write_text(str(get()))
+    (Path(config.out_dir) / f"blas-threads-{os.getpid()}-{size}-{rep}").write_text(str(get()))
     return _REPLICATE(config, size, rep)
+
+
+#: Tests whose replicates behave differently in the children patch ``_replicate``,
+#: which only forked children see.
+needs_fork = pytest.mark.skipif(sys.platform != "linux", reason="children fork only on Linux")
+
+
+class Hang(Exception):
+    """Not an OSError, which ``multiprocessing``'s join would swallow."""
+
+
+@contextmanager
+def deadline(seconds):
+    """Raise Hang in the block once ``seconds`` have passed, so a hang fails the test."""
+
+    def expire(signum, frame):
+        raise Hang(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def replicate_raising(config, size, rep):
@@ -380,36 +408,119 @@ class TestRunExperiment:
         assert strings[1].read_bytes() == members[1].read_bytes()
 
     def test_parallel_matches_serial(self, tmp_path):
-        # n = 40 reaches the sizes at which the eigensolve starts BLAS threads.
-        for overrides in ({}, {"sizes": (40,), "replications": 3}):
-            out = tmp_path / str(overrides.get("sizes", "tiny"))
+        # n = 40 reaches the sizes at which the eigensolve starts BLAS threads;
+        # 10 replicates make uneven shares at jobs=3.
+        for overrides in ({}, {"sizes": (40,), "replications": 3}, {"replications": 5}):
+            out = tmp_path / f"{overrides.get('sizes', 'tiny')}-{overrides.get('replications')}"
             serial = run_experiment(tiny_config(out / "serial", jobs=1, **overrides))
-            parallel = run_experiment(tiny_config(out / "parallel", jobs=2, **overrides))
-            assert serial[0].read_bytes() == parallel[0].read_bytes()
+            for jobs in (2, 3):
+                parallel = run_experiment(tiny_config(out / f"jobs{jobs}", jobs=jobs, **overrides))
+                assert serial[0].read_bytes() == parallel[0].read_bytes()
+                assert serial[1].read_bytes() == parallel[1].read_bytes()
+        assert multiprocessing.active_children() == []
 
-    def test_pool_forks_its_workers_on_linux(self, tmp_path, monkeypatch):
-        contexts = []
+    def test_children_fork_on_linux(self, tmp_path, monkeypatch):
+        methods = []
+        get_context = multiprocessing.get_context
 
-        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, *args, mp_context=None, **kwargs):
-                contexts.append(mp_context)
-                super().__init__(*args, mp_context=mp_context, **kwargs)
+        def recording_get_context(method=None):
+            methods.append(method)
+            return get_context(method)
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(multiprocessing, "get_context", recording_get_context)
         run_experiment(tiny_config(tmp_path, jobs=2))
-        assert len(contexts) == 1
-        if sys.platform == "linux":
-            assert contexts[0].get_start_method() == "fork"
-        else:
-            assert contexts[0] is None
+        assert methods == ["fork" if sys.platform == "linux" else None]
 
     @needs_openblas
-    def test_pool_workers_run_at_one_blas_thread(self, tmp_path, monkeypatch):
+    @needs_fork
+    def test_every_replicate_runs_at_one_blas_thread(self, tmp_path, monkeypatch):
         monkeypatch.setattr(smartfog.harness, "_replicate", replicate_noting_blas_threads)
         run_experiment(tiny_config(tmp_path, sizes=(40,), replications=4, jobs=2))
         counts = {p.name: p.read_text() for p in tmp_path.glob("blas-threads-*")}
-        assert counts and f"blas-threads-{os.getpid()}" not in counts
-        assert set(counts.values()) == {"1"}
+        pids = {name.split("-")[2] for name in counts}
+        assert len(counts) == 4 and set(counts.values()) == {"1"}
+        assert str(os.getpid()) in pids and len(pids) == 2  # the caller and one child
+
+    @needs_openblas
+    @needs_fork
+    def test_children_start_no_blas_helper_thread(self, tmp_path, monkeypatch):
+        """Setting OpenBLAS's count in a forked child would start a helper that spins
+        on the core the caller's share needs; the inherited count of one is left as is."""
+        caller = os.getpid()
+
+        def replicate(config, size, rep):
+            if os.getpid() != caller:
+                threads = len(os.listdir("/proc/self/task"))
+                (Path(config.out_dir) / f"threads-{size}-{rep}").write_text(str(threads))
+            return _REPLICATE(config, size, rep)
+
+        monkeypatch.setattr(smartfog.harness, "_replicate", replicate)
+        run_experiment(tiny_config(tmp_path, sizes=(40,), replications=4, jobs=2))
+        counts = [p.read_text() for p in tmp_path.glob("threads-*")]
+        assert counts == ["1", "1"]
+
+    def test_default_jobs_follow_the_affinity_mask(self, tmp_path, monkeypatch, caplog):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        with caplog.at_level("INFO", logger="smartfog.harness"):
+            run_experiment(tiny_config(tmp_path, jobs=None))
+        assert "running 4 replicates in 1 process(es)" in caplog.messages
+        assert smartfog.harness._usable_cpus() == 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5})
+        assert smartfog.harness._usable_cpus() == 3
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert smartfog.harness._usable_cpus() == 8
+
+    @needs_fork
+    def test_child_exception_reraised_in_caller(self, tmp_path, monkeypatch):
+        caller = os.getpid()
+
+        def replicate(config, size, rep):
+            if os.getpid() != caller:
+                raise KeyError(f"replicate {size}/{rep} failed in a child")
+            return _REPLICATE(config, size, rep)
+
+        monkeypatch.setattr(smartfog.harness, "_replicate", replicate)
+        with deadline(60), pytest.raises(KeyError, match="failed in a child") as raised:
+            run_experiment(tiny_config(tmp_path, jobs=2))
+        assert "in replicate" in str(raised.value.__cause__)  # the child's traceback text
+        assert multiprocessing.active_children() == []
+
+    @needs_fork
+    def test_child_exiting_without_sending_names_its_code(self, tmp_path, monkeypatch):
+        caller = os.getpid()
+
+        def replicate(config, size, rep):
+            if os.getpid() != caller:
+                os._exit(3)
+            return _REPLICATE(config, size, rep)
+
+        monkeypatch.setattr(smartfog.harness, "_replicate", replicate)
+        with deadline(60), pytest.raises(RuntimeError, match="exited with code 3"):
+            run_experiment(tiny_config(tmp_path, jobs=3))
+        assert multiprocessing.active_children() == []
+
+    @needs_fork
+    def test_caller_failure_stops_a_child_blocked_on_its_pipe(self, tmp_path, monkeypatch):
+        caller = os.getpid()
+        sending = tmp_path / "sending"
+
+        def replicate(config, size, rep):
+            if os.getpid() != caller:
+                sending.touch()
+                return [{"payload": "x" * (8 << 20)}], []  # far more than a pipe holds
+            for _ in range(600):  # wait until the child is about to send
+                if sending.exists():
+                    break
+                time.sleep(0.01)
+            time.sleep(0.2)
+            raise RuntimeError("the caller's share failed")
+
+        monkeypatch.setattr(smartfog.harness, "_replicate", replicate)
+        with deadline(20), pytest.raises(RuntimeError, match="the caller's share failed"):
+            run_experiment(tiny_config(tmp_path, jobs=2))
+        assert sending.exists()
+        assert multiprocessing.active_children() == []
 
     @needs_openblas
     @pytest.mark.parametrize("jobs", [1, 2])
@@ -553,12 +664,12 @@ class TestTimingFiles:
 
     def test_rows_in_size_seed_order_at_any_jobs(self, tmp_path):
         pairs = []
-        for jobs in (1, 2):
+        for jobs in (1, 2, 3):  # 10 replicates: uneven shares at jobs=3
             out = tmp_path / f"jobs{jobs}"
-            run_experiment(tiny_config(out, sizes=(6, 8), replications=3, jobs=jobs))
+            run_experiment(tiny_config(out, sizes=(6, 8), replications=5, jobs=jobs))
             pairs.append([(r["n_devices"], r["seed"]) for r in read_csv(out / "timing.csv")])
-        assert pairs[0] == pairs[1] == [
-            (str(size), str(seed)) for size in (6, 8) for seed in (50, 51, 52)
+        assert pairs[0] == pairs[1] == pairs[2] == [
+            (str(size), str(seed)) for size in (6, 8) for seed in range(50, 55)
         ]
 
     def test_sweep_without_smartfog_leaves_no_stale_timings(self, tmp_path):
@@ -748,7 +859,7 @@ def fresh_interpreter_output(code):
 
 
 def test_import_loads_no_process_pool():
-    """``import smartfog`` leaves multiprocessing unloaded; only sweeps at ``jobs > 1`` use it."""
+    """``import smartfog`` leaves multiprocessing unloaded; only a sweep with children uses it."""
     code = (
         "import sys, smartfog; print(sorted(m for m in sys.modules"
         " if m.split('.')[0] == 'multiprocessing' or m == 'concurrent.futures.process'))"
@@ -757,7 +868,7 @@ def test_import_loads_no_process_pool():
 
 
 def test_replicate_imports_no_module():
-    """After ``import smartfog`` a replicate loads no module, so forked workers start warm."""
+    """After ``import smartfog`` a replicate loads no module, so forked children start warm."""
     code = (
         "import sys, smartfog\n"
         "from smartfog import harness\n"
