@@ -40,12 +40,13 @@ latencies; sums of link latencies are floats, but the counts and the
 recurrence stay integers.  The search and the sweep run on device
 positions: path counts, predecessors, dependencies and numerators are lists
 indexed like :attr:`FogOverlay.neighbours`, mapped to device ids once at the
-end.  The searches' rows, keyed by id in settle order, are offered to the
-overlay as :attr:`FogOverlay.path_table`, the table the simulation routes
-on, so one search per source serves both.  A table already cached is kept,
-and the searches still run, so a second weighted call on one overlay costs
-as much as the first: seconds at n = 1000.  No caller in the package makes
-a second call.
+end, and the backward sweep walks the positions in the order the search
+settled them.  The searches' latencies and hop counts are gathered and
+offered to the overlay as :attr:`FogOverlay.path_table`, the position-indexed
+arrays the simulation routes on, so one search per source serves both.  A
+table already cached is kept, and the searches still run, so a second
+weighted call on one overlay costs as much as the first: seconds at
+n = 1000.  No caller in the package makes a second call.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ContractError, TopologyError, _convert
-from .overlay import FogOverlay, _Neighbours, _search
+from .overlay import FogOverlay, _Neighbours, _PathRows, _search
 
 #: Integers below these are exact in float64 (53-bit significand) and int64.
 _EXACT_FLOAT = 2**53
@@ -87,8 +88,9 @@ def betweenness(
 
     ``mode`` may be the enum's string value, such as ``"unweighted"``.  The
     weighted mode hands its per-source search rows to the overlay, which
-    keeps them as :attr:`FogOverlay.path_table` unless a table is cached; it
-    searches from every source either way, so a second call costs the same.
+    keeps them as the arrays of :attr:`FogOverlay.path_table` unless a table
+    is cached; it searches from every source either way, so a second call
+    costs the same.
     """
     overlay = _convert(FogOverlay, overlay, "overlay", ContractError)
     mode = _convert(CentralityMode, mode, "mode", ContractError)
@@ -97,7 +99,7 @@ def betweenness(
     if mode is CentralityMode.UNWEIGHTED:
         scores = _brandes_all_sources(overlay)
     else:
-        rows = {}
+        rows = _PathRows(len(overlay.devices))
         scores = _brandes_sweep(overlay.neighbours, overlay.device_ids, rows)
         overlay._offer_path_table(rows)
     return CentralityScores(scores=scores, mode=mode)
@@ -165,17 +167,16 @@ def _brandes_unweighted(overlay: FogOverlay) -> dict[int, float]:
 
 
 def _brandes_sweep(
-    neighbours: _Neighbours, ids: tuple[int, ...], rows: dict | None = None
+    neighbours: _Neighbours, ids: tuple[int, ...], rows: _PathRows | None = None
 ) -> dict[int, float]:
     """Exact betweenness from one shortest-path search per source.
 
     ``neighbours`` holds the edge lengths by device position, ``ids`` each
     position's device id.  Each source's search counts its shortest paths
     and records their predecessors as it settles; given ``rows``, its
-    ``id -> (latency, hops)`` row is stored there too, under the source's id.
+    latencies and hop counts are added there too, source by source.
     """
     n = len(ids)
-    position = dict(zip(ids, range(n)))
     # Running sum of every source's dependencies as integer numerators over
     # one common denominator ``den``, by position.
     num = [0] * n
@@ -185,9 +186,9 @@ def _brandes_sweep(
         sigma[s] = 1
         preds: list = [None] * n
         preds[s] = []
-        row = _search(neighbours, ids, s, sigma, preds)
+        search = _search(neighbours, s, sigma, preds)
         if rows is not None:
-            rows[ids[s]] = row
+            rows.add(*search)
         # Dependencies scaled by L = lcm(sigma): D[v] = L * delta(v) is an
         # integer and every division below is exact.  D / L is added into
         # num / den over their least common denominator.  The overlay is
@@ -199,7 +200,7 @@ def _brandes_sweep(
             den *= up
         down = den // scale
         dep = [0] * n
-        for w in map(position.__getitem__, reversed(row)):
+        for w in reversed(search[0]):
             share = (scale + dep[w]) // sigma[w]
             for v in preds[w]:
                 dep[v] += sigma[v] * share

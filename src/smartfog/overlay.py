@@ -12,7 +12,9 @@ The same search counts shortest paths for weighted betweenness, whose rows
 only :meth:`FogOverlay._offer_path_table` writes into ``path_table``.  The
 search runs on device positions (indices into ``device_ids``, whose order is
 id order, so every tie rule is unchanged) over :attr:`FogOverlay.neighbours`,
-with its state in lists; only the rows and maps it returns are keyed by id.
+with its state in lists.  ``path_table`` is a :class:`PathTable`, two
+read-only n x n arrays indexed by position, about 12 bytes a pair; only
+``cloud_exit`` is keyed by id.
 """
 
 from __future__ import annotations
@@ -25,7 +27,9 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import chain
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Mapping, NamedTuple, Sequence, Union
+
+import numpy as np
 
 from .errors import (
     ChurnRejectedError,
@@ -223,22 +227,25 @@ class FogOverlay:
         return tuple(map(tuple, rows))
 
     @cached_property
-    def path_table(self) -> dict[int, dict[int, tuple[float, int]]]:
+    def path_table(self) -> PathTable:
         """Every device's search row, unless weighted betweenness offered its own."""
-        ids = self.device_ids
-        return {v: _search(self.neighbours, ids, i) for i, v in enumerate(ids)}
+        rows = _PathRows(len(self.devices))
+        for source in range(len(self.devices)):
+            rows.add(*_search(self.neighbours, source))
+        return rows.table()
 
-    def _offer_path_table(self, rows: dict[int, dict[int, tuple[float, int]]]) -> None:
+    def _offer_path_table(self, rows: _PathRows) -> None:
         """Cache ``rows``, every device's search row, as ``path_table`` unless one is cached."""
-        vars(self).setdefault("path_table", rows)
+        if "path_table" not in vars(self):
+            vars(self)["path_table"] = rows.table()
 
     @cached_property
     def cloud_exit(self) -> dict[int, tuple[float, int]]:
         """Each device's ``(latency_ms, exit_device)`` to the cloud; ties to the lower exit."""
         ids, position = self.device_ids, self._position
         roots = {position[g]: ms for g, ms in self.cloud_latency_ms.items()}
-        search = _settle(self.neighbours, roots)
-        return {ids[node]: (dist, ids[root]) for dist, _, node, root in search}
+        dists, _, nodes, origins = _settle(self.neighbours, roots)
+        return {ids[node]: (dist, ids[root]) for dist, node, root in zip(dists, nodes, origins)}
 
     def is_connected(self) -> bool:
         """Whether the links join every device; searched once per overlay."""
@@ -485,8 +492,12 @@ _Neighbours = Sequence[Sequence[tuple[int, float]]]
 
 def _settle(
     neighbours: _Neighbours, roots: Mapping[int, float], sigma=None, preds=None
-) -> Iterator[tuple[float, int, int, int]]:
-    """Dijkstra from every root at once, yielding ``(latency_ms, hops, device, root)``.
+) -> tuple[list[float], list[int], list[int], list[int]]:
+    """Dijkstra from every root at once: the settled devices in settle order.
+
+    Returns four lists with an entry per settled device: its latency_ms, its
+    hops, its position and its root's.  Appending to lists costs less than
+    yielding a tuple per device.
 
     Devices and roots are positions in ``neighbours``.  Each root starts at
     its own latency.  Heap keys are ``(latency, root, hops, position)``:
@@ -508,12 +519,19 @@ def _settle(
     heap = [best[root] for root in roots]
     heapq.heapify(heap)
     settled = [False] * len(neighbours)
+    dists: list[float] = []
+    hop_counts: list[int] = []
+    nodes: list[int] = []
+    origins: list[int] = []
     while heap:
         dist, root, hops, node = heapq.heappop(heap)
         if settled[node]:
             continue
         settled[node] = True
-        yield dist, hops, node, root
+        dists.append(dist)
+        hop_counts.append(hops)
+        nodes.append(node)
+        origins.append(root)
         hops += 1
         for nbr, ms in neighbours[node]:
             if settled[nbr]:
@@ -533,12 +551,78 @@ def _settle(
                 continue
             best[nbr] = entry = (latency, root, hops, nbr)
             heapq.heappush(heap, entry)
+    return dists, hop_counts, nodes, origins
 
 
-def _search(neighbours: _Neighbours, ids, source: int, sigma=None, preds=None) -> dict:
-    """The search from position ``source``: its ``id -> (latency_ms, hops)`` row in settle order."""
-    search = _settle(neighbours, {source: 0.0}, sigma, preds)
-    return {ids[node]: (dist, hops) for dist, hops, node, _ in search}
+def _search(
+    neighbours: _Neighbours, source: int, sigma=None, preds=None
+) -> tuple[list[int], list[float], list[int]]:
+    """The search from position ``source``: the positions it settled, in settle
+    order, with their latencies and hop counts."""
+    dists, hops, nodes, _ = _settle(neighbours, {source: 0.0}, sigma, preds)
+    return nodes, dists, hops
+
+
+class PathTable(NamedTuple):
+    """Shortest paths between all device positions, as two read-only n x n arrays.
+
+    Row and column i are device ``overlay.device_ids[i]``.  ``latency_ms[i, j]``
+    is the float64 latency of the minimum-latency path from i to j and
+    ``hops[i, j]`` (int32) the fewest links among paths tied on that latency;
+    an unreachable pair holds ``inf`` and -1.  A search settles a row in
+    ascending (latency, hops, position) order, which
+    ``np.lexsort((positions, hops, latency))`` recovers.
+    """
+
+    latency_ms: np.ndarray
+    hops: np.ndarray
+
+
+#: Pairs that :class:`_PathRows` holds in lists before it scatters them.
+_BATCH = 1 << 16
+
+
+class _PathRows:
+    """Search rows, added source by source from position 0, scattered into a table.
+
+    Rows wait in lists, which extend faster than typed buffers do, and go
+    into the arrays one batch of about ``_BATCH`` pairs at a time: a handful
+    of numpy calls per table at paper sizes, and a few MB of pending floats
+    at any n.
+    """
+
+    def __init__(self, n: int):
+        self.latency = np.full((n, n), math.inf)
+        self.hops = np.full((n, n), -1, np.int32)
+        self.done = 0  # rows scattered so far
+        self.sizes: list[int] = []
+        self.pending: tuple[list, list, list] = ([], [], [])
+
+    def add(self, nodes: Sequence[int], latency: Sequence[float], hops: Sequence[int]) -> None:
+        self.sizes.append(len(nodes))
+        pending = self.pending
+        pending[0].extend(nodes)
+        pending[1].extend(latency)
+        pending[2].extend(hops)
+        if len(pending[0]) >= _BATCH:
+            self._scatter()
+
+    def _scatter(self) -> None:
+        n, first, rows = len(self.latency), self.done, len(self.sizes)
+        nodes, latency, hops = self.pending
+        count = len(nodes)
+        cells = np.repeat(np.arange(first * n, (first + rows) * n, n), self.sizes)
+        cells += np.fromiter(nodes, np.intp, count)
+        self.latency.put(cells, np.fromiter(latency, float, count))
+        self.hops.put(cells, np.fromiter(hops, np.int32, count))
+        self.done += rows
+        self.sizes = []
+        self.pending = ([], [], [])
+
+    def table(self) -> PathTable:
+        self._scatter()
+        self.latency.flags.writeable = self.hops.flags.writeable = False
+        return PathTable(self.latency, self.hops)
 
 
 def latency_to_cloud(overlay: FogOverlay, device_id: int) -> float:
@@ -559,12 +643,12 @@ def latency_to_cloud(overlay: FogOverlay, device_id: int) -> float:
         raise TopologyError(f"device {device_id} cannot reach any cloud-attached device") from None
 
 
-def all_pairs_paths(overlay: FogOverlay) -> dict[int, dict[int, tuple[float, int]]]:
+def all_pairs_paths(overlay: FogOverlay) -> PathTable:
     """The overlay's cached shortest-path table (:attr:`FogOverlay.path_table`).
 
-    Row ``source`` maps each device reachable from ``source`` to ``(latency_ms,
-    hops)`` of its minimum-latency path, ``hops`` being the fewest among
-    latency ties, so the chosen route is deterministic.  Keys are in settle
-    order (ascending latency); unreachable devices are absent.
+    ``latency_ms[i, j]`` and ``hops[i, j]`` describe the minimum-latency path
+    from device ``device_ids[i]`` to device ``device_ids[j]``, ``hops`` being
+    the fewest among latency ties, so the chosen route is deterministic.  An
+    unreachable pair holds ``inf`` and -1.  Both arrays are read-only.
     """
     return _convert(FogOverlay, overlay, "overlay", ContractError).path_table

@@ -20,6 +20,11 @@ mode its SPA host is the nearest member (by path latency) of the functional
 area matching the tuple kind's compute profile, in unoptimized mode a
 uniformly random device.  Network load counts payload bytes once per link
 hop traversed, including the sensor access hop and the cloud hop.
+Placement and routing read the overlay's shortest-path table
+(:class:`~smartfog.overlay.PathTable`) by device position: placement as
+array expressions over the member and gateway columns, the routes one entry
+at a time.  The sensor attachment is drawn once per (seed, device ids,
+sensor count, access range) and shared by both modes of a replicate.
 
 Routes are fixed per sensor and links have no capacity, so every tuple
 visits one FIFO server (a device or the cloud), and each server runs
@@ -53,7 +58,7 @@ from .clustering import FunctionalArea
 from .decision import AreaType, GatewayAssignment
 from .errors import ConfigurationError, ContractError, _convert, _convert_fields, _convert_int
 from .errors import _convert_range
-from .overlay import FogOverlay, all_pairs_paths
+from .overlay import FogOverlay, PathTable, all_pairs_paths
 
 _ATTACH_SALT = 0x617474
 _PLACE_SALT = 0x706C63
@@ -153,12 +158,69 @@ def attach_sensors(
     rng = _convert(random.Random, rng, "rng", ContractError)
     n_sensors = _convert_int(n_sensors, "n_sensors", 1, ContractError)
     access_ms_range = _convert_range(access_ms_range, "access_ms_range")
+    return _attach(overlay.device_ids, n_sensors, rng, access_ms_range)
+
+
+def _attach(
+    device_ids: Sequence[int],
+    n_sensors: int,
+    rng: random.Random,
+    access_ms_range: tuple[float, float],
+) -> SensorAttachment:
     access_point = {}
     access_ms = {}
     for s in range(n_sensors):
-        access_point[s] = rng.choice(overlay.device_ids)
+        access_point[s] = rng.choice(device_ids)
         access_ms[s] = rng.uniform(*access_ms_range)
     return SensorAttachment(access_point=access_point, access_ms=access_ms)
+
+
+@lru_cache(maxsize=1)
+def _attachment(
+    seed: int,
+    device_ids: tuple[int, ...],
+    n_sensors: int,
+    access_ms_range: tuple[float, float],
+) -> SensorAttachment:
+    """The sensor attachment of :func:`run`, drawn once per (seed, devices,
+    sensor count, access range).
+
+    The draws are :func:`attach_sensors`'s, from the seed's attachment
+    stream, and depend only on the device ids, so the one cached attachment
+    serves both modes of a replicate, which run back to back under one seed.
+    Every caller gets the same object, so none may change its maps.
+    """
+    return _attach(device_ids, n_sensors, random.Random(seed ^ _ATTACH_SALT), access_ms_range)
+
+
+def _nearest(
+    table: PathTable,
+    sources: Sequence[int],
+    targets: Sequence[int],
+    allowed: np.ndarray | None = None,
+) -> list[int]:
+    """Each source's nearest allowed target by (latency, id), as an index into ``targets``.
+
+    ``sources`` and ``targets`` hold device positions, ``targets`` ascending,
+    so argmin's first tied minimum is the lower id.  ``allowed``, if given,
+    marks each source's targets by row.  A source that reaches no allowed
+    target gets -1.
+    """
+    cells = np.array(sources)[:, None], targets
+    latency = table.latency_ms[cells]
+    if allowed is not None:
+        latency = np.where(allowed, latency, math.inf)
+    best = latency.argmin(axis=1)
+    # A nearest latency of inf may be unreachable or not allowed.  The first
+    # reachable allowed target is then the lowest id at inf (a sum past the
+    # largest double), if there is one.
+    if np.isinf(latency.min(axis=1)).any():
+        reach = table.hops[cells] >= 0
+        if allowed is not None:
+            reach &= allowed
+        stuck = ~reach[np.arange(len(best)), best]
+        best[stuck] = np.where(reach[stuck].any(axis=1), reach[stuck].argmax(axis=1), -1)
+    return best.tolist()
 
 
 def place_edge_ward(
@@ -198,7 +260,6 @@ def place_edge_ward(
         unknown = area.members.difference(overlay.device_ids)
         if unknown:
             raise ContractError(f"areas: member {min(unknown)} names no device")
-    paths = all_pairs_paths(overlay)
 
     if mode is Mode.SMARTFOG:
         if assignment is None or not areas:
@@ -206,33 +267,34 @@ def place_edge_ward(
         spa_area = next(
             (a for a in areas if a.area_type is AreaType.COMPUTE_OPTIMIZED), areas[0]
         )
-        members = spa_area.members
-        edge_modules = {}
-        for s in sensors.sensor_ids:
-            ap = sensors.access_point[s]
-            # The row's settle order has non-decreasing latency: the first member
-            # is nearest, and one after it at equal latency wins with a lower id.
-            host = None
-            for m, (ms, _) in paths[ap].items():
-                if host is not None and ms > nearest:
-                    break
-                if m in members and (host is None or m < host):
-                    host, nearest = m, ms
-            if host is None:
-                raise ContractError(f"no functional-area member reachable from device {ap}")
-            edge_modules[s] = host
+        table = all_pairs_paths(overlay)
+        ids, position = overlay.device_ids, overlay._position
+        sensor_ids = sensors.sensor_ids
+        access = [position[sensors.access_point[s]] for s in sensor_ids]
+        members = sorted(spa_area.members)
+        hosts = _nearest(table, access, [position[m] for m in members])
+        if -1 in hosts:
+            ap = ids[access[hosts.index(-1)]]
+            raise ContractError(f"no functional-area member reachable from device {ap}")
+        edge_modules = {s: members[h] for s, h in zip(sensor_ids, hosts)}
+        # A gateway forwards its own PC tuples.  Every other device's
+        # candidates are the owners of its areas, else every gateway.
         gateway_ids = set(assignment.device_ids)
+        targets = sorted(gateway_ids.union(a.owner_gateway for a in areas))
+        column = {g: j for j, g in enumerate(targets)}
+        allowed = np.zeros((len(ids), len(targets)), bool)
+        for area in areas:
+            allowed[[position[m] for m in area.members], column[area.owner_gateway]] = True
+        allowed[~allowed.any(axis=1)] = [g in gateway_ids for g in targets]
+        nearest = _nearest(table, range(len(ids)), [position[g] for g in targets], allowed)
         cloud_route = {}
-        for d in overlay.device_ids:
+        for d, g in zip(ids, nearest):
             if d in gateway_ids:
                 cloud_route[d] = d
-                continue
-            owners = [a.owner_gateway for a in areas if d in a.members]
-            candidates = owners if owners else list(assignment.device_ids)
-            reachable = [g for g in candidates if g in paths[d]]
-            if not reachable:
+            elif g < 0:
                 raise ContractError(f"no gateway reachable from device {d}")
-            cloud_route[d] = min(reachable, key=lambda g: (paths[d][g][0], g))
+            else:
+                cloud_route[d] = targets[g]
         return Placement(edge_modules=edge_modules, cloud_route=cloud_route)
 
     if rng is None:
@@ -314,26 +376,34 @@ def _sensor_routes(
     served by the cloud.  A linked forwarder uses its own cloud link; one
     without relays through its :attr:`FogOverlay.cloud_exit` device.
     """
-    paths = all_pairs_paths(overlay)
+    # A memoryview hands out one entry as a Python number more cheaply than
+    # numpy's indexing does.
+    latency, hops = map(memoryview, all_pairs_paths(overlay))
+    position = overlay._position
     cloud = overlay.cloud_latency_ms
     exits = overlay.cloud_exit
+    access_point, access_ms = sensors.access_point, sensors.access_ms
+    edge_modules, cloud_route = placement.edge_modules, placement.cloud_route
+    spa, pc = TupleKind.SPA, TupleKind.PC
     routes: dict[tuple[int, TupleKind], _Route] = {}
     for s in sensors.sensor_ids:
-        ap = sensors.access_point[s]
-        host = placement.edge_modules[s]
-        if host in paths[ap]:
-            path_ms, path_hops = paths[ap][host]
-            routes[s, TupleKind.SPA] = (host, sensors.access_ms[s] + path_ms, 1 + path_hops)
-        fwd = placement.cloud_route[host]
-        if fwd not in paths[host] or fwd not in exits:
+        ap = position[access_point[s]]
+        host = edge_modules[s]
+        h = position[host]
+        path_hops = hops[ap, h]
+        if path_hops >= 0:
+            routes[s, spa] = (host, access_ms[s] + latency[ap, h], 1 + path_hops)
+        fwd = cloud_route[host]
+        f = position[fwd]
+        path_hops = hops[h, f]
+        if path_hops < 0 or fwd not in exits:
             continue
-        # A linked forwarder is its own relay: paths[fwd][fwd] is (0.0, 0),
-        # and adding 0.0 leaves the leg's float unchanged.
+        # A linked forwarder is its own relay: latency[f, f] is 0.0, and
+        # adding 0.0 leaves the leg's float unchanged.
         relay = fwd if fwd in cloud else exits[fwd][1]
-        path_ms, path_hops = paths[host][fwd]
-        relay_ms, relay_hops = paths[fwd][relay]
-        leg_ms = path_ms + relay_ms + cloud[relay]
-        routes[s, TupleKind.PC] = (_CLOUD, leg_ms, path_hops + relay_hops + 1)
+        r = position[relay]
+        leg_ms = latency[h, f] + latency[f, r] + cloud[relay]
+        routes[s, pc] = (_CLOUD, leg_ms, path_hops + hops[f, r] + 1)
     return routes
 
 
@@ -453,8 +523,9 @@ def run(
     from seed-salted streams that do not depend on the mode, so runs of both
     modes under one seed see identical workloads and differ only in placement
     and routing.  :func:`_schedule` draws the emission schedule once per
-    (seed, workload, sensor count) and keeps the last one, so modes run back
-    to back under one seed share it.
+    (seed, workload, sensor count) and :func:`_attachment` the sensor
+    attachment once per (seed, device ids, sensor count, access range); each
+    keeps the last one, so modes run back to back under one seed share them.
 
     A tuple without a route (:func:`_sensor_routes`) is dropped.  One emitted
     at t arrives at A = t + leg, departs at D = start + service and completes
@@ -476,9 +547,7 @@ def run(
         workload.n_sensors if workload.n_sensors is not None else max(1, n_devices // 2)
     )
 
-    sensors = attach_sensors(
-        overlay, n_sensors, random.Random(seed ^ _ATTACH_SALT), workload.access_ms
-    )
+    sensors = _attachment(seed, overlay.device_ids, n_sensors, workload.access_ms)
     placement = place_edge_ward(
         overlay,
         sensors,

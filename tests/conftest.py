@@ -23,11 +23,11 @@ settings.load_profile("dev")
 
 @pytest.fixture
 def searched_sources(monkeypatch):
-    """The device id of every per-source shortest-path search, in call order.
+    """The device position of every per-source shortest-path search, in call order.
 
     Both the path table and weighted betweenness run ``overlay._search`` on
-    device positions, with the overlay's ids; centrality binds its own
-    reference, so both bindings are counted.
+    device positions; centrality binds its own reference, so both bindings
+    are counted.
     """
     import smartfog.centrality
     import smartfog.overlay
@@ -35,9 +35,9 @@ def searched_sources(monkeypatch):
     calls = []
     original = smartfog.overlay._search
 
-    def counting(neighbours, ids, source, *args):
-        calls.append(ids[source])
-        return original(neighbours, ids, source, *args)
+    def counting(neighbours, source, *args):
+        calls.append(source)
+        return original(neighbours, source, *args)
 
     for module in (smartfog.overlay, smartfog.centrality):
         monkeypatch.setattr(module, "_search", counting)

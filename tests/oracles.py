@@ -190,6 +190,21 @@ def fraction_brandes_unweighted(overlay: FogOverlay) -> dict[int, float]:
     return {v: float(acc[v] / 2) for v in ids}
 
 
+def settle_row(overlay: FogOverlay, source: int) -> dict[int, tuple[float, int]]:
+    """Row ``source`` of ``overlay.path_table`` as the search settled it.
+
+    Maps each device reachable from ``source`` (hops >= 0) to ``(latency_ms,
+    hops)``, keyed by id in settle order: ascending (latency, hops, position),
+    which the search's heap keys give.  Unreachable devices are absent.
+    """
+    ids = overlay.device_ids
+    table = overlay.path_table
+    latency, hops = (column[ids.index(source)] for column in table)
+    positions = np.flatnonzero(hops >= 0)
+    order = positions[np.lexsort((positions, hops[positions], latency[positions]))]
+    return {ids[p]: (float(latency[p]), int(hops[p])) for p in order.tolist()}
+
+
 def table_dag_betweenness(overlay: FogOverlay, unit: bool = False):
     """Brandes betweenness as the package ran it before its search counted paths.
 

@@ -21,6 +21,7 @@ from oracles import (
     link_adjacency,
     oracle_betweenness,
     oracle_pair_path_stats,
+    settle_row,
     table_dag_betweenness,
     two_component_overlay,
 )
@@ -317,9 +318,12 @@ class TestExactTies:
         assert weighted == unweighted
 
 
-def table_rows(table):
-    """A path table as nested item lists, so equality checks key order too."""
-    return [(s, list(row.items())) for s, row in table.items()]
+def assert_holds_rows(overlay, table):
+    """``overlay.path_table`` read back in settle order is ``table``, an
+    ``id -> {id: (latency_ms, hops)}`` row per device, key order included."""
+    assert list(table) == list(overlay.device_ids)
+    for s, row in table.items():
+        assert list(settle_row(overlay, s).items()) == list(row.items())
 
 
 @st.composite
@@ -348,11 +352,11 @@ class TestSearchCountsPaths:
         assert betweenness(ov).scores == scores
         # Weighted betweenness filled the cache with its own rows.
         assert "path_table" in vars(ov)
-        assert table_rows(ov.path_table) == table_rows(table)
+        assert_holds_rows(ov, table)
         # With the table cached the searches run again, to the same scores.
         assert betweenness(ov).scores == scores
         fresh = FogOverlay(ov.devices, ov.links, ov.cloud_latency_ms)
-        assert table_rows(fresh.path_table) == table_rows(table)
+        assert_holds_rows(fresh, table)
         # The hop-count sweep past 2**53 runs the same search on unit lengths.
         assert centrality._brandes_unweighted(ov) == table_dag_betweenness(ov, unit=True)[0]
 
@@ -368,9 +372,9 @@ class TestChurnedIds:
         assert max(ov.device_ids) > n == len(ov.device_ids) - 1
         scores, table = table_dag_betweenness(ov)
         assert betweenness(ov).scores == scores
-        assert table_rows(ov.path_table) == table_rows(table)
+        assert_holds_rows(ov, table)
         fresh = FogOverlay(ov.devices, ov.links, ov.cloud_latency_ms)
-        assert table_rows(fresh.path_table) == table_rows(table)
+        assert_holds_rows(fresh, table)
         unweighted = betweenness(ov, CentralityMode.UNWEIGHTED).scores
         assert unweighted == fraction_brandes_unweighted(ov)
         assert centrality._brandes_unweighted(ov) == table_dag_betweenness(ov, unit=True)[0]

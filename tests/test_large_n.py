@@ -6,19 +6,20 @@ guarantees, with no timing gates.
 """
 
 import math
+import tracemalloc
 from collections import deque
 
 import numpy as np
 import pytest
 
-from smartfog.centrality import CentralityMode
+from smartfog.centrality import CentralityMode, betweenness
 from smartfog.clustering import device_features, similarity_matrix
 from smartfog.decision import AreaType
 from smartfog.harness import run_smartfog_pipeline
 from smartfog.overlay import build_overlay
 from smartfog.simulation import Mode, WorkloadSpec, run
 
-from oracles import laplacian_eigensystem, link_adjacency
+from oracles import laplacian_eigensystem, link_adjacency, settle_row
 
 
 @pytest.mark.slow
@@ -96,13 +97,29 @@ def test_weighted_pipeline_and_simulation_share_one_table_at_n_1000(searched_sou
     # interior devices.
     interior = sum(
         hops - 1
-        for s, row in overlay.path_table.items()
-        for t, (_, hops) in row.items()
+        for s in overlay.device_ids
+        for t, (_, hops) in settle_row(overlay, s).items()
         if s < t
     )
     assert math.fsum(scores.scores.values()) == pytest.approx(interior, rel=1e-9)
     _simulate_both_modes(overlay, assignment, areas, seed=n)
-    assert sorted(searched_sources) == sorted(overlay.device_ids)
+    assert sorted(searched_sources) == list(range(n))
+
+
+@pytest.mark.slow
+def test_weighted_path_table_at_n_1000_retains_two_arrays():
+    # tracemalloc counts numpy's buffers too.  The two arrays hold 12 bytes a
+    # pair (12 MB); per-source dicts of (latency, hops) tuples held about
+    # 110 bytes a pair.
+    overlay = build_overlay(1000, seed=1000)
+    tracemalloc.start()
+    try:
+        betweenness(overlay)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "path_table" in vars(overlay)
+    assert retained <= 16 * 2**20
 
 
 def _simulate_both_modes(overlay, assignment, areas, seed):

@@ -39,6 +39,8 @@ from oracles import (
     brute_force_latency_to_cloud,
     brute_force_min_latency,
     churned_overlay,
+    settle_row,
+    table_dag_betweenness,
     two_component_overlay,
 )
 
@@ -512,7 +514,7 @@ class TestCanonicalOrder:
 
 def full_search_latency_to_cloud(overlay, device_id):
     """The cloud latency read off a complete shortest-path table."""
-    table = all_pairs_paths(overlay)[device_id]
+    table = settle_row(overlay, device_id)
     return min(table[g][0] + ms for g, ms in overlay.cloud_latency_ms.items() if g in table)
 
 
@@ -528,7 +530,7 @@ def virtual_cloud_latencies(overlay):
     joined = apply_churn(
         overlay, Join(device=virtual, links=tuple(overlay.cloud_latency_ms.items()))
     )
-    row = all_pairs_paths(joined)[cloud_id]
+    row = settle_row(joined, cloud_id)
     return {dev: ms for dev, (ms, _) in row.items() if dev != cloud_id}
 
 
@@ -592,7 +594,7 @@ class TestLatencyToCloud:
         ov = integer_latency_overlay(seed)
         tied = 0
         for dev in ov.device_ids:
-            table = all_pairs_paths(ov)[dev]
+            table = settle_row(ov, dev)
             totals = sorted(table[g][0] + ms for g, ms in ov.cloud_latency_ms.items())
             tied += totals[0] == totals[1]
             assert latency_to_cloud(ov, dev) == totals[0]
@@ -642,7 +644,7 @@ class TestShortestPaths:
     def test_matches_brute_force(self, seed, n):
         ov = build_overlay(n, seed)
         for src in ov.device_ids:
-            table = all_pairs_paths(ov)[src]
+            table = settle_row(ov, src)
             for dst in ov.device_ids:
                 assert table[dst][0] == pytest.approx(
                     brute_force_min_latency(ov, src, dst), abs=1e-9
@@ -650,6 +652,37 @@ class TestShortestPaths:
 
     def test_hop_counts_on_chain(self):
         ov = chain_overlay(4)
-        table = all_pairs_paths(ov)[0]
+        table = settle_row(ov, 0)
         assert table[3] == (6.0, 3)
         assert table[0] == (0.0, 0)
+
+    def test_table_arrays_are_read_only(self):
+        built = build_overlay(6, seed=3)
+        offered = build_overlay(6, seed=3)
+        betweenness(offered)
+        assert "path_table" in vars(offered)
+        for ov in (built, offered):
+            latency, hops = all_pairs_paths(ov)
+            assert (latency.dtype, hops.dtype) == (np.float64, np.int32)
+            assert latency.shape == hops.shape == (6, 6)
+            for column in (latency, hops):
+                with pytest.raises(ValueError):
+                    column[0, 1] = 1
+
+    def test_disconnected_table_matches_table_dag_oracle(self):
+        # Two generated components, the second's ids shifted past a gap.
+        left, right = build_overlay(5, seed=11), build_overlay(4, seed=12)
+        ov = FogOverlay(
+            devices=left.devices + tuple(replace(d, id=d.id + 20) for d in right.devices),
+            links=left.links
+            + tuple(replace(l, a=l.a + 20, b=l.b + 20) for l in right.links),
+            cloud_latency_ms=left.cloud_latency_ms,
+        )
+        assert not ov.is_connected()
+        _, oracle = table_dag_betweenness(ov)
+        latency, hops = all_pairs_paths(ov)
+        for i, s in enumerate(ov.device_ids):
+            assert list(settle_row(ov, s).items()) == list(oracle[s].items())
+            for j, t in enumerate(ov.device_ids):
+                assert (latency[i, j], hops[i, j]) == oracle[s].get(t, (math.inf, -1))
+        assert (hops < 0).sum() == 2 * 5 * 4

@@ -14,11 +14,13 @@ from smartfog.errors import ConfigurationError, ContractError, SmartFogError
 from smartfog.harness import run_smartfog_pipeline
 from smartfog.overlay import Arch, FogDevice, FogOverlay, Join, Link, apply_churn, build_overlay
 from smartfog.simulation import (
+    _ATTACH_SALT,
     Mode,
     Placement,
     SensorAttachment,
     TupleKind,
     WorkloadSpec,
+    _attachment,
     _schedule,
     attach_sensors,
     place_edge_ward,
@@ -424,6 +426,37 @@ class TestDeterminismAndPairing:
             with pytest.raises(ValueError):
                 column[0] = 0.0
 
+    def test_paired_modes_draw_one_attachment(self):
+        ov = build_overlay(12, seed=6)
+        workload = WorkloadSpec(duration_s=60.0)
+        assignment, areas, _, _ = run_smartfog_pipeline(
+            ov, (AreaType.COMPUTE_OPTIMIZED, AreaType.MEMORY_OPTIMIZED), 2, None, 6
+        )
+        _attachment.cache_clear()
+        run(ov, Mode.SMARTFOG, workload, seed=6, assignment=assignment, areas=areas)
+        run(ov, Mode.UNOPTIMIZED, workload, seed=6)
+        info = _attachment.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+        # The draws read only the device ids: another overlay on the same ids
+        # shares the attachment.
+        run(build_overlay(12, seed=7), Mode.UNOPTIMIZED, workload, seed=6)
+        assert _attachment.cache_info().hits == 2
+        # Another seed, access range, sensor count (6 for 12 devices) and
+        # set of device ids each draw an attachment of their own.
+        for ov_, workload_, seed in (
+            (ov, workload, 7),
+            (ov, dataclasses.replace(workload, access_ms=(2.0, 3.0)), 6),
+            (ov, dataclasses.replace(workload, n_sensors=5), 6),
+            (build_overlay(14, seed=6), dataclasses.replace(workload, n_sensors=6), 6),
+        ):
+            misses = _attachment.cache_info().misses
+            run(ov_, Mode.UNOPTIMIZED, workload_, seed)
+            assert _attachment.cache_info().misses == misses + 1
+            assert _attachment.cache_info().currsize <= 1
+        # The draws are attach_sensors's, from the seed's attachment stream.
+        expected = attach_sensors(ov, 6, random.Random(6 ^ _ATTACH_SALT), workload.access_ms)
+        assert _attachment(6, ov.device_ids, 6, workload.access_ms) == expected
+
     @given(
         seed=st.integers(0, 10_000),
         n=st.one_of(st.none(), st.integers(4, 10)),
@@ -677,6 +710,30 @@ class TestSmartfogEndToEnd:
         )
         assert set(hosts.values()) <= set(compute_area.members)
 
+    def test_smartfog_placement_skips_unreachable_members(self):
+        # 1e308 + 1e308 overflows: device 3 is reached at inf, device 1 not at
+        # all, so its inf in the table must not win the lower-id tie.
+        devices = tuple(
+            FogDevice(id=i, mips=1000.0, memory_gb=2.0, storage_gb=16.0, arch=Arch.ARM)
+            for i in range(4)
+        )
+        links = (Link(a=0, b=2, latency_ms=1e308), Link(a=2, b=3, latency_ms=1e308))
+        ov = FogOverlay(devices=devices, links=links, cloud_latency_ms={0: 60.0, 1: 60.0})
+        sensors = SensorAttachment(access_point={0: 0}, access_ms={0: 1.0})
+        assignment = GatewayAssignment(
+            gateways=((0, AreaType.COMPUTE_OPTIMIZED), (1, AreaType.MEMORY_OPTIMIZED))
+        )
+        areas = [FunctionalArea(0, AreaType.COMPUTE_OPTIMIZED, frozenset({1, 3}), 0)]
+        placement = place_edge_ward(ov, sensors, Mode.SMARTFOG, assignment, areas)
+        assert placement.edge_modules == {0: 3}
+        # Device 3's one candidate is reached at inf; device 2 has no area
+        # and falls back to the gateways, of which only 0 is reachable.
+        assert placement.cloud_route == {0: 0, 1: 1, 2: 0, 3: 0}
+        # Device 2 in an area of the unreachable gateway 1 has no route.
+        areas.append(FunctionalArea(1, AreaType.MEMORY_OPTIMIZED, frozenset({2}), 1))
+        with pytest.raises(ContractError, match="no gateway reachable from device 2"):
+            place_edge_ward(ov, sensors, Mode.SMARTFOG, assignment, areas)
+
     def test_one_path_table_per_overlay(self, searched_sources):
         """Weighted centrality, placement and the event loop of both modes share one table.
 
@@ -689,7 +746,7 @@ class TestSmartfogEndToEnd:
         workload = WorkloadSpec()
         run(ov, Mode.SMARTFOG, workload, 1005, assignment=assignment, areas=areas)
         run(ov, Mode.UNOPTIMIZED, workload, 1005)
-        assert sorted(searched_sources) == sorted(ov.device_ids)
+        assert sorted(searched_sources) == list(range(len(ov.devices)))
 
     def test_unweighted_organizing_caches_no_table(self):
         # Cloud-latency evaluation reads the n-entry cloud_exit table, so
