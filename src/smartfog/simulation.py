@@ -23,8 +23,8 @@ hop traversed, including the sensor access hop and the cloud hop.
 Placement and routing read the overlay's shortest-path table
 (:class:`~smartfog.overlay.PathTable`) by device position: placement as
 array expressions over the member and gateway columns, the routes one entry
-at a time.  The sensor attachment is drawn once per (seed, device ids,
-sensor count, access range) and shared by both modes of a replicate.
+at a time.  A route names its server by device position, the cloud
+following the devices.
 
 Routes are fixed per sensor and links have no capacity, so every tuple
 visits one FIFO server (a device or the cloud), and each server runs
@@ -36,9 +36,9 @@ counts, load and delay samples are array expressions.  A server takes its
 arrivals in order of (A, t, emission index), a tuple's emission index being
 its place in the emission schedule; :class:`SimulationReport` states the
 order of the delay samples.  All randomness comes from streams derived from
-one seed, with draws ordered so that emission times and work sizes are
-identical across modes for the same seed; the schedule is drawn once per
-(seed, workload, sensor count) and shared by both modes.
+one seed, with draws ordered so that the sensor attachment, emission times
+and work sizes are identical across modes for the same seed; they are drawn
+once per (seed, workload, device ids) and shared by both modes.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ import json
 import math
 import random
 from array import array
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -56,8 +57,8 @@ import numpy as np
 
 from .clustering import FunctionalArea
 from .decision import AreaType, GatewayAssignment
-from .errors import ConfigurationError, ContractError, _convert, _convert_fields, _convert_int
-from .errors import _convert_range
+from .errors import ConfigurationError, ContractError, _are_plain, _convert, _convert_fields
+from .errors import _convert_int, _convert_range
 from .overlay import FogOverlay, PathTable, all_pairs_paths
 
 _ATTACH_SALT = 0x617474
@@ -123,11 +124,38 @@ class SensorAttachment:
     """Fixed physical attachment of each sensor/actuator pair.
 
     ``access_point[s]`` is the device the pair is wired to and
-    ``access_ms[s]`` the one-way latency of that access hop.
+    ``access_ms[s]`` the one-way latency of that access hop.  Sensor ids are
+    integers >= 0, both maps have the same ones, and every latency is finite
+    and > 0.
     """
 
     access_point: dict[int, int]
     access_ms: dict[int, float]
+
+    def __post_init__(self):
+        # Exact ints and floats pass in one C-speed pass; anything else is
+        # converted or refused by name.
+        for name, hint in (("access_point", int), ("access_ms", float)):
+            value = getattr(self, name)
+            if not isinstance(value, Mapping):
+                raise ContractError(f"{name} must be a mapping keyed by sensor id, got {value!r}")
+            if not (_are_plain(value, int) and _are_plain(value.values(), hint)):
+                value = {
+                    _convert(int, s, f"{name} sensor id", ContractError): _convert(
+                        hint, v, f"sensor {s}: {name}", ContractError
+                    )
+                    for s, v in value.items()
+                }
+                object.__setattr__(self, name, value)
+        points, ms = self.access_point, self.access_ms
+        if points.keys() != ms.keys():
+            s = min(points.keys() ^ ms.keys())
+            raise ContractError(f"access_ms must have the sensor ids of access_point; {s} is in one only")
+        if min(points, default=0) < 0:
+            raise ContractError(f"access_point sensor id must be an integer >= 0, got {min(points)}")
+        for s, v in ms.items():
+            if not 0 < v < math.inf:
+                raise ContractError(f"sensor {s}: access_ms must be finite and > 0, got {v}")
 
     @property
     def sensor_ids(self) -> tuple[int, ...]:
@@ -173,24 +201,6 @@ def _attach(
         access_point[s] = rng.choice(device_ids)
         access_ms[s] = rng.uniform(*access_ms_range)
     return SensorAttachment(access_point=access_point, access_ms=access_ms)
-
-
-@lru_cache(maxsize=1)
-def _attachment(
-    seed: int,
-    device_ids: tuple[int, ...],
-    n_sensors: int,
-    access_ms_range: tuple[float, float],
-) -> SensorAttachment:
-    """The sensor attachment of :func:`run`, drawn once per (seed, devices,
-    sensor count, access range).
-
-    The draws are :func:`attach_sensors`'s, from the seed's attachment
-    stream, and depend only on the device ids, so the one cached attachment
-    serves both modes of a replicate, which run back to back under one seed.
-    Every caller gets the same object, so none may change its maps.
-    """
-    return _attach(device_ids, n_sensors, random.Random(seed ^ _ATTACH_SALT), access_ms_range)
 
 
 def _nearest(
@@ -358,23 +368,18 @@ class SimulationReport:
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-# Server-table key of the cloud, beside the integer device ids.
-_CLOUD = "cloud"
-
-# (server, one-way leg latency in ms, one-way leg hops); the tuple returns
-# over the same leg.
-_Route = tuple[object, float, int]
-
-
-def _sensor_routes(
+def _stream_routes(
     overlay: FogOverlay, sensors: SensorAttachment, placement: Placement
-) -> dict[tuple[int, TupleKind], _Route]:
-    """Each sensor's route per tuple kind; unroutable pairs are absent.
+) -> list[tuple[float, int, int] | None]:
+    """Each stream's (one-way leg ms, one-way leg hops, server), or None if unroutable.
 
-    SPA: the access hop and the path to the host, served by the host.  PC:
-    the path from the host to its forwarder and the forwarder's cloud link,
-    served by the cloud.  A linked forwarder uses its own cloud link; one
-    without relays through its :attr:`FogOverlay.cloud_exit` device.
+    Stream 2i is the i-th sensor's SPA stream and 2i + 1 its PC stream; a
+    tuple returns over its leg.  The server is a device position, and
+    ``len(overlay.devices)`` the cloud.  SPA: the access hop and the path to
+    the host, served by the host.  PC: the path from the host to its
+    forwarder and the forwarder's cloud link, served by the cloud.  A linked
+    forwarder uses its own cloud link; one without relays through its
+    :attr:`FogOverlay.cloud_exit` device.
     """
     # A memoryview hands out one entry as a Python number more cheaply than
     # numpy's indexing does.
@@ -384,42 +389,49 @@ def _sensor_routes(
     exits = overlay.cloud_exit
     access_point, access_ms = sensors.access_point, sensors.access_ms
     edge_modules, cloud_route = placement.edge_modules, placement.cloud_route
-    spa, pc = TupleKind.SPA, TupleKind.PC
-    routes: dict[tuple[int, TupleKind], _Route] = {}
+    cloud_server = len(position)
+    routes: list[tuple[float, int, int] | None] = []
     for s in sensors.sensor_ids:
         ap = position[access_point[s]]
         host = edge_modules[s]
         h = position[host]
         path_hops = hops[ap, h]
-        if path_hops >= 0:
-            routes[s, spa] = (host, access_ms[s] + latency[ap, h], 1 + path_hops)
+        spa = (access_ms[s] + latency[ap, h], 1 + path_hops, h) if path_hops >= 0 else None
         fwd = cloud_route[host]
         f = position[fwd]
         path_hops = hops[h, f]
-        if path_hops < 0 or fwd not in exits:
-            continue
-        # A linked forwarder is its own relay: latency[f, f] is 0.0, and
-        # adding 0.0 leaves the leg's float unchanged.
-        relay = fwd if fwd in cloud else exits[fwd][1]
-        r = position[relay]
-        leg_ms = latency[h, f] + latency[f, r] + cloud[relay]
-        routes[s, pc] = (_CLOUD, leg_ms, path_hops + hops[f, r] + 1)
+        pc = None
+        if path_hops >= 0 and fwd in exits:
+            # A linked forwarder is its own relay: latency[f, f] is 0.0, and
+            # adding 0.0 leaves the leg's float unchanged.
+            relay = fwd if fwd in cloud else exits[fwd][1]
+            r = position[relay]
+            leg_ms = latency[h, f] + latency[f, r] + cloud[relay]
+            pc = (leg_ms, path_hops + hops[f, r] + 1, cloud_server)
+        routes += (spa, pc)
     return routes
 
 
 @lru_cache(maxsize=1)
-def _schedule(
-    seed: int, workload: WorkloadSpec, n_sensors: int
-) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
-    """Every sensor's emission schedule, drawn once per (seed, spec, sensor count).
+def _draws(
+    seed: int, workload: WorkloadSpec, device_ids: tuple[int, ...]
+) -> tuple[SensorAttachment, np.ndarray, np.ndarray, tuple[int, ...]]:
+    """A run's mode-independent draws, once per (seed, workload, device ids).
 
-    Per sensor, the SPA stream then the PC stream, whether routed or not, so
-    the draws do not depend on the mode; uniform(a, b) is spelled out as its
-    own a + (b - a) * random().  Returns every tuple's emit time and work in
-    emission order, as read-only float64 arrays, and each stream's tuple
-    count.  The one cached schedule serves both modes of a replicate, which
-    run back to back under one seed.
+    ``workload.n_sensors`` sensors, or one per two devices, are attached by
+    :func:`attach_sensors`'s draws from the seed's attachment stream.  Then
+    each sensor's emission schedule is drawn from the seed's work stream:
+    per sensor, the SPA stream then the PC stream, whether routed or not;
+    uniform(a, b) is spelled out as its own a + (b - a) * random().  Returns
+    the attachment, every tuple's emit time and work in emission order, as
+    read-only float64 arrays, and each stream's tuple count.  The one cached
+    result serves both modes of a replicate, which run back to back under
+    one seed, so no caller may change it.
     """
+    n_sensors = workload.n_sensors
+    if n_sensors is None:
+        n_sensors = max(1, len(device_ids) // 2)
+    sensors = _attach(device_ids, n_sensors, random.Random(seed ^ _ATTACH_SALT), workload.access_ms)
     draw = random.Random(seed ^ _WORK_SALT).random
     duration_ms = workload.duration_s * 1000.0
     lo, hi = 1 - workload.jitter, 1 + workload.jitter
@@ -442,7 +454,7 @@ def _schedule(
             sizes.append(len(times) - first)
     emit, work = np.frombuffer(times), np.frombuffer(works)
     emit.flags.writeable = work.flags.writeable = False
-    return emit, work, tuple(sizes)
+    return sensors, emit, work, tuple(sizes)
 
 
 def _serve(
@@ -522,12 +534,11 @@ def run(
     Sensor attachment, emission schedules and per-tuple work sizes derive
     from seed-salted streams that do not depend on the mode, so runs of both
     modes under one seed see identical workloads and differ only in placement
-    and routing.  :func:`_schedule` draws the emission schedule once per
-    (seed, workload, sensor count) and :func:`_attachment` the sensor
-    attachment once per (seed, device ids, sensor count, access range); each
-    keeps the last one, so modes run back to back under one seed share them.
+    and routing.  :func:`_draws` draws all three once per (seed, workload,
+    device ids) and keeps the last, so modes run back to back under one seed
+    share them.
 
-    A tuple without a route (:func:`_sensor_routes`) is dropped.  One emitted
+    A tuple without a route (:func:`_stream_routes`) is dropped.  One emitted
     at t arrives at A = t + leg, departs at D = start + service and completes
     at C = D + leg; it starts at A on an idle server, else at the previous
     departure, so start = max(A, D_prev).  Events after the horizon never
@@ -542,12 +553,8 @@ def run(
     mode = _convert(Mode, mode, "mode", ContractError)
     workload = _convert(WorkloadSpec, workload, "workload", ContractError)
     seed = _convert_int(seed, "seed", 0, ContractError)
-    n_devices = len(overlay.devices)
-    n_sensors = (
-        workload.n_sensors if workload.n_sensors is not None else max(1, n_devices // 2)
-    )
 
-    sensors = _attachment(seed, overlay.device_ids, n_sensors, workload.access_ms)
+    sensors, emit, work, sizes = _draws(seed, workload, overlay.device_ids)
     placement = place_edge_ward(
         overlay,
         sensors,
@@ -556,36 +563,30 @@ def run(
         areas=areas,
         rng=random.Random(seed ^ _PLACE_SALT),
     )
-    routes = _sensor_routes(overlay, sensors, placement)
-    # Each server's (index, MIPS): the devices, then the cloud.
-    servers: dict[object, tuple[int, float]] = {
-        d.id: (i, d.mips) for i, d in enumerate(overlay.devices)
-    }
-    servers[_CLOUD] = (len(servers), workload.cloud_mips)
+    routes = _stream_routes(overlay, sensors, placement)
+    # Each server's MIPS by its position in the routes: the devices, then the cloud.
+    mips = [d.mips for d in overlay.devices] + [workload.cloud_mips]
 
-    # Stream i is sensor i // 2's SPA (even i) or PC (odd i) stream.  A
-    # routed stream's row goes onto ``streams``; an unrouted one is dropped.
-    emit, work, sizes = _schedule(seed, workload, n_sensors)
-    stream_routes = [routes.get((s, kind)) for s in sensors.sensor_ids for kind in TupleKind]
+    # A routed stream's row goes onto ``streams``; an unrouted one is dropped.
     emitted, dropped = [sum(sizes[0::2]), sum(sizes[1::2])], [0, 0]
     streams: list[float] = []
-    for i, route in enumerate(stream_routes):
+    for i, route in enumerate(routes):
         if route is None:
             dropped[i % 2] += sizes[i]
         else:
-            server, leg_ms, leg_hops = route
-            streams += (leg_ms, leg_hops, i % 2, *servers[server])
-    routed = [route is not None for route in stream_routes]
+            leg_ms, leg_hops, server = route
+            streams += (leg_ms, leg_hops, i % 2, server, mips[server])
+    routed = [route is not None for route in routes]
     if not all(routed):
         keep = np.repeat(routed, sizes)
         emit, work, sizes = emit[keep], work[keep], [n for n, kept in zip(sizes, routed) if kept]
 
     completed, load_hops, spa, pc = _serve(
-        emit, work, streams, sizes, len(servers), workload.duration_s * 1e3, workload.warmup_s * 1e3
+        emit, work, streams, sizes, len(mips), workload.duration_s * 1e3, workload.warmup_s * 1e3
     )
     report = SimulationReport(
         mode=mode,
-        n_devices=n_devices,
+        n_devices=len(overlay.devices),
         seed=seed,
         spa_delays_ms=spa,
         pc_delays_ms=pc,

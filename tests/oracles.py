@@ -15,8 +15,9 @@ corresponding package module's internals, with two exceptions.
 :func:`laplacian_eigensystem` is not an oracle: it exposes the package's own
 Laplacian and eigensolver to the spectral tests, which check it against the
 oracles.  :func:`event_loop_run` reuses the package's unchanged
-``attach_sensors``, ``place_edge_ward`` and ``_sensor_routes``, so it
-checks only the queueing and the order of events and delay samples.
+``attach_sensors``, ``place_edge_ward`` and ``_stream_routes``, so it
+checks only the queueing, the order of events and delay samples, and that
+each route names its server by device position.
 """
 
 from __future__ import annotations
@@ -54,15 +55,13 @@ from smartfog.overlay import (
 )
 from smartfog.simulation import (
     _ATTACH_SALT,
-    _CLOUD,
     _PLACE_SALT,
     _WORK_SALT,
     Mode,
     SimulationReport,
     TupleKind,
     WorkloadSpec,
-    _Route,
-    _sensor_routes,
+    _stream_routes,
     attach_sensors,
     place_edge_ward,
 )
@@ -570,13 +569,17 @@ def brute_force_latency_to_cloud(overlay: FogOverlay, device_id: int) -> float:
 # Discrete-event simulation
 
 
+# The oracle's server key of the cloud, beside the integer device ids.
+_CLOUD = "cloud"
+
+
 @dataclass
 class _TupleState:
     kind: TupleKind
     index: int
     emit_ms: float
     work_mips: float
-    route: _Route | None
+    route: tuple[float, int, object] | None  # (leg ms, leg hops, server id)
 
 
 def event_loop_run(
@@ -596,7 +599,8 @@ def event_loop_run(
     loop stops at the first event past the horizon; the samples are then
     sorted once, so ties on C are reported in emission order.  Attachment,
     placement and routes come from the package, so this checks the queueing
-    and the order of events and samples.
+    and the order of events and samples.  Each route's server is named by
+    device id, checked against the placement, and its MIPS read by id.
     """
     mode = _convert(Mode, mode, "mode", ContractError)
     if _convert(int, seed, "seed", ContractError) < 0:
@@ -618,8 +622,18 @@ def event_loop_run(
         areas=areas,
         rng=random.Random(seed ^ _PLACE_SALT),
     )
-    routes = _sensor_routes(overlay, sensors, placement)
-    server_mips: dict[object, float] = {d.id: d.mips for d in overlay.devices}
+    # The package's routes name a server by device position, the cloud
+    # after the devices; the oracle's name it by device id.
+    routes = []
+    for i, route in enumerate(_stream_routes(overlay, sensors, placement)):
+        if route is not None:
+            leg_ms, leg_hops, server = route
+            server = overlay.device_ids[server] if server < n_devices else _CLOUD
+            placed = placement.edge_modules[sensors.sensor_ids[i // 2]] if i % 2 == 0 else _CLOUD
+            assert server == placed, f"stream {i} is served by {server}, not {placed}"
+            route = (leg_ms, leg_hops, server)
+        routes.append(route)
+    server_mips: dict[object, float] = {d: overlay.device(d).mips for d in overlay.device_ids}
     server_mips[_CLOUD] = workload.cloud_mips
 
     report = SimulationReport(mode=mode, n_devices=n_devices, seed=seed)
@@ -636,13 +650,15 @@ def event_loop_run(
     # across modes.
     work_rng = random.Random(seed ^ _WORK_SALT)
     emission = count()
+    stream_routes = iter(routes)
     duration_ms = workload.duration_s * 1000.0
     warmup_ms = workload.warmup_s * 1000.0
-    for s in sensors.sensor_ids:
+    for _ in sensors.sensor_ids:
         for kind, interval_s, mips_range in (
             (TupleKind.SPA, workload.spa_interval_s, workload.spa_mips_range),
             (TupleKind.PC, workload.pc_interval_s, workload.pc_mips_range),
         ):
+            route = next(stream_routes)
             t = 0.0
             while True:
                 gap = interval_s * work_rng.uniform(1 - workload.jitter, 1 + workload.jitter)
@@ -650,7 +666,7 @@ def event_loop_run(
                 if t > duration_ms:
                     break
                 work = work_rng.uniform(*mips_range)
-                state = _TupleState(kind, next(emission), t, work, routes.get((s, kind)))
+                state = _TupleState(kind, next(emission), t, work, route)
                 push(t, "emit", state)
                 report.emitted[kind.value] += 1
 
@@ -659,7 +675,7 @@ def event_loop_run(
     bytes_per_tuple = int(workload.tuple_bytes)
 
     def serve(now: float, state: _TupleState) -> None:
-        service_ms = state.work_mips / server_mips[state.route[0]] * 1000.0
+        service_ms = state.work_mips / server_mips[state.route[2]] * 1000.0
         push(now + service_ms, "done", state)
 
     samples: dict[TupleKind, list[tuple[float, int, float]]] = {kind: [] for kind in TupleKind}
@@ -673,12 +689,12 @@ def event_loop_run(
             if state.route is None:
                 report.dropped[state.kind.value] += 1
                 continue
-            _, leg_ms, leg_hops = state.route
+            leg_ms, leg_hops, _ = state.route
             report.network_load_bytes += bytes_per_tuple * leg_hops
             push(now + leg_ms, "arrive", state)
 
         elif event == "arrive":
-            server = state.route[0]
+            server = state.route[2]
             if busy[server]:
                 queue[server].append(state)
             else:
@@ -686,7 +702,7 @@ def event_loop_run(
                 serve(now, state)
 
         elif event == "done":
-            server, leg_ms, leg_hops = state.route
+            leg_ms, leg_hops, server = state.route
             report.network_load_bytes += bytes_per_tuple * leg_hops
             push(now + leg_ms, "complete", state)
             if queue[server]:

@@ -12,7 +12,16 @@ from smartfog.clustering import FunctionalArea
 from smartfog.decision import AreaType, GatewayAssignment
 from smartfog.errors import ConfigurationError, ContractError, SmartFogError
 from smartfog.harness import run_smartfog_pipeline
-from smartfog.overlay import Arch, FogDevice, FogOverlay, Join, Link, apply_churn, build_overlay
+from smartfog.overlay import (
+    Arch,
+    FogDevice,
+    FogOverlay,
+    Join,
+    Leave,
+    Link,
+    apply_churn,
+    build_overlay,
+)
 from smartfog.simulation import (
     _ATTACH_SALT,
     Mode,
@@ -20,8 +29,7 @@ from smartfog.simulation import (
     SensorAttachment,
     TupleKind,
     WorkloadSpec,
-    _attachment,
-    _schedule,
+    _draws,
     attach_sensors,
     place_edge_ward,
     run,
@@ -217,6 +225,25 @@ class TestPlacement:
         with pytest.raises(ContractError, match="access_point"):
             place_edge_ward(ov, sensors, mode, assignment, areas, random.Random(0))
 
+    @pytest.mark.parametrize(
+        "access_point, access_ms, match",
+        [
+            ([3], [1.0], "access_point must be a mapping"),
+            ({0: 3, "x": 4}, {0: 1.0, "x": 1.0}, "access_point sensor id"),
+            ({True: 3}, {True: 1.0}, "access_point sensor id"),
+            ({-1: 3}, {-1: 1.0}, "access_point sensor id"),
+            ({0: 3, 1: 4}, {0: 1.0}, "access_ms must have the sensor ids"),
+            ({0: 3}, {0: -5.0}, "sensor 0: access_ms"),
+            ({0: 3}, {0: math.nan}, "sensor 0: access_ms"),
+        ],
+        ids=["list", "str-id", "bool-id", "negative-id", "missing-ms", "negative-ms", "nan-ms"],
+    )
+    def test_malformed_attachment_rejected_by_name(self, access_point, access_ms, match):
+        ov = build_overlay(6, 1)
+        with pytest.raises(ContractError, match=match):
+            sensors = SensorAttachment(access_point, access_ms)
+            place_edge_ward(ov, sensors, Mode.UNOPTIMIZED, rng=random.Random(1))
+
     @pytest.mark.parametrize("mode", list(Mode))
     @pytest.mark.parametrize(
         "place, match",
@@ -398,64 +425,44 @@ class TestDeterminismAndPairing:
             assert by_value.mode is mode
             assert by_value.to_json() == run(ov, mode, workload, seed=6, **kwargs).to_json()
 
-    def test_paired_modes_draw_one_schedule(self):
+    def test_paired_modes_share_one_draw(self):
         ov = build_overlay(12, seed=6)
         workload = WorkloadSpec(duration_s=60.0)
         assignment, areas, _, _ = run_smartfog_pipeline(
             ov, (AreaType.COMPUTE_OPTIMIZED, AreaType.MEMORY_OPTIMIZED), 2, None, 6
         )
-        _schedule.cache_clear()
+        _draws.cache_clear()
         run(ov, Mode.SMARTFOG, workload, seed=6, assignment=assignment, areas=areas)
         run(ov, Mode.UNOPTIMIZED, workload, seed=6)
-        info = _schedule.cache_info()
+        info = _draws.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
-        # Another seed, another spec and another sensor count (7 for 14
-        # devices, 6 for 12) each draw a schedule of their own.
+        # The draws read only the device ids: another overlay on the same ids
+        # shares them.
+        run(build_overlay(12, seed=7), Mode.UNOPTIMIZED, workload, seed=6)
+        assert _draws.cache_info().hits == 2
+        # Another seed, jitter, access range, sensor count (5, not the 6 for
+        # 12 devices) and set of device ids (at 6 sensors, then at the 7 for
+        # 14 devices) each draw their own.
         for ov_, workload_, seed in (
             (ov, workload, 7),
             (ov, dataclasses.replace(workload, jitter=0.1), 6),
+            (ov, dataclasses.replace(workload, access_ms=(2.0, 3.0)), 6),
+            (ov, dataclasses.replace(workload, n_sensors=5), 6),
+            (build_overlay(14, seed=6), dataclasses.replace(workload, n_sensors=6), 6),
             (build_overlay(14, seed=6), workload, 6),
         ):
-            misses = _schedule.cache_info().misses
+            misses = _draws.cache_info().misses
             run(ov_, Mode.UNOPTIMIZED, workload_, seed)
-            assert _schedule.cache_info().misses == misses + 1
-            assert _schedule.cache_info().currsize <= 1
-        emit, work, sizes = _schedule(6, workload, 6)
+            assert _draws.cache_info().misses == misses + 1
+            assert _draws.cache_info().currsize <= 1
+        sensors, emit, work, sizes = _draws(6, workload, ov.device_ids)
         assert len(emit) == len(work) == sum(sizes) > 0
         for column in (emit, work):
             with pytest.raises(ValueError):
                 column[0] = 0.0
-
-    def test_paired_modes_draw_one_attachment(self):
-        ov = build_overlay(12, seed=6)
-        workload = WorkloadSpec(duration_s=60.0)
-        assignment, areas, _, _ = run_smartfog_pipeline(
-            ov, (AreaType.COMPUTE_OPTIMIZED, AreaType.MEMORY_OPTIMIZED), 2, None, 6
-        )
-        _attachment.cache_clear()
-        run(ov, Mode.SMARTFOG, workload, seed=6, assignment=assignment, areas=areas)
-        run(ov, Mode.UNOPTIMIZED, workload, seed=6)
-        info = _attachment.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
-        # The draws read only the device ids: another overlay on the same ids
-        # shares the attachment.
-        run(build_overlay(12, seed=7), Mode.UNOPTIMIZED, workload, seed=6)
-        assert _attachment.cache_info().hits == 2
-        # Another seed, access range, sensor count (6 for 12 devices) and
-        # set of device ids each draw an attachment of their own.
-        for ov_, workload_, seed in (
-            (ov, workload, 7),
-            (ov, dataclasses.replace(workload, access_ms=(2.0, 3.0)), 6),
-            (ov, dataclasses.replace(workload, n_sensors=5), 6),
-            (build_overlay(14, seed=6), dataclasses.replace(workload, n_sensors=6), 6),
-        ):
-            misses = _attachment.cache_info().misses
-            run(ov_, Mode.UNOPTIMIZED, workload_, seed)
-            assert _attachment.cache_info().misses == misses + 1
-            assert _attachment.cache_info().currsize <= 1
-        # The draws are attach_sensors's, from the seed's attachment stream.
+        # The attachment is attach_sensors's, from the seed's attachment stream.
         expected = attach_sensors(ov, 6, random.Random(6 ^ _ATTACH_SALT), workload.access_ms)
-        assert _attachment(6, ov.device_ids, 6, workload.access_ms) == expected
+        assert sensors == expected
 
     @given(
         seed=st.integers(0, 10_000),
@@ -499,12 +506,12 @@ class TestDeterminismAndPairing:
         modes = [(Mode.SMARTFOG, smart), (Mode.UNOPTIMIZED, {})]
         if unoptimized_first:
             modes.reverse()
-        _schedule.cache_clear()
+        _draws.cache_clear()
         warm = [run(ov, mode, workload, seed, **kwargs).to_json() for mode, kwargs in modes]
-        assert _schedule.cache_info().hits == 1
+        assert _draws.cache_info().hits == 1
         cold = []
         for mode, kwargs in modes:
-            _schedule.cache_clear()
+            _draws.cache_clear()
             cold.append(run(ov, mode, workload, seed, **kwargs).to_json())
         oracle = [event_loop_run(ov, mode, workload, seed, **kw).to_json() for mode, kw in modes]
         assert warm == cold == oracle
@@ -885,6 +892,26 @@ class TestEventHeapOracle:
             (Mode.UNOPTIMIZED, {}),
         ):
             report = run(ov, mode, workload, seed, **kwargs)
+            assert report.to_json() == event_loop_run(ov, mode, workload, seed, **kwargs).to_json()
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_churned_ids_match_oracle(self, seed):
+        # Device 2 leaves, which moves every later device one position down,
+        # and device 20 joins at the last position, so ids are not positions.
+        joiner = FogDevice(id=20, mips=6000.0, memory_gb=4.0, storage_gb=16.0, arch=Arch.X86)
+        ov = apply_churn(build_overlay(12, seed), Leave(device_id=2))
+        ov = apply_churn(ov, Join(device=joiner, links=((0, 1.0), (7, 1.0)), cloud_latency_ms=40.0))
+        assert ov.device_ids[1:3] == (1, 3) and ov.device_ids[-1] == 20
+        workload = WorkloadSpec(duration_s=120.0, spa_interval_s=4.0, pc_interval_s=8.0)
+        assignment, areas, _, _ = run_smartfog_pipeline(
+            ov, (AreaType.COMPUTE_OPTIMIZED, AreaType.MEMORY_OPTIMIZED), 2, None, seed
+        )
+        for mode, kwargs in (
+            (Mode.SMARTFOG, {"assignment": assignment, "areas": areas}),
+            (Mode.UNOPTIMIZED, {}),
+        ):
+            report = run(ov, mode, workload, seed, **kwargs)
+            assert report.total_completed > 0
             assert report.to_json() == event_loop_run(ov, mode, workload, seed, **kwargs).to_json()
 
     def test_deep_tie_chain_matches_oracle(self):
