@@ -425,7 +425,35 @@ class TestDeterminismAndPairing:
             assert by_value.mode is mode
             assert by_value.to_json() == run(ov, mode, workload, seed=6, **kwargs).to_json()
 
-    def test_paired_modes_share_one_draw(self):
+    def test_paired_modes_draw_one_schedule(self):
+        ov = build_overlay(12, seed=6)
+        workload = WorkloadSpec(duration_s=60.0)
+        assignment, areas, _, _ = run_smartfog_pipeline(
+            ov, (AreaType.COMPUTE_OPTIMIZED, AreaType.MEMORY_OPTIMIZED), 2, None, 6
+        )
+        _draws.cache_clear()
+        run(ov, Mode.SMARTFOG, workload, seed=6, assignment=assignment, areas=areas)
+        run(ov, Mode.UNOPTIMIZED, workload, seed=6)
+        info = _draws.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+        # Another seed, jitter and sensor count (7 for 14 devices, 6 for 12)
+        # each draw a schedule of their own.
+        for ov_, workload_, seed in (
+            (ov, workload, 7),
+            (ov, dataclasses.replace(workload, jitter=0.1), 6),
+            (build_overlay(14, seed=6), workload, 6),
+        ):
+            misses = _draws.cache_info().misses
+            run(ov_, Mode.UNOPTIMIZED, workload_, seed)
+            assert _draws.cache_info().misses == misses + 1
+            assert _draws.cache_info().currsize <= 1
+        _, emit, work, sizes = _draws(6, workload, ov.device_ids)
+        assert len(emit) == len(work) == sum(sizes) > 0
+        for column in (emit, work):
+            with pytest.raises(ValueError):
+                column[0] = 0.0
+
+    def test_paired_modes_draw_one_attachment(self):
         ov = build_overlay(12, seed=6)
         workload = WorkloadSpec(duration_s=60.0)
         assignment, areas, _, _ = run_smartfog_pipeline(
@@ -440,29 +468,21 @@ class TestDeterminismAndPairing:
         # shares them.
         run(build_overlay(12, seed=7), Mode.UNOPTIMIZED, workload, seed=6)
         assert _draws.cache_info().hits == 2
-        # Another seed, jitter, access range, sensor count (5, not the 6 for
-        # 12 devices) and set of device ids (at 6 sensors, then at the 7 for
-        # 14 devices) each draw their own.
+        # Another seed, access range, sensor count (5, not the 6 for 12
+        # devices) and set of device ids (at 6 sensors) each draw their own.
         for ov_, workload_, seed in (
             (ov, workload, 7),
-            (ov, dataclasses.replace(workload, jitter=0.1), 6),
             (ov, dataclasses.replace(workload, access_ms=(2.0, 3.0)), 6),
             (ov, dataclasses.replace(workload, n_sensors=5), 6),
             (build_overlay(14, seed=6), dataclasses.replace(workload, n_sensors=6), 6),
-            (build_overlay(14, seed=6), workload, 6),
         ):
             misses = _draws.cache_info().misses
             run(ov_, Mode.UNOPTIMIZED, workload_, seed)
             assert _draws.cache_info().misses == misses + 1
             assert _draws.cache_info().currsize <= 1
-        sensors, emit, work, sizes = _draws(6, workload, ov.device_ids)
-        assert len(emit) == len(work) == sum(sizes) > 0
-        for column in (emit, work):
-            with pytest.raises(ValueError):
-                column[0] = 0.0
         # The attachment is attach_sensors's, from the seed's attachment stream.
         expected = attach_sensors(ov, 6, random.Random(6 ^ _ATTACH_SALT), workload.access_ms)
-        assert sensors == expected
+        assert _draws(6, workload, ov.device_ids)[0] == expected
 
     @given(
         seed=st.integers(0, 10_000),
